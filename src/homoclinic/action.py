@@ -18,10 +18,18 @@ Feasibility is a segment test: the polyline through the nodes must keep
 distance delta_seg = 1e-3 |q| from the singular point, so a trajectory
 cannot tunnel through q between nodes.  Gradient norms are reported as
 ||g||_2 / sqrt(h), a mesh-independent proxy flagged in every report.
+
+ActionKernel is the one implementation of this stencil.  It is built once
+per (potential, grid) and evaluates a trajectory in a single pass over the
+nodes: offsets from q, the guard test, the segment clearance, W and the
+action value.  The resulting StencilPoint carries |u - q| and |u|^2, so
+the gradient at an accepted point reuses them.  The solver, eval_action,
+the residuals and the positivity probe all evaluate through it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,66 +52,151 @@ class ActionEval:
     feasible: bool
 
 
+def _rowsum(x: Array) -> Array:
+    """Sum over the coordinate axis, one column at a time.
+
+    Below 8 columns numpy's axis-1 sum also accumulates the columns left to
+    right, so this is bitwise the same at a fraction of the call overhead.
+    """
+    d = x.shape[1]
+    if not 2 <= d < 8:
+        return np.sum(x, axis=1)
+    out = x[:, 0] + x[:, 1]
+    for c in range(2, d):
+        out += x[:, c]
+    return out
+
+
+def _polyline_clearance(dq: Array) -> float:
+    """Min distance from the origin to the polyline through the rows of dq."""
+    p0 = dq[:-1]
+    seg = dq[1:] - p0
+    denom = _rowsum(seg * seg)
+    t = np.zeros(denom.shape)
+    np.divide(-_rowsum(p0 * seg), denom, out=t, where=denom > 0.0)
+    np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)  # clip to the segment
+    closest = p0 + t[:, None] * seg
+    return math.sqrt(_rowsum(closest * closest).min())
+
+
 def segment_clearance(values: Array, q: Array) -> float:
     """Min distance from q to the closed polyline through the node values."""
-    p0 = values[:-1] - q
-    p1 = values[1:] - q
-    seg = p1 - p0
-    denom = np.sum(seg * seg, axis=1)
-    t = np.zeros_like(denom)
-    np.divide(-np.sum(p0 * seg, axis=1), denom, out=t, where=denom > 0.0)
-    np.clip(t, 0.0, 1.0, out=t)
-    closest = p0 + t[:, None] * seg
-    return float(np.sqrt(np.min(np.sum(closest * closest, axis=1))))
+    return _polyline_clearance(values - q)
 
 
 def singularity_clearance(u: GridFunction, pot: PotentialSpec) -> float:
     return segment_clearance(u.values, pot.q)
 
 
-def _check_nodes_clear(values: Array, pot: PotentialSpec) -> None:
-    d2 = np.sum((values - pot.q) ** 2, axis=1)
-    if np.any(d2 < pot.eps_q * pot.eps_q):
-        raise SingularityProximity(
-            "a node is within the %.3e guard ball around q" % pot.eps_q
+@dataclass
+class StencilPoint:
+    """Node state of one trajectory, shared by its value and its gradient."""
+
+    values: Array
+    dq: Array  # values - q
+    s: Array  # |values - q| per node
+    r2: Array  # |values|^2 per node
+    sa: Optional[Array]  # s ** -alpha, built-in well only
+    clearance: float = math.nan
+    value: float = math.nan
+
+
+class ActionKernel:
+    """The discrete action stencil on one (potential, grid) pair.
+
+    trial() is the solver's feasibility-aware evaluation: a node within
+    2 eps_q of q or a clearance below delta_seg makes it return None.
+    evaluate() raises SingularityProximity for a node inside the eps_q
+    guard ball and otherwise reports the clearance without judging it.
+    Custom wells are evaluated through their own w_fn / grad_fn.
+    """
+
+    def __init__(self, pot: PotentialSpec, grid: Grid):
+        self.well = pot.well
+        self.q = pot.q
+        self.h = grid.h
+        self.a = eval_a(pot.coeff, grid.times)
+        self.eps_q = pot.eps_q
+        self.delta_seg = pot.delta_seg
+        self._builtin = pot.well.form == "example"
+
+    def _nodes(self, values: Array, guard2: float) -> Optional[StencilPoint]:
+        dq = values - self.q
+        d2 = _rowsum(dq * dq)
+        if d2.min() < guard2:
+            return None
+        s = np.sqrt(d2)
+        sa = s ** (-self.well.alpha) if self._builtin else None
+        return StencilPoint(values, dq, s, _rowsum(values * values), sa)
+
+    def _value(self, p: StencilPoint) -> float:
+        v = p.values
+        w = -p.r2 * p.sa if self._builtin else eval_W(self.well, v)
+        aw = self.a * w
+        potential = -self.h * (aw.sum() - 0.5 * (aw[0] + aw[-1]))
+        diffs = v[1:] - v[:-1]
+        kinetic = 0.5 * (diffs * diffs).sum() / self.h
+        return float(kinetic + potential)
+
+    def evaluate(self, values: Array) -> StencilPoint:
+        """Value and clearance; raises SingularityProximity inside the guard ball."""
+        p = self._nodes(values, self.eps_q * self.eps_q)
+        if p is None:
+            raise SingularityProximity(
+                "a node is within the %.3e guard ball around q" % self.eps_q
+            )
+        p.clearance = _polyline_clearance(p.dq)
+        p.value = self._value(p)
+        return p
+
+    def trial(self, values: Array) -> Optional[StencilPoint]:
+        """Value and clearance of a solver trial, or None when it is infeasible."""
+        p = self._nodes(values, (self.eps_q * self.eps_q) * 4.0)
+        if p is None:
+            return None
+        p.clearance = _polyline_clearance(p.dq)
+        if p.clearance < self.delta_seg:
+            return None
+        p.value = self._value(p)
+        return p
+
+    def grad_w(self, p: StencilPoint) -> Array:
+        """grad W at every node, from the point's stored offsets."""
+        if not self._builtin:
+            return eval_gradW(self.well, p.values)
+        alpha = self.well.alpha
+        # W = -|u|^2 s^-alpha, so grad = -2u s^-alpha + alpha |u|^2 s^-(alpha+2) (u-q)
+        return -2.0 * p.values * p.sa[:, None] + (
+            alpha * p.r2 * p.s ** (-alpha - 2.0)
+        )[:, None] * p.dq
+
+    def gradient(self, p: StencilPoint) -> Array:
+        """Euclidean action gradient, boundary rows zero."""
+        v = p.values
+        h = self.h
+        g = np.zeros(v.shape)
+        g[1:-1] = -(v[2:] - 2.0 * v[1:-1] + v[:-2]) / h - h * (
+            self.a[1:-1, None] * self.grad_w(p)[1:-1]
         )
+        return g
 
 
 def eval_action(u: GridFunction, pot: PotentialSpec) -> ActionEval:
     """Action value, Euclidean gradient and feasibility in one pass."""
-    grid = u.grid
-    v = u.values
-    h = grid.h
-    _check_nodes_clear(v, pot)
-
-    t = grid.times
-    a = eval_a(pot.coeff, t)
-    w = eval_W(pot.well, v)
-    gw = eval_gradW(pot.well, v)
-
-    diffs = np.diff(v, axis=0)
-    kinetic = 0.5 * np.sum(diffs * diffs) / h
-
-    aw = a * w
-    potential = -h * (np.sum(aw) - 0.5 * (aw[0] + aw[-1]))
-
-    grad = np.zeros_like(v)
-    grad[1:-1] = -(v[2:] - 2.0 * v[1:-1] + v[:-2]) / h - h * (
-        a[1:-1, None] * gw[1:-1]
-    )
-
-    clearance = segment_clearance(v, pot.q)
+    kernel = ActionKernel(pot, u.grid)
+    p = kernel.evaluate(u.values)
     return ActionEval(
-        value=float(kinetic + potential),
-        gradient=grad,
-        min_seg_dist=clearance,
-        feasible=clearance >= pot.delta_seg,
+        value=p.value,
+        gradient=kernel.gradient(p),
+        min_seg_dist=p.clearance,
+        feasible=p.clearance >= pot.delta_seg,
     )
 
 
 def grad_norm(grid: Grid, gradient: Array) -> float:
     """Mesh-scaled gradient norm ||g||_2 / sqrt(h)."""
-    return float(np.linalg.norm(gradient) / np.sqrt(grid.h))
+    g = gradient.ravel(order="K")
+    return math.sqrt(g.dot(g)) / math.sqrt(grid.h)
 
 
 @dataclass
@@ -184,21 +277,19 @@ def ode_residual(u: GridFunction, pot: PotentialSpec) -> ResidualReport:
     Tail metrics cover |t| >= L - period.
     """
     grid = u.grid
-    v = u.values
-    h = grid.h
-    _check_nodes_clear(v, pot)
-    t = grid.times
-    a = eval_a(pot.coeff, t)
-    gw = eval_gradW(pot.well, v)
-    res = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h) + a[1:-1, None] * gw[1:-1]
-    sup_res = float(np.sqrt(np.max(np.sum(res * res, axis=1))))
+    kernel = ActionKernel(pot, grid)
+    p = kernel.evaluate(u.values)
+    v = p.values
+    h = kernel.h
+    gw = kernel.grad_w(p)
+    res = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h) + kernel.a[1:-1, None] * gw[1:-1]
+    sup_res = float(np.sqrt(np.max(_rowsum(res * res))))
 
     mask = _tail_mask(grid)
-    norms = np.sqrt(np.sum(v * v, axis=1))
-    tail_u = float(np.max(norms[mask]))
+    tail_u = float(np.max(np.sqrt(p.r2)[mask]))
     dv = np.diff(v, axis=0) / h
     cell_mask = mask[:-1]  # cell labeled by its left node
-    dn = np.sqrt(np.sum(dv * dv, axis=1))
+    dn = np.sqrt(_rowsum(dv * dv))
     tail_du = float(np.max(dn[cell_mask]))
     return ResidualReport(sup_residual=sup_res, tail_sup_u=tail_u, tail_sup_du=tail_du)
 
@@ -211,17 +302,15 @@ def truncation_residual(u: GridFunction, pot: PotentialSpec) -> float:
     second-order stencil cannot see (refinement studies rely on this).
     Uses nodes at least two cells from the boundary.
     """
-    grid = u.grid
-    v = u.values
-    h = grid.h
-    _check_nodes_clear(v, pot)
-    a = eval_a(pot.coeff, grid.times)
-    gw = eval_gradW(pot.well, v)
+    kernel = ActionKernel(pot, u.grid)
+    p = kernel.evaluate(u.values)
+    v = p.values
+    h = kernel.h
     d2 = (
         -v[4:] + 16.0 * v[3:-1] - 30.0 * v[2:-2] + 16.0 * v[1:-3] - v[:-4]
     ) / (12.0 * h * h)
-    res = d2 + a[2:-2, None] * gw[2:-2]
-    return float(np.sqrt(np.max(np.sum(res * res, axis=1))))
+    res = d2 + kernel.a[2:-2, None] * kernel.grad_w(p)[2:-2]
+    return float(np.sqrt(np.max(_rowsum(res * res))))
 
 
 @dataclass
@@ -245,16 +334,15 @@ def positivity_probe(
     """
     if rng is None:
         rng = np.random.default_rng(3)
+    kernel = ActionKernel(pot, grid)
     best = np.inf
     for _ in range(n_samples):
         u = random_smooth_function(grid, pot.dimension, rng)
         nrm = h1_norm(u)
         if nrm == 0.0:
             continue
-        vals = u.values * (radius / nrm)
-        cand = GridFunction(grid, vals)
-        ae = eval_action(cand, pot)
-        if not ae.feasible:
+        p = kernel.evaluate(u.values * (radius / nrm))
+        if p.clearance < pot.delta_seg:
             continue
-        best = min(best, ae.value)
+        best = min(best, p.value)
     return PositivityProbe(min_action=float(best), radius=radius, n_samples=n_samples)

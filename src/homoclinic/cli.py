@@ -145,12 +145,17 @@ def _candidate_summary(cand, csv_name: Optional[str]) -> dict:
     return out
 
 
-def _gate(cfg: RunConfig) -> tuple:
+def _gate(cfg: RunConfig) -> Optional[tuple]:
+    """(hypothesis reports, check seconds) with out_dir created, or None on failure."""
+    t0 = time.perf_counter()
     rows, reports, ok = _hypothesis_rows(cfg)
     if not ok:
         _print_check_table(rows)
         print("hypothesis checks failed", file=sys.stderr)
-    return reports, ok
+        return None
+    t_check = time.perf_counter() - t0
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    return reports, t_check
 
 
 def cmd_check(cfg: RunConfig) -> int:
@@ -160,12 +165,10 @@ def cmd_check(cfg: RunConfig) -> int:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
-    reports, ok = _gate(cfg)
-    t_check = time.perf_counter() - t0
-    if not ok:
+    gated = _gate(cfg)
+    if gated is None:
         return 2
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    reports, t_check = gated
     report = {
         "command": "solve",
         "config": cfg.echo(),
@@ -187,9 +190,11 @@ def cmd_solve(cfg: RunConfig) -> int:
     report["timing"] = {"checks": t_check, "solve": t_solve}
     _write_json(os.path.join(cfg.out_dir, "report.json"), report)
     e_iters = cand.e_stage["iterations"] if cand.e_stage else 0
+    polish = len(cand.history.get("polish_grad_norm", ()))
     print(
-        "solution: action %.6f, grad norm %.3e, clearance %.4f, %d + %d iterations"
-        % (cand.action, cand.grad_norm, cand.clearance, e_iters, cand.iterations)
+        "solution: action %.6f, grad norm %.3e, clearance %.4f, "
+        "iterations %d E-stage + %d descent + %d polish"
+        % (cand.action, cand.grad_norm, cand.clearance, e_iters, cand.iterations, polish)
     )
     print("wrote %s and report.json in %s" % (csv_name, cfg.out_dir))
     return 0
@@ -232,12 +237,10 @@ def _write_library(out_dir: str, lib: SolutionLibrary, seed: int) -> dict:
 
 
 def cmd_search(cfg: RunConfig, jobs: int = 1) -> int:
-    t0 = time.perf_counter()
-    reports, ok = _gate(cfg)
-    t_check = time.perf_counter() - t0
-    if not ok:
+    gated = _gate(cfg)
+    if gated is None:
         return 2
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    reports, t_check = gated
     t1 = time.perf_counter()
     lib = search_distinct(
         cfg.potential,
@@ -288,12 +291,10 @@ def cmd_refine(cfg: RunConfig) -> int:
     m_fine = cfg.refine.m_fine or 2 * m_coarse
     if m_fine == m_coarse:
         raise ConfigError("refine: coarse and fine node counts are both %d" % m_coarse)
-    t0 = time.perf_counter()
-    reports, ok = _gate(cfg)
-    t_check = time.perf_counter() - t0
-    if not ok:
+    gated = _gate(cfg)
+    if gated is None:
         return 2
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    reports, t_check = gated
     # the ratio needs residuals evaluated well below the h^2 truncation
     # signal, so the study always runs at a tight gradient tolerance
     solver = replace(cfg.solver, grad_tol=min(cfg.solver.grad_tol, 1e-8))

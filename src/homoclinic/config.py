@@ -16,6 +16,7 @@ are a library-level feature and have no JSON spelling.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grids import Grid
-from .potential import PotentialSpec, example_potential
+from .potential import WITNESS_RADIUS, PotentialSpec, example_potential
 from .solve import SolverConfig
 
 
@@ -88,28 +89,14 @@ class RunConfig:
         }
 
 
-_SOLVER_INT_FIELDS = {
-    "max_iters",
-    "max_backtracks",
-    "renormalize_every",
-    "orientation",
-    "max_restarts",
-    "constraint_active_iters",
-    "probe_samples",
-    "polish_steps",
-}
-_SOLVER_BOOL_FIELDS = {"precondition"}
-_SOLVER_FLOAT_FIELDS = {
-    "grad_tol",
-    "armijo_c1",
-    "backtrack",
-    "eps_k",
-    "k0",
-    "bump_center",
-    "bump_width",
-    "transverse",
-    "zero_tol",
-    "probe_radius",
+# admissible ranges of the step-rule fields: (test, message)
+_SOLVER_RANGES = {
+    "grad_tol": (lambda x: math.isfinite(x) and x >= 0.0, "must be finite and nonnegative"),
+    "eps_k": (lambda x: math.isfinite(x) and x > 0.0, "must be finite and positive"),
+    "armijo_c1": (lambda x: 0.0 < x < 1.0, "must lie in (0, 1)"),
+    "backtrack": (lambda x: 0.0 < x < 1.0, "must lie in (0, 1)"),
+    "max_iters": (lambda x: x >= 0, "must be nonnegative"),
+    "max_backtracks": (lambda x: x >= 1, "must be at least 1"),
 }
 
 
@@ -151,11 +138,19 @@ def _parse_potential(block: dict) -> PotentialSpec:
         _require(isinstance(raw, list) and len(raw) > 0, "potential.q", "expected a nonempty array")
         q = np.array([_as_float(x, "potential.q") for x in raw])
     try:
-        return example_potential(
+        pot = example_potential(
             alpha=alpha, dimension=dim, a_base=a_base, a_amp=a_amp, period=period, q=q
         )
     except ValueError as exc:
         raise ConfigError("potential: %s" % exc) from exc
+    # the barrier check samples shells out to the built-in witness radius,
+    # which must stay below |q| / 2
+    _require(
+        pot.well.q_norm > 2.0 * WITNESS_RADIUS,
+        "potential.q",
+        "|q| must exceed %g, twice the strong-force witness radius" % (2.0 * WITNESS_RADIUS),
+    )
+    return pot
 
 
 def _parse_grid(block: dict, period: float) -> Grid:
@@ -176,22 +171,26 @@ def _parse_grid(block: dict, period: float) -> Grid:
 
 
 def _parse_solver(block: dict, seed: int) -> SolverConfig:
-    allowed = _SOLVER_INT_FIELDS | _SOLVER_BOOL_FIELDS | _SOLVER_FLOAT_FIELDS
+    # field types come from SolverConfig itself; seed is top-level only
+    types = {f.name: f.type for f in fields(SolverConfig) if f.name != "seed"}
     _require(isinstance(block, dict), "solver", "expected an object")
     for key in block:
         if key == "seed":
             raise ConfigError("solver.seed: set the top-level seed instead")
-        _require(key in allowed, "solver.%s" % key, "unknown field")
+        _require(key in types, "solver.%s" % key, "unknown field")
     kwargs = {}
     for key, value in block.items():
         where = "solver.%s" % key
-        if key in _SOLVER_INT_FIELDS:
+        if types[key] in (int, "int"):
             kwargs[key] = _as_int(value, where)
-        elif key in _SOLVER_BOOL_FIELDS:
+        elif types[key] in (bool, "bool"):
             _require(isinstance(value, bool), where, "expected true or false")
             kwargs[key] = value
         else:
             kwargs[key] = _as_float(value, where)
+        if key in _SOLVER_RANGES:
+            ok, msg = _SOLVER_RANGES[key]
+            _require(ok(kwargs[key]), where, msg)
     return SolverConfig(seed=seed, **kwargs)
 
 
@@ -277,10 +276,6 @@ def read_config_doc(path: str) -> dict:
         ) from exc
     _require(isinstance(doc, dict), path, "top level must be a JSON object")
     return doc
-
-
-def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
-    return parse_config(read_config_doc(path), seed_override=seed_override)
 
 
 def default_run_config() -> RunConfig:

@@ -37,24 +37,13 @@ from .grids import (
     h1_norm,
     shift_periods,
 )
-from .potential import (
-    PotentialSpec,
-    check_A,
-    check_H2,
-    check_H3,
-    check_H4,
-    default_witness,
-)
+from .potential import PotentialSpec, check_hypotheses
 from .solve import (
     HomoclinicCandidate,
     SolverConfig,
-    descend_to_critical,
-    initial_guess_bump,
-    minimize_over_E,
     polish_to_critical,
-    snap_center,
+    single_loop_attempt,
 )
-from .solve import ConstraintE
 
 Array = np.ndarray
 
@@ -319,13 +308,11 @@ def ps_split(
             we += 1
         piece_vals = np.zeros_like(u.values)
         piece_vals[lo : hi + 1] = u.values[lo : hi + 1]
+        ramp = min(taper_cells, hi + 1 - lo)
+        w = 0.5 * (1.0 - np.cos(np.pi * np.arange(ramp) / max(ramp, 1)))
         if lo > 0 and norms[lo] > 0:
-            ramp = min(taper_cells, hi + 1 - lo)
-            w = 0.5 * (1.0 - np.cos(np.pi * np.arange(ramp) / max(ramp, 1)))
             piece_vals[lo : lo + ramp] *= w[:, None]
         if hi < grid.n - 1 and norms[hi] > 0:
-            ramp = min(taper_cells, hi + 1 - lo)
-            w = 0.5 * (1.0 - np.cos(np.pi * np.arange(ramp) / max(ramp, 1)))
             piece_vals[hi - ramp + 1 : hi + 1] *= w[::-1, None]
         piece = from_values(grid, piece_vals)
         m_idx, m_shift, m_dist = _best_match(piece, library)
@@ -364,56 +351,39 @@ def _default_schedule(grid: Grid, cfg: SolverConfig) -> dict:
     }
 
 
-def _attempt_item(
-    pot: PotentialSpec, grid: Grid, cfg: SolverConfig, item: dict
-) -> HomoclinicCandidate:
-    center = float(item.get("center", cfg.bump_center))
-    guess = initial_guess_bump(
-        grid,
-        pot,
-        k0=float(item.get("k0", cfg.k0)),
-        center=center,
-        width=float(item.get("width", cfg.bump_width)),
-        transverse=cfg.transverse,
-        orientation=int(item.get("orientation", cfg.orientation)),
-        eps_k=cfg.eps_k,
-    )
-    j = snap_center(grid, center)
-    constraint = ConstraintE(
-        node_index=j, k_min=cfg.k_min, k=float(item.get("k0", cfg.k0))
-    )
-    e_res = minimize_over_E(guess, constraint, pot, cfg)
-    cand = descend_to_critical(e_res.trajectory, pot, cfg)
-    cand.e_stage = {
-        "value": e_res.value,
-        "k": e_res.k,
-        "iterations": e_res.iterations,
-        "converged": e_res.converged,
-        "constraint_active": e_res.constraint_active,
-        "grad_norm": e_res.grad_norm,
-    }
-    cand.schedule_item = dict(item)
-    return cand
+def _guarded(fn, *args) -> tuple[Optional[HomoclinicCandidate], str]:
+    """(candidate, "") on success, (None, error text) when the attempt fails."""
+    try:
+        return fn(*args), ""
+    except HomoclinicError as exc:
+        return None, "%s: %s" % (type(exc).__name__, exc)
 
 
 def _phase1_worker(payload):
-    pot, grid, cfg, item = payload
-    try:
-        return ("ok", _attempt_item(pot, grid, cfg, item), "")
-    except HomoclinicError as exc:
-        return ("fail", None, "%s: %s" % (type(exc).__name__, exc))
+    return _guarded(single_loop_attempt, *payload)
 
 
-def _pair_guess(
-    a: GridFunction, b: GridFunction, separation: int, pot: PotentialSpec
-) -> GridFunction:
+def _glue_pair(
+    a: GridFunction, b: GridFunction, separation: int, pot: PotentialSpec, cfg, item
+) -> HomoclinicCandidate:
     left = shift_periods(a, -((separation + 1) // 2))
     right = shift_periods(b, separation // 2)
     u = from_values(a.grid, left.values + right.values)
     clearance = segment_clearance(u.values, pot.q)
     if clearance < pot.delta_seg:
         raise InfeasibleGuess("pair sum clearance %.3e" % clearance)
-    return u
+    cand = polish_to_critical(u, pot, cfg)
+    cand.schedule_item = item
+    return cand
+
+
+def _record(lib: SolutionLibrary, item: dict, outcome, phase: int, seed: int) -> None:
+    """Log a failed attempt, or offer its candidate to the library."""
+    cand, error = outcome
+    if cand is None:
+        lib.log.append({"outcome": "failed", "schedule_item": item, "error": error})
+    else:
+        lib.try_insert(cand, seed=seed, context={"phase": phase})
 
 
 def search_distinct(
@@ -429,7 +399,8 @@ def search_distinct(
 
     Phase 1 solves single-loop guesses over crossing heights and winding
     senses (parallelizable with jobs > 1; insertion order stays the
-    schedule order, so results do not depend on completion timing).
+    schedule order, so results do not depend on completion timing; with
+    jobs == 1 no attempt runs once the target is met).
     Phase 2 glues pairs of found solutions at decreasing separations and
     descends with renormalization off, so the two bumps keep their
     positions.  Phase 3 backfills with shifted and reshaped single-loop
@@ -437,12 +408,7 @@ def search_distinct(
     """
     if cfg is None:
         cfg = SolverConfig()
-    check_A(pot.coeff)
-    check_H2(pot.well)
-    if pot.well.form == "example":
-        witness = default_witness(pot.well)
-        check_H3(pot.well, witness)
-        check_H4(pot.well, witness)
+    check_hypotheses(pot)
 
     sched = _default_schedule(grid, cfg)
     if schedule:
@@ -450,20 +416,18 @@ def search_distinct(
     lib = SolutionLibrary(eps_distinct=eps_distinct)
 
     phase1 = [dict(item, phase=1) for item in sched["phase1"]]
+    payloads = [(pot, grid, cfg, it) for it in phase1]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_phase1_worker, [(pot, grid, cfg, it) for it in phase1]))
+            results = iter(list(ex.map(_phase1_worker, payloads)))
     else:
-        results = [_phase1_worker((pot, grid, cfg, it)) for it in phase1]
-    for item, (status, cand, msg) in zip(phase1, results):
+        results = map(_phase1_worker, payloads)  # lazy: stops at the target
+    for item in phase1:
         if len(lib) >= targets:
             break
-        if status != "ok":
-            lib.log.append({"outcome": "failed", "schedule_item": item, "error": msg})
-            continue
-        lib.try_insert(cand, seed=cfg.seed, context={"phase": 1})
+        _record(lib, item, next(results), 1, cfg.seed)
     if len(lib) >= targets:
         return lib
 
@@ -472,36 +436,19 @@ def search_distinct(
     # tail-core interaction, while the gradient-norm-monotone polish jumps
     # straight to the nearby multibump critical point
     pair_cfg = replace(cfg, polish_steps=max(40, cfg.polish_steps))
-    base_entries = list(enumerate(lib.entries))
+    base = [e.trajectory for e in lib.entries]
     pairs = [(0, 0)]
-    if len(base_entries) >= 2:
+    if len(base) >= 2:
         pairs.append((0, 1))
     for sep in sched["separations"]:
-        if len(lib) >= targets or not base_entries:
+        if len(lib) >= targets or not base:
             break
         for ia, ib in pairs:
             if len(lib) >= targets:
                 break
             item = {"phase": 2, "separation": int(sep), "pair": [ia, ib]}
-            try:
-                guess = _pair_guess(
-                    base_entries[ia][1].trajectory,
-                    base_entries[ib][1].trajectory,
-                    int(sep),
-                    pot,
-                )
-                cand = polish_to_critical(guess, pot, pair_cfg)
-                cand.schedule_item = item
-            except HomoclinicError as exc:
-                lib.log.append(
-                    {
-                        "outcome": "failed",
-                        "schedule_item": item,
-                        "error": "%s: %s" % (type(exc).__name__, exc),
-                    }
-                )
-                continue
-            lib.try_insert(cand, seed=cfg.seed, context={"phase": 2})
+            glued = _guarded(_glue_pair, base[ia], base[ib], int(sep), pot, pair_cfg, item)
+            _record(lib, item, glued, 2, cfg.seed)
     if len(lib) >= targets:
         return lib
 
@@ -510,9 +457,5 @@ def search_distinct(
             break
         item = dict(raw, phase=3)
         item.setdefault("k0", 1.35)
-        status, cand, msg = _phase1_worker((pot, grid, cfg, item))
-        if status != "ok":
-            lib.log.append({"outcome": "failed", "schedule_item": item, "error": msg})
-            continue
-        lib.try_insert(cand, seed=cfg.seed, context={"phase": 3})
+        _record(lib, item, _phase1_worker((pot, grid, cfg, item)), 3, cfg.seed)
     return lib

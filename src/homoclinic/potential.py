@@ -43,16 +43,6 @@ class CoefficientSpec:
         if self.period <= 0:
             raise ValueError("period must be positive")
 
-    @property
-    def a0(self) -> float:
-        """Lower envelope a_base - |a_amp|."""
-        return self.a_base - abs(self.a_amp)
-
-    @property
-    def a_inf(self) -> float:
-        """Upper envelope a_base + |a_amp|."""
-        return self.a_base + abs(self.a_amp)
-
 
 def eval_a(spec: CoefficientSpec, t):
     """Evaluate a(t) for scalar or array t."""
@@ -199,6 +189,9 @@ class StrongForceWitness:
     grad_U_inf: Optional[Callable] = None
 
 
+WITNESS_RADIUS = 0.1  # shell radius of the near-q witness; needs |q| > 0.2
+
+
 def default_witness(spec: SingularPotentialSpec) -> StrongForceWitness:
     """Closed-form witnesses for the example family.
 
@@ -241,7 +234,7 @@ def default_witness(spec: SingularPotentialSpec) -> StrongForceWitness:
 
     return StrongForceWitness(
         U=u_near,
-        r=0.1,
+        r=WITNESS_RADIUS,
         U_inf=u_far,
         R0=4.0 * spec.q_norm,
         grad_U=grad_u_near,
@@ -470,15 +463,6 @@ class PotentialSpec:
     coeff: CoefficientSpec
     well: SingularPotentialSpec
 
-    def a(self, t):
-        return eval_a(self.coeff, t)
-
-    def W(self, u):
-        return eval_W(self.well, u)
-
-    def gradW(self, u):
-        return eval_gradW(self.well, u)
-
     @property
     def q(self) -> Array:
         return self.well.q
@@ -499,6 +483,19 @@ class PotentialSpec:
     def delta_seg(self) -> float:
         """Segment clearance floor used by the feasibility test."""
         return 1e-3 * self.well.q_norm
+
+
+def check_hypotheses(pot: PotentialSpec) -> None:
+    """The solver's gate: A and H2, plus H3 and H4 for the built-in family.
+
+    Raises HypothesisViolation on the first failing check.
+    """
+    check_A(pot.coeff)
+    check_H2(pot.well)
+    if pot.well.form == "example":
+        witness = default_witness(pot.well)
+        check_H3(pot.well, witness)
+        check_H4(pot.well, witness)
 
 
 def example_potential(

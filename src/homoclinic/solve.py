@@ -18,6 +18,11 @@ raw path is kept and tested for parity.
 Every accepted iterate keeps segment clearance >= delta_seg; trial points
 that would violate it (or park a node inside the guard ball around q) are
 rejected during backtracking, so the strong-force barrier is never crossed.
+
+All value, clearance and gradient evaluations go through one
+action.ActionKernel per stage.  Each loop keeps the accepted trial's
+StencilPoint, so the next gradient reuses the offsets from q and the well
+terms computed when that trial was valued.
 """
 
 from __future__ import annotations
@@ -27,10 +32,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, solve_banded
+from scipy.linalg import LinAlgError, cholesky_banded, get_lapack_funcs, solve_banded
 
 from .action import (
+    ActionKernel,
     ResidualReport,
+    StencilPoint,
     eval_action,
     grad_norm,
     ode_residual,
@@ -44,18 +51,7 @@ from .errors import (
     NoSolutionFound,
 )
 from .grids import Grid, GridFunction, from_values, renormalize_translation
-from .potential import (
-    PotentialSpec,
-    check_A,
-    check_H2,
-    check_H3,
-    check_H4,
-    default_witness,
-    eval_W,
-    eval_a,
-    eval_gradW,
-    eval_hessW,
-)
+from .potential import PotentialSpec, check_hypotheses, eval_hessW
 
 Array = np.ndarray
 
@@ -129,6 +125,8 @@ class H1Preconditioner:
 
     K is the forward-difference stiffness (1/h) tridiag(-1, 2, -1), M the
     trapezoid mass h I; the factorization is computed once per grid.
+    apply() calls LAPACK's banded solve directly, without scipy's wrapper
+    overhead, and keeps that wrapper's finiteness check.
     """
 
     def __init__(self, grid: Grid):
@@ -138,10 +136,17 @@ class H1Preconditioner:
         ab[0, 1:] = -1.0 / h
         ab[1, :] = 2.0 / h + h
         self._cb = cholesky_banded(ab, lower=False)
+        self._pbtrs = get_lapack_funcs("pbtrs", (self._cb,))
 
     def apply(self, g: Array) -> Array:
-        out = np.zeros_like(g)
-        out[1:-1] = cho_solve_banded((self._cb, False), g[1:-1])
+        b = g[1:-1]
+        if not np.isfinite(b).all():
+            raise ValueError("array must not contain infs or NaNs")
+        x, info = self._pbtrs(self._cb, b, lower=0)
+        if info != 0:
+            raise ValueError("illegal value in argument %d of pbtrs" % -info)
+        out = np.zeros(g.shape)
+        out[1:-1] = x
         return out
 
 
@@ -201,49 +206,24 @@ def initial_guess_bump(
     return u
 
 
-def _light_eval(vals: Array, pot: PotentialSpec, a_nodes: Array, h: float):
-    """Action value and clearance, or None when the point is not feasible."""
-    d2 = np.sum((vals - pot.q) ** 2, axis=1)
-    if d2.min() < (pot.eps_q * pot.eps_q) * 4.0:
-        return None
-    clearance = segment_clearance(vals, pot.q)
-    if clearance < pot.delta_seg:
-        return None
-    w = eval_W(pot.well, vals)
-    diffs = np.diff(vals, axis=0)
-    kinetic = 0.5 * np.sum(diffs * diffs) / h
-    aw = a_nodes * w
-    potential = -h * (np.sum(aw) - 0.5 * (aw[0] + aw[-1]))
-    return float(kinetic + potential), clearance
-
-
-def _gradient(vals: Array, pot: PotentialSpec, a_nodes: Array, h: float) -> Array:
-    gw = eval_gradW(pot.well, vals)
-    g = np.zeros_like(vals)
-    g[1:-1] = -(vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / h - h * (
-        a_nodes[1:-1, None] * gw[1:-1]
-    )
-    return g
+_FLAT_RTOL = 4.0 * np.finfo(float).eps
 
 
 def _flat_threshold(value: float, dec: float) -> float:
     # near the floating-point floor of the action, fall back to plain
     # nonincrease instead of demanding an unresolvable decrement
-    if -dec < 4.0 * np.finfo(float).eps * abs(value):
+    if -dec < _FLAT_RTOL * abs(value):
         return value
     return value + dec
 
 
 def _newton_polish(
+    kernel: ActionKernel,
     grid: Grid,
-    vals: Array,
-    value: float,
-    clearance: float,
-    pot: PotentialSpec,
-    a_nodes: Array,
+    p: StencilPoint,
     cfg: SolverConfig,
     history: dict,
-):
+) -> tuple[StencilPoint, float]:
     """Drive the interior stencil equations down by damped Newton steps.
 
     A value-monotone line search cannot certify progress once the
@@ -254,17 +234,17 @@ def _newton_polish(
     iterate stays feasible.  Returns the updated state; stops early on a
     singular Jacobian or when no damping factor helps.
     """
-    h = grid.h
-    n, d = vals.shape
+    h = kernel.h
+    n, d = p.values.shape
     n_int = n - 2
-    g = _gradient(vals, pot, a_nodes, h)
+    g = kernel.gradient(p)
     gn = grad_norm(grid, g)
     eye = np.eye(d)
     for _ in range(cfg.polish_steps):
         if gn <= cfg.grad_tol:
             break
         blocks = (2.0 / h) * eye - h * (
-            a_nodes[1:-1, None, None] * eval_hessW(pot.well, vals[1:-1])
+            kernel.a[1:-1, None, None] * eval_hessW(kernel.well, p.values[1:-1])
         )
         ab = np.zeros((2 * d + 1, n_int * d))
         for c in range(d):
@@ -280,23 +260,22 @@ def _newton_polish(
         improved = False
         scale = 1.0
         for _ in range(8):
-            trial = vals.copy()
+            trial = p.values.copy()
             trial[1:-1] -= scale * dvals
-            res = _light_eval(trial, pot, a_nodes, h)
+            res = kernel.trial(trial)
             if res is not None:
-                g_t = _gradient(trial, pot, a_nodes, h)
+                g_t = kernel.gradient(res)
                 gn_t = grad_norm(grid, g_t)
                 if gn_t < gn:
-                    vals, g, gn = trial, g_t, gn_t
-                    value, clearance = res
+                    p, g, gn = res, g_t, gn_t
                     improved = True
                     break
             scale *= 0.5
         if not improved:
             break
         history.setdefault("polish_grad_norm", []).append(float(gn))
-        history.setdefault("polish_action", []).append(float(value))
-    return vals, value, clearance, gn
+        history.setdefault("polish_action", []).append(p.value)
+    return p, gn
 
 
 def minimize_over_E(
@@ -315,6 +294,7 @@ def minimize_over_E(
     """
     grid = u0.grid
     h = grid.h
+    kernel = ActionKernel(pot, grid)
     j = constraint.node_index
     if not (0 < j < grid.n - 1):
         raise ValueError("constrained node must be interior")
@@ -325,17 +305,15 @@ def minimize_over_E(
     vals = np.array(u0.values, copy=True)
     k = max(float(constraint.k), k_min)
     vals[j] = k * q
-    a_nodes = eval_a(pot.coeff, grid.times)
-    first = _light_eval(vals, pot, a_nodes, h)
-    if first is None:
+    p = kernel.trial(vals)
+    if p is None:
         raise InfeasibleGuess("starting point of the constrained stage is infeasible")
-    value, clearance = first
 
     pre = H1Preconditioner(grid) if cfg.precondition else None
     alpha = 1.0 if cfg.precondition else 0.25 * h
     alpha_cap = 8.0 if cfg.precondition else 0.6 * h
 
-    history = {"action": [value], "clearance": [clearance], "k": [k]}
+    history = {"action": [p.value], "clearance": [p.clearance], "k": [k]}
     active_run = 0
     constraint_active = False
     converged = False
@@ -343,7 +321,8 @@ def minimize_over_E(
     iters = 0
 
     for iters in range(1, cfg.max_iters + 1):
-        g = _gradient(vals, pot, a_nodes, h)
+        vals = p.values
+        g = kernel.gradient(p)
         # projected gradient: at node j only the ray-tangential part counts,
         # and it is blocked when pushing k below the clamp
         pg = g.copy()
@@ -365,22 +344,21 @@ def minimize_over_E(
             trial[j] = k_t * q
             trial[0] = 0.0
             trial[-1] = 0.0
-            res = _light_eval(trial, pot, a_nodes, h)
+            res = kernel.trial(trial)
             if res is not None:
                 delta = trial - vals
-                dec = cfg.armijo_c1 * float(np.sum(g * delta))
-                if dec < 0.0 and res[0] <= _flat_threshold(value, dec):
+                dec = cfg.armijo_c1 * float((g * delta).sum())
+                if dec < 0.0 and res.value <= _flat_threshold(p.value, dec):
                     accepted = True
                     break
             alpha_try *= cfg.backtrack
-        if not accepted or np.array_equal(trial, vals):
+        if not accepted or (trial == vals).all():
             break  # stalled at the floating-point floor
-        vals = trial
-        value, clearance = res
+        p = res
         k = k_t
         alpha = alpha_try
-        history["action"].append(value)
-        history["clearance"].append(clearance)
+        history["action"].append(p.value)
+        history["clearance"].append(p.clearance)
         history["k"].append(k)
         if k <= k_min * (1.0 + 1e-12):
             active_run += 1
@@ -390,9 +368,9 @@ def minimize_over_E(
             active_run = 0
 
     return EStageResult(
-        trajectory=GridFunction(grid, vals),
+        trajectory=GridFunction(grid, p.values),
         k=float(k),
-        value=float(value),
+        value=float(p.value),
         grad_norm=float(pg_norm),
         iterations=iters,
         converged=converged,
@@ -431,73 +409,68 @@ def descend_to_critical(
     """
     grid = u0.grid
     h = grid.h
-    vals = np.array(u0.values, copy=True)
-    a_nodes = eval_a(pot.coeff, grid.times)
-    first = _light_eval(vals, pot, a_nodes, h)
-    if first is None:
+    kernel = ActionKernel(pot, grid)
+    p = kernel.trial(np.array(u0.values, copy=True))
+    if p is None:
         raise InfeasibleGuess("starting point of descent is infeasible")
-    value, clearance = first
 
     pre = H1Preconditioner(grid) if cfg.precondition else None
     alpha = 1.0 if cfg.precondition else 0.25 * h
     alpha_cap = 8.0 if cfg.precondition else 0.6 * h
 
-    history = {"action": [value], "clearance": [clearance], "renorm": []}
+    history = {"action": [p.value], "clearance": [p.clearance], "renorm": []}
     since_renorm = 0
     iters = 0
     gn = math.inf
 
     def renormalize_now():
-        nonlocal vals, value, clearance
-        u = GridFunction(grid, vals)
-        shifted, l = renormalize_translation(u)
+        nonlocal p
+        shifted, l = renormalize_translation(GridFunction(grid, p.values))
         if l != 0:
-            res = _light_eval(np.array(shifted.values, copy=True), pot, a_nodes, h)
+            res = kernel.trial(np.array(shifted.values, copy=True))
             if res is None:
                 return  # shift would break feasibility; keep the iterate
-            history["renorm"].append((value, res[0], l))
-            vals = np.array(shifted.values, copy=True)
-            value, clearance = res
+            history["renorm"].append((p.value, res.value, l))
+            p = res
 
     while iters < cfg.max_iters:
-        g = _gradient(vals, pot, a_nodes, h)
+        g = kernel.gradient(p)
         gn = grad_norm(grid, g)
         if gn <= cfg.grad_tol:
             if not cfg.renormalize_every:
                 break
-            before = vals
+            before = p
             renormalize_now()
-            if vals is before:  # no shift happened, fully converged
+            if p is before:  # no shift happened, fully converged
                 break
-            g = _gradient(vals, pot, a_nodes, h)
+            g = kernel.gradient(p)
             gn = grad_norm(grid, g)
             if gn <= cfg.grad_tol:
                 break
         direction = pre.apply(g) if pre is not None else g
-        gdotd = float(np.sum(g * direction))
+        gdotd = float((g * direction).sum())
         if gdotd <= 0.0:
             break
         accepted = False
         alpha_try = min(alpha * 2.0, alpha_cap)
         for _ in range(cfg.max_backtracks):
-            trial = vals - alpha_try * direction
-            res = _light_eval(trial, pot, a_nodes, h)
+            trial = p.values - alpha_try * direction
+            res = kernel.trial(trial)
             if res is not None:
                 dec = -cfg.armijo_c1 * alpha_try * gdotd
-                if res[0] <= _flat_threshold(value, dec):
+                if res.value <= _flat_threshold(p.value, dec):
                     accepted = True
                     break
             alpha_try *= cfg.backtrack
-        if not accepted or np.array_equal(trial, vals):
+        if not accepted or (trial == p.values).all():
             break
-        vals = trial
-        value, clearance = res
+        p = res
         alpha = alpha_try
         iters += 1
         since_renorm += 1
-        history["action"].append(value)
-        history["clearance"].append(clearance)
-        if float(np.sqrt(np.max(np.sum(vals * vals, axis=1)))) < cfg.zero_tol:
+        history["action"].append(p.value)
+        history["clearance"].append(p.clearance)
+        if float(np.sqrt(p.r2.max())) < cfg.zero_tol:
             raise ConvergedToZero("iterate collapsed onto the trivial solution")
         if cfg.renormalize_every and since_renorm >= cfg.renormalize_every:
             renormalize_now()
@@ -505,22 +478,20 @@ def descend_to_critical(
 
     if gn > cfg.grad_tol and cfg.polish_steps > 0:
         for _ in range(2):
-            vals, value, clearance, gn = _newton_polish(
-                grid, vals, value, clearance, pot, a_nodes, cfg, history
-            )
-            if float(np.sqrt(np.max(np.sum(vals * vals, axis=1)))) < cfg.zero_tol:
+            p, gn = _newton_polish(kernel, grid, p, cfg, history)
+            if float(np.sqrt(p.r2.max())) < cfg.zero_tol:
                 raise ConvergedToZero("iterate collapsed onto the trivial solution")
             if gn > cfg.grad_tol or not cfg.renormalize_every:
                 break
-            before = vals
+            before = p
             renormalize_now()
-            if vals is before:
+            if p is before:
                 break
-            gn = grad_norm(grid, _gradient(vals, pot, a_nodes, h))
+            gn = grad_norm(grid, kernel.gradient(p))
             if gn <= cfg.grad_tol:
                 break
 
-    u = GridFunction(grid, vals)
+    u = GridFunction(grid, p.values)
     if gn > cfg.grad_tol:
         best = _wrap_candidate(u, pot, cfg, iters, history, verify=False)
         raise MaxItersExceeded(
@@ -545,20 +516,16 @@ def polish_to_critical(
     iterate attached) when the polish stalls above tolerance.
     """
     grid = u0.grid
-    a_nodes = eval_a(pot.coeff, grid.times)
-    vals = np.array(u0.values, copy=True)
-    first = _light_eval(vals, pot, a_nodes, grid.h)
-    if first is None:
+    kernel = ActionKernel(pot, grid)
+    p = kernel.trial(np.array(u0.values, copy=True))
+    if p is None:
         raise InfeasibleGuess("starting point of polish is infeasible")
-    value, clearance = first
     history = {}
-    vals, value, clearance, gn = _newton_polish(
-        grid, vals, value, clearance, pot, a_nodes, cfg, history
-    )
-    if float(np.sqrt(np.max(np.sum(vals * vals, axis=1)))) < cfg.zero_tol:
+    p, gn = _newton_polish(kernel, grid, p, cfg, history)
+    if float(np.sqrt(p.r2.max())) < cfg.zero_tol:
         raise ConvergedToZero("polish collapsed onto the trivial solution")
     steps = len(history.get("polish_grad_norm", []))
-    u = GridFunction(grid, vals)
+    u = GridFunction(grid, p.values)
     if gn > cfg.grad_tol:
         best = _wrap_candidate(u, pot, cfg, steps, history, verify=False)
         raise MaxItersExceeded(
@@ -615,6 +582,37 @@ def _restart_schedule(grid: Grid, cfg: SolverConfig) -> list[dict]:
     return variations[: max(1, cfg.max_restarts + 1)]
 
 
+def single_loop_attempt(
+    pot: PotentialSpec, grid: Grid, cfg: SolverConfig, item: dict
+) -> HomoclinicCandidate:
+    """One guess -> constrained stage -> descent attempt for a schedule item.
+
+    Missing guess parameters (k0, center, width, orientation) fall back to
+    cfg; the candidate carries the constrained-stage summary and the item.
+    """
+    center = float(item.get("center", cfg.bump_center))
+    k0 = float(item.get("k0", cfg.k0))
+    guess = initial_guess_bump(
+        grid,
+        pot,
+        k0=k0,
+        center=center,
+        width=float(item.get("width", cfg.bump_width)),
+        transverse=cfg.transverse,
+        orientation=int(item.get("orientation", cfg.orientation)),
+        eps_k=cfg.eps_k,
+    )
+    constraint = ConstraintE(node_index=snap_center(grid, center), k_min=cfg.k_min, k=k0)
+    e_res = minimize_over_E(guess, constraint, pot, cfg)
+    cand = descend_to_critical(e_res.trajectory, pot, cfg)
+    cand.e_stage = {
+        key: getattr(e_res, key)
+        for key in ("value", "k", "iterations", "converged", "constraint_active", "grad_norm")
+    }
+    cand.schedule_item = dict(item)
+    return cand
+
+
 def solve_homoclinic(
     pot: PotentialSpec,
     grid: Grid,
@@ -629,30 +627,12 @@ def solve_homoclinic(
     """
     if cfg is None:
         cfg = SolverConfig()
-    check_A(pot.coeff)
-    check_H2(pot.well)
-    witness = default_witness(pot.well) if pot.well.form == "example" else None
-    if witness is not None:
-        check_H3(pot.well, witness)
-        check_H4(pot.well, witness)
+    check_hypotheses(pot)
 
     failures = []
     for item in _restart_schedule(grid, cfg):
         try:
-            guess = initial_guess_bump(
-                grid,
-                pot,
-                k0=item["k0"],
-                center=item["center"],
-                width=item["width"],
-                transverse=cfg.transverse,
-                orientation=item["orientation"],
-                eps_k=cfg.eps_k,
-            )
-            j = snap_center(grid, item["center"])
-            constraint = ConstraintE(node_index=j, k_min=cfg.k_min, k=item["k0"])
-            e_res = minimize_over_E(guess, constraint, pot, cfg)
-            cand = descend_to_critical(e_res.trajectory, pot, cfg)
+            cand = single_loop_attempt(pot, grid, cfg, item)
         except (InfeasibleGuess, ConvergedToZero, MaxItersExceeded) as exc:
             failures.append("%s: %s" % (type(exc).__name__, exc))
             continue
@@ -664,15 +644,6 @@ def solve_homoclinic(
             rng=np.random.default_rng(cfg.seed),
         )
         cand.alpha_gap = probe.min_action
-        cand.e_stage = {
-            "value": e_res.value,
-            "k": e_res.k,
-            "iterations": e_res.iterations,
-            "converged": e_res.converged,
-            "constraint_active": e_res.constraint_active,
-            "grad_norm": e_res.grad_norm,
-        }
-        cand.schedule_item = dict(item)
         return cand
     raise NoSolutionFound(
         "all %d attempts failed: %s" % (len(failures), "; ".join(failures))

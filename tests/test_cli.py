@@ -179,3 +179,49 @@ def test_diagnose_without_library(tmp_path):
     assert main(["solve", "--out", out]) == 0
     csv = os.path.join(out, "solution.csv")
     assert main(["diagnose", "--out", str(tmp_path / "elsewhere"), csv]) == 0
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("grad_tol", -1.0),
+        ("eps_k", 0.0),
+        ("backtrack", 1.0),
+        ("armijo_c1", 0.0),
+        ("max_iters", -1),
+        ("max_backtracks", 0),
+    ],
+)
+def test_solver_range_is_exit_1(tmp_path, capsys, field, value):
+    cfg = write_config(tmp_path, {"solver": {field: value}})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert "config error: solver.%s: " % field in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "run"))
+
+
+def test_solver_range_edges_accepted():
+    # zero tolerance stays legal (tests and users ask for "as far as it goes")
+    doc = {"grad_tol": 0.0, "max_iters": 0, "max_backtracks": 1, "backtrack": 0.9}
+    solver = parse_config({"solver": doc}).solver
+    assert (solver.grad_tol, solver.max_iters, solver.max_backtracks) == (0.0, 0, 1)
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_small_q_is_config_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, {"potential": {"q": [0.05, 0]}})
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: potential.q: " in err
+    assert "Traceback" not in err
+
+
+def test_solve_summary_counts_polish(tmp_path, capsys):
+    # no descent steps at all: the Newton polish does the whole job
+    out = str(tmp_path / "run")
+    cfg = write_config(tmp_path, {"solver": {"max_iters": 0}})
+    assert main(["solve", "--config", cfg, "--out", out]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert "0 E-stage + 0 descent + " in line
+    polish = int(line.rsplit("+ ", 1)[1].split()[0])
+    assert polish > 0
+    assert load_report(out)["candidate"]["iterations"] == 0

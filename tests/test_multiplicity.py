@@ -15,6 +15,7 @@ from homoclinic import (
     is_distinct,
     multibump_guess,
     ps_split,
+    search_distinct,
     shift_periods,
 )
 
@@ -161,3 +162,21 @@ def test_ps_split_manufactured_pair(solved, library3):
         assert b.distance <= 0.05 * h1_norm(u0)
     assert {b.shift for b in dec.bumps} == {0, 10}
     assert dec.residual_norm <= 1e-12
+
+
+def test_search_phase1_is_lazy(pot, grid, cfg, monkeypatch):
+    # with one worker, phase 1 stops attempting as soon as the target is met
+    import homoclinic.multiplicity as mult
+
+    calls = []
+    real = mult.single_loop_attempt
+
+    def counted(*args):
+        calls.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(mult, "single_loop_attempt", counted)
+    lib = search_distinct(pot, grid, cfg, targets=1)
+    assert len(lib) == 1
+    assert len(calls) == 1
+    assert [rec["outcome"] for rec in lib.log] == ["inserted"]
