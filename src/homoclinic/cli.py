@@ -204,7 +204,7 @@ def _entry_id(i: int) -> str:
     return "entry_%03d" % i
 
 
-def _write_library(out_dir: str, lib: SolutionLibrary, seed: int) -> dict:
+def _write_library(out_dir: str, lib: SolutionLibrary, dist: np.ndarray, seed: int) -> dict:
     manifest = []
     for i, entry in enumerate(lib.entries):
         eid = _entry_id(i)
@@ -222,7 +222,6 @@ def _write_library(out_dir: str, lib: SolutionLibrary, seed: int) -> dict:
             }
         )
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
-    dist = lib.distance_matrix()
     ids = [_entry_id(i) for i in range(len(lib.entries))]
     with open(os.path.join(out_dir, "distances.csv"), "w", encoding="utf-8") as fh:
         fh.write(",".join(["id"] + ids) + "\n")
@@ -252,7 +251,8 @@ def cmd_search(cfg: RunConfig, jobs: int = 1) -> int:
         jobs=jobs,
     )
     t_search = time.perf_counter() - t1
-    library_doc = _write_library(cfg.out_dir, lib, cfg.seed)
+    dist = lib.distance_matrix()
+    library_doc = _write_library(cfg.out_dir, lib, dist, cfg.seed)
     met = len(lib) >= cfg.search.targets
     report = {
         "command": "search",
@@ -270,7 +270,7 @@ def cmd_search(cfg: RunConfig, jobs: int = 1) -> int:
             len(lib),
             cfg.search.targets,
             (
-                "%.4f" % lib.distance_matrix()[np.triu_indices(len(lib), 1)].min()
+                "%.4f" % dist[np.triu_indices(len(lib), 1)].min()
                 if len(lib) > 1
                 else "n/a"
             ),
@@ -355,14 +355,31 @@ def cmd_refine(cfg: RunConfig) -> int:
     return 0 if passed else 3
 
 
+_MANIFEST_FIELDS = ("trajectory_csv_path", "action", "grad_norm", "clearance")
+
+
 def _load_library(out_dir: str, grid: Grid) -> Optional[SolutionLibrary]:
     path = os.path.join(out_dir, "manifest.json")
     if not os.path.exists(path):
         return None
     with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise TrajectoryFormatError("%s is not valid JSON: %s" % (path, exc))
+    if not isinstance(manifest, list):
+        raise TrajectoryFormatError("%s: top level must be a list of entries" % path)
     lib = SolutionLibrary()
-    for item in manifest:
+    for i, item in enumerate(manifest):
+        if not isinstance(item, dict):
+            raise TrajectoryFormatError("%s: entry %d is not an object" % (path, i))
+        for key in _MANIFEST_FIELDS:
+            if key not in item:
+                raise TrajectoryFormatError("%s: entry %d has no %r" % (path, i, key))
+        if not isinstance(item["trajectory_csv_path"], str):
+            raise TrajectoryFormatError(
+                "%s: entry %d trajectory_csv_path is not a string" % (path, i)
+            )
         u = read_trajectory_csv(os.path.join(out_dir, item["trajectory_csv_path"]), grid)
         lib.entries.append(
             LibraryEntry(

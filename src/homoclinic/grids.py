@@ -13,6 +13,13 @@ With these quadratures the unit-window bound
   |u(s)| <= sqrt(int_A |u|^2) + sqrt(int_A |u'|^2),  A = [s, s+1] or [s-1, s],
 holds exactly (Cauchy-Schwarz in the same discrete inner products), which
 sobolev_bound_check verifies per window.
+
+The quadrature and the whole-period shift rule (move by k*m slots, zero
+fill, re-pin the ends) are written once, as raw-array helpers.  The norms,
+shift_periods, the window sums and the shift-gap kernel shift_gaps all go
+through them; shift_gaps returns ||u - shift_periods(v, k)||_H1 for every
+admissible k without building per-shift GridFunctions, bitwise equal to
+composing the public functions.
 """
 
 from __future__ import annotations
@@ -125,16 +132,22 @@ def from_values(grid: Grid, values) -> GridFunction:
     return GridFunction(grid, v)
 
 
+def _kinetic_sq(values: Array, h: float):
+    diffs = np.diff(values, axis=0) / h
+    return h * np.sum(diffs * diffs)
+
+
+def _l2_sq(values: Array, h: float):
+    sq = np.sum(values * values, axis=1)
+    return h * (np.sum(sq) - 0.5 * (sq[0] + sq[-1]))
+
+
 def kinetic_seminorm_sq(u: GridFunction) -> float:
-    h = u.grid.h
-    diffs = np.diff(u.values, axis=0) / h
-    return float(h * np.sum(diffs * diffs))
+    return float(_kinetic_sq(u.values, u.grid.h))
 
 
 def l2_norm_sq(u: GridFunction) -> float:
-    h = u.grid.h
-    sq = np.sum(u.values * u.values, axis=1)
-    return float(h * (np.sum(sq) - 0.5 * (sq[0] + sq[-1])))
+    return float(_l2_sq(u.values, u.grid.h))
 
 
 def l2_norm(u: GridFunction) -> float:
@@ -149,6 +162,19 @@ def sup_norm(u: GridFunction) -> float:
     return float(np.sqrt(np.max(np.sum(u.values * u.values, axis=1))))
 
 
+def _shifted(values: Array, s: int) -> Array:
+    """Node values moved by s slots, vacated slots zero, boundary re-pinned."""
+    n = len(values)
+    out = np.zeros_like(values)
+    if s >= 0:
+        out[s:] = values[: n - s]
+    else:
+        out[: n + s] = values[-s:]
+    out[0] = 0.0
+    out[-1] = 0.0
+    return out
+
+
 def shift_periods(u: GridFunction, k: int) -> GridFunction:
     """Time shift by k whole periods: (shifted u)(t) = u(t - k * period).
 
@@ -156,19 +182,32 @@ def shift_periods(u: GridFunction, k: int) -> GridFunction:
     boundary pins are re-imposed.
     """
     k = int(k)
-    m = u.grid.nodes_per_period
-    n = u.grid.n
-    if abs(k) * m >= n:
+    if abs(k) * u.grid.nodes_per_period >= u.grid.n:
         raise ShiftOutOfRange("shift by %d periods exceeds the grid" % k)
-    out = np.zeros_like(u.values)
-    s = k * m
-    if s >= 0:
-        out[s:] = u.values[: n - s]
-    else:
-        out[: n + s] = u.values[-s:]
-    out[0] = 0.0
-    out[-1] = 0.0
-    return GridFunction(u.grid, out)
+    return GridFunction(u.grid, _shifted(u.values, k * u.grid.nodes_per_period))
+
+
+def _admissible_shifts(grid: Grid) -> range:
+    k_max = (grid.n - 1) // grid.nodes_per_period
+    return range(-k_max, k_max + 1)
+
+
+def shift_gaps(u: GridFunction, v: GridFunction) -> Array:
+    """||u - shift_periods(v, k)||_H1 for every admissible whole-period shift k.
+
+    Entry j belongs to the j-th shift of _admissible_shifts(u.grid), i.e.
+    k = j - k_max.  Works on the raw node arrays with the same shift rule
+    and quadrature as shift_periods and h1_norm, so every entry is bitwise
+    the value those two would give, without building per-shift objects.
+    """
+    h = u.grid.h
+    m = u.grid.nodes_per_period
+    shifts = _admissible_shifts(u.grid)
+    gaps = np.empty(len(shifts))
+    for j, k in enumerate(shifts):
+        diff = u.values - _shifted(v.values, k * m)
+        gaps[j] = np.sqrt(_kinetic_sq(diff, h) + _l2_sq(diff, h))
+    return gaps
 
 
 def renormalize_translation(u: GridFunction) -> tuple[GridFunction, int]:
@@ -214,11 +253,9 @@ def sobolev_bound_check(u: GridFunction, s: float, tol: float = 1e-8) -> WindowB
         raise WindowOutOfDomain(
             "unit window at s=%.6g does not fit inside the grid" % s
         )
-    h = grid.h
-    sq = np.sum(u.values[lo : hi + 1] * u.values[lo : hi + 1], axis=1)
-    l2w = h * (np.sum(sq) - 0.5 * (sq[0] + sq[-1]))
-    diffs = np.diff(u.values[lo : hi + 1], axis=0) / h
-    kinw = h * np.sum(diffs * diffs)
+    window = u.values[lo : hi + 1]
+    l2w = _l2_sq(window, grid.h)
+    kinw = _kinetic_sq(window, grid.h)
     lhs = float(np.linalg.norm(u.values[i]))
     rhs = float(np.sqrt(l2w) + np.sqrt(kinw))
     return WindowBoundReport(s=s, lhs=lhs, rhs=rhs, passed=lhs <= rhs + tol)

@@ -9,7 +9,9 @@ eps_distinct from every stored entry under that metric.
 multibump_guess glues shifted library entries into a multibump initial
 condition when their numerical supports are cleanly separated; ps_split
 goes the other way, cutting a trajectory into bump windows at valleys of
-the node norm and matching each piece against the library.
+the node norm and matching each piece against the library.  Both the
+metric and the matching read their per-shift H1 gaps from one kernel,
+grids.shift_gaps.
 
 search_distinct runs a deterministic three-phase schedule: single-loop
 guesses with varied crossing height and winding sense, pairwise sums of
@@ -33,8 +35,10 @@ from .errors import (
 from .grids import (
     Grid,
     GridFunction,
+    _admissible_shifts,
     from_values,
     h1_norm,
+    shift_gaps,
     shift_periods,
 )
 from .potential import PotentialSpec, check_hypotheses
@@ -48,11 +52,6 @@ from .solve import (
 Array = np.ndarray
 
 
-def _admissible_shifts(grid: Grid) -> range:
-    k_max = (grid.n - 1) // grid.nodes_per_period
-    return range(-k_max, k_max + 1)
-
-
 def geometric_distance(u: GridFunction, v: GridFunction) -> float:
     """Shift-quotient pseudo-metric.
 
@@ -63,13 +62,7 @@ def geometric_distance(u: GridFunction, v: GridFunction) -> float:
     """
     if u.grid != v.grid:
         raise ValueError("functions live on different grids")
-    best = np.inf
-    for k in _admissible_shifts(u.grid):
-        dv = u.values - shift_periods(v, k).values
-        best = min(best, h1_norm(from_values(u.grid, dv)))
-        du = v.values - shift_periods(u, k).values
-        best = min(best, h1_norm(from_values(u.grid, du)))
-    return float(best)
+    return float(min(shift_gaps(u, v).min(), shift_gaps(v, u).min()))
 
 
 def is_distinct(u: GridFunction, v: GridFunction, eps_distinct: float = 0.1) -> bool:
@@ -245,19 +238,6 @@ class BumpDecomposition:
     cut_indices: list[int] = field(default_factory=list)
 
 
-def _best_match(
-    piece: GridFunction, library: SolutionLibrary
-) -> tuple[int, int, float]:
-    best = (np.inf, -1, 0)
-    for i, e in enumerate(library.entries):
-        for k in _admissible_shifts(piece.grid):
-            dv = piece.values - shift_periods(e.trajectory, k).values
-            d = h1_norm(from_values(piece.grid, dv))
-            if d < best[0]:
-                best = (d, i, k)
-    return best[1], best[2], float(best[0])
-
-
 def ps_split(
     u: GridFunction,
     library: SolutionLibrary,
@@ -282,6 +262,7 @@ def ps_split(
     if len(library.entries) == 0:
         raise ValueError("library is empty")
     grid = u.grid
+    shifts = _admissible_shifts(grid)
     norms = np.sqrt(np.sum(u.values * u.values, axis=1))
     cores = _runs(norms >= delta_bump)
     if not cores:
@@ -315,7 +296,13 @@ def ps_split(
         if hi < grid.n - 1 and norms[hi] > 0:
             piece_vals[hi - ramp + 1 : hi + 1] *= w[::-1, None]
         piece = from_values(grid, piece_vals)
-        m_idx, m_shift, m_dist = _best_match(piece, library)
+        # first minimizing shift per entry, earliest entry on ties
+        m_dist, m_idx, m_shift = np.inf, -1, 0
+        for e_idx, entry in enumerate(library.entries):
+            gaps = shift_gaps(piece, entry.trajectory)
+            j = int(np.argmin(gaps))
+            if gaps[j] < m_dist:
+                m_dist, m_idx, m_shift = float(gaps[j]), e_idx, shifts[j]
         recon += shift_periods(library.entries[m_idx].trajectory, m_shift).values
         bumps.append(
             Bump(

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from homoclinic import (
@@ -30,9 +32,18 @@ def solved(pot, grid, cfg):
     return solve_homoclinic(pot, grid, cfg)
 
 
+# wall time of the expensive session fixtures, for the acceptance lines
 @pytest.fixture(scope="session")
-def library3(pot, grid, cfg):
-    return search_distinct(pot, grid, cfg, targets=3)
+def fixture_seconds():
+    return {}
+
+
+@pytest.fixture(scope="session")
+def library3(pot, grid, cfg, fixture_seconds):
+    t0 = time.perf_counter()
+    lib = search_distinct(pot, grid, cfg, targets=3)
+    fixture_seconds["library3"] = time.perf_counter() - t0
+    return lib
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -39,14 +39,20 @@ TIGHT = 1e-8  # gradient tolerance for the refinement pair
 
 
 @pytest.fixture(scope="session")
-def refined40(pot, grid, cfg):
-    return solve_homoclinic(pot, grid, replace(cfg, grad_tol=TIGHT))
+def refined40(pot, grid, cfg, fixture_seconds):
+    t0 = time.perf_counter()
+    cand = solve_homoclinic(pot, grid, replace(cfg, grad_tol=TIGHT))
+    fixture_seconds["refined40"] = time.perf_counter() - t0
+    return cand
 
 
 @pytest.fixture(scope="session")
-def refined80(pot, cfg):
+def refined80(pot, cfg, fixture_seconds):
     fine = Grid(period=1.0, nodes_per_period=80, half_periods=8)
-    return solve_homoclinic(pot, fine, replace(cfg, grad_tol=TIGHT))
+    t0 = time.perf_counter()
+    cand = solve_homoclinic(pot, fine, replace(cfg, grad_tol=TIGHT))
+    fixture_seconds["refined80"] = time.perf_counter() - t0
+    return cand
 
 
 CRITERION_LINES = {}
@@ -152,7 +158,7 @@ def test_criterion_04_existence_run(pot, grid, cfg):
     assert res.tail_sup_u <= 1e-3
 
 
-def test_criterion_05_discretization_order(pot, refined40, refined80):
+def test_criterion_05_discretization_order(pot, refined40, refined80, fixture_seconds):
     t0 = time.perf_counter()
     r40 = truncation_residual(refined40.trajectory, pot)
     r80 = truncation_residual(refined80.trajectory, pot)
@@ -163,8 +169,15 @@ def test_criterion_05_discretization_order(pot, refined40, refined80):
     report(
         5,
         ok,
-        "residual ratio %.3f in [3.5, 4.5]; action drift %.3e <= 5e-2 (%.1fs)"
-        % (ratio, drift, elapsed),
+        "residual ratio %.3f in [3.5, 4.5]; action drift %.3e <= 5e-2 "
+        "(solves m=40 %.1fs, m=80 %.1fs; check %.1fs)"
+        % (
+            ratio,
+            drift,
+            fixture_seconds["refined40"],
+            fixture_seconds["refined80"],
+            elapsed,
+        ),
     )
     assert 3.5 <= ratio <= 4.5
     assert drift <= 0.05
@@ -188,7 +201,7 @@ def test_criterion_06_constrained_level_positive_and_stable(cfg, refined40, refi
     assert rel <= 0.05
 
 
-def test_criterion_07_multiplicity(library3):
+def test_criterion_07_multiplicity(library3, fixture_seconds):
     # library3 is produced by search with targets=3 at jobs=1
     t0 = time.perf_counter()
     D = library3.distance_matrix()
@@ -199,8 +212,9 @@ def test_criterion_07_multiplicity(library3):
     report(
         7,
         ok,
-        "%d distinct candidates; min pairwise distance %.4f >= 0.1 (+%.1fs)"
-        % (n, min_d, elapsed),
+        "%d distinct candidates; min pairwise distance %.4f >= 0.1 "
+        "(search %.1fs; distance matrix %.1fs)"
+        % (n, min_d, fixture_seconds["library3"], elapsed),
     )
     assert n >= 3
     assert min_d >= 0.1

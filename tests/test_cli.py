@@ -8,6 +8,7 @@ import pytest
 
 from homoclinic.cli import main
 from homoclinic.config import parse_config
+from homoclinic.grids import write_trajectory_csv, zero_function
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -179,6 +180,47 @@ def test_diagnose_without_library(tmp_path):
     assert main(["solve", "--out", out]) == 0
     csv = os.path.join(out, "solution.csv")
     assert main(["diagnose", "--out", str(tmp_path / "elsewhere"), csv]) == 0
+
+
+def _diagnose_with_manifest(tmp_path, manifest_text):
+    grid = parse_config({}).grid
+    csv = str(tmp_path / "zero.csv")
+    write_trajectory_csv(csv, zero_function(grid, 2))
+    (tmp_path / "manifest.json").write_text(manifest_text)
+    return main(["diagnose", "--out", str(tmp_path), csv])
+
+
+def test_diagnose_invalid_manifest_json_is_exit_1(tmp_path, capsys):
+    assert _diagnose_with_manifest(tmp_path, '[{"action": ') == 1
+    err = capsys.readouterr().err
+    assert "manifest.json is not valid JSON" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (
+            '[{"action": 1.0, "grad_norm": 0.0, "clearance": 1.0}]',
+            "entry 0 has no 'trajectory_csv_path'",
+        ),
+        (
+            '[{"trajectory_csv_path": "zero.csv", "grad_norm": 0.0, "clearance": 1.0}]',
+            "entry 0 has no 'action'",
+        ),
+        ('{"entries": []}', "top level must be a list"),
+        ('["entry_000.csv"]', "entry 0 is not an object"),
+        (
+            '[{"trajectory_csv_path": 5, "action": 1.0, "grad_norm": 0.0, "clearance": 1.0}]',
+            "entry 0 trajectory_csv_path is not a string",
+        ),
+    ],
+)
+def test_diagnose_manifest_missing_field_is_exit_1(tmp_path, capsys, text, message):
+    assert _diagnose_with_manifest(tmp_path, text) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: " % (tmp_path / "manifest.json"))
+    assert message in err
 
 
 @pytest.mark.parametrize(

@@ -10,12 +10,15 @@ from homoclinic import (
     LibraryEntry,
     OverlappingBumps,
     SolutionLibrary,
+    from_values,
     geometric_distance,
     h1_norm,
     is_distinct,
     multibump_guess,
     ps_split,
+    random_smooth_function,
     search_distinct,
+    shift_gaps,
     shift_periods,
 )
 
@@ -55,6 +58,70 @@ def test_distance_rejects_grid_mismatch():
     v = narrow_bump(other, other.center_index)
     with pytest.raises(ValueError):
         geometric_distance(u, v)
+
+
+# the per-shift loops shift_gaps replaced, kept as the parity reference
+def _old_shifts(grid):
+    k_max = (grid.n - 1) // grid.nodes_per_period
+    return range(-k_max, k_max + 1)
+
+
+def _old_gap(u, v, k):
+    return h1_norm(from_values(u.grid, u.values - shift_periods(v, k).values))
+
+
+def _old_distance(u, v):
+    best = np.inf
+    for k in _old_shifts(u.grid):
+        best = min(best, _old_gap(u, v, k))
+        best = min(best, _old_gap(v, u, k))
+    return float(best)
+
+
+def _old_best_match(piece, library):
+    best = (np.inf, -1, 0)
+    for i, e in enumerate(library.entries):
+        for k in _old_shifts(piece.grid):
+            d = _old_gap(piece, e.trajectory, k)
+            if d < best[0]:
+                best = (d, i, k)
+    return best[1], best[2], float(best[0])
+
+
+@pytest.mark.parametrize("m", [10, 40, 160])
+@pytest.mark.parametrize("d", [2, 3])
+def test_shift_gaps_match_the_per_shift_loop(m, d):
+    g = Grid(period=1.0, nodes_per_period=m, half_periods=4)
+    rng = np.random.default_rng(m + d)
+    u = random_smooth_function(g, d, rng)
+    v = random_smooth_function(g, d, rng)
+    for a, b in ((u, v), (v, u), (u, u), (u, shift_periods(u, 2))):
+        gaps = shift_gaps(a, b)
+        old = np.array([_old_gap(a, b, k) for k in _old_shifts(g)])
+        assert np.array_equal(gaps, old)
+        assert geometric_distance(a, b) == _old_distance(a, b)
+
+
+def test_ps_split_matches_the_per_shift_loop_on_ties():
+    g = SMALL
+    bump = narrow_bump(g, g.center_index, amp=0.8, second=0.3)
+    zero = GridFunction(g, np.zeros((g.n, 2)))
+    u = GridFunction(g, bump.values + shift_periods(bump, 4).values)
+    tied = [
+        # every shift of a zero entry is equally far: the first shift wins
+        [zero, zero],
+        # a duplicated entry and a shifted copy tie at distance 0
+        [zero, bump, bump, shift_periods(bump, 2)],
+        [narrow_bump(g, g.center_index, amp=0.5), shift_periods(bump, -1)],
+    ]
+    for entries in tied:
+        lib = SolutionLibrary(eps_distinct=-1.0)
+        for e in entries:
+            lib.try_insert_entry(entry(e))
+        dec = ps_split(u, lib)
+        assert len(dec.bumps) == 2
+        for b in dec.bumps:
+            assert (b.matched_index, b.shift, b.distance) == _old_best_match(b.function, lib)
 
 
 def test_is_distinct_thresholds():
