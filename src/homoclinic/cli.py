@@ -55,14 +55,7 @@ from .multiplicity import (
     ps_split,
     search_distinct,
 )
-from .potential import (
-    check_A,
-    check_H2,
-    check_H3,
-    check_H4,
-    check_W_negativity,
-    default_witness,
-)
+from .potential import hypothesis_checks
 from .solve import solve_homoclinic
 
 
@@ -85,20 +78,11 @@ def _write_json(path: str, doc: dict):
 
 
 def _hypothesis_rows(cfg: RunConfig):
-    """Run all hypothesis checks; never raises.  Returns (rows, reports, ok)."""
-    pot = cfg.potential
-    witness = default_witness(pot.well)
-    checks = [
-        ("A", "a(t) > 0 and periodic", lambda: check_A(pot.coeff)),
-        ("H2", "negative pinched Hessian at 0", lambda: check_H2(pot.well)),
-        ("H3", "strong-force barrier near q", lambda: check_H3(pot.well, witness)),
-        ("H4", "far-field domination and growth", lambda: check_H4(pot.well, witness)),
-        ("W<0", "W negative away from 0", lambda: check_W_negativity(pot.well)),
-    ]
+    """Run the hypothesis table; never raises.  Returns (rows, reports, ok)."""
     rows = []
     reports = {}
     ok = True
-    for name, description, run in checks:
+    for name, description, run in hypothesis_checks(cfg.potential):
         try:
             report = run()
             reports[name] = dict(asdict(report), passed=True)
@@ -306,9 +290,7 @@ def cmd_refine(cfg: RunConfig) -> int:
     }
     t1 = time.perf_counter()
     for label, m in (("coarse", m_coarse), ("fine", m_fine)):
-        grid = Grid(
-            period=cfg.grid.period, nodes_per_period=m, half_periods=cfg.grid.half_periods
-        )
+        grid = replace(cfg.grid, nodes_per_period=m)
         try:
             cand = solve_homoclinic(cfg.potential, grid, solver)
         except (NoSolutionFound, MaxItersExceeded) as exc:

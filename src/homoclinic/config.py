@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -89,8 +89,17 @@ class RunConfig:
         }
 
 
-# admissible ranges of the step-rule fields: (test, message)
+# admissible ranges of the guess parameters a schedule item may set: (test, message)
+_ITEM_RANGES = {
+    "width": (lambda x: math.isfinite(x) and x > 0.0, "must be finite and positive"),
+    "orientation": (lambda x: x in (1, -1), "must be 1 or -1"),
+}
+
+# admissible ranges of the solver fields; k0 is checked against k_min separately
 _SOLVER_RANGES = {
+    "bump_width": _ITEM_RANGES["width"],
+    "orientation": _ITEM_RANGES["orientation"],
+    "probe_samples": (lambda x: x >= 1, "must be at least 1"),
     "grad_tol": (lambda x: math.isfinite(x) and x >= 0.0, "must be finite and nonnegative"),
     "eps_k": (lambda x: math.isfinite(x) and x > 0.0, "must be finite and positive"),
     "armijo_c1": (lambda x: 0.0 < x < 1.0, "must lie in (0, 1)"),
@@ -117,6 +126,10 @@ def _as_float(value, where: str) -> float:
         "expected a number",
     )
     return float(value)
+
+
+def _check_k0(k0: float, k_min: float, where: str):
+    _require(k0 >= k_min, where, "must be at least 1 + solver.eps_k = %r" % k_min)
 
 
 def _check_keys(block: dict, allowed, where: str):
@@ -183,18 +196,17 @@ def _parse_solver(block: dict, seed: int) -> SolverConfig:
         where = "solver.%s" % key
         if types[key] in (int, "int"):
             kwargs[key] = _as_int(value, where)
-        elif types[key] in (bool, "bool"):
-            _require(isinstance(value, bool), where, "expected true or false")
-            kwargs[key] = value
         else:
             kwargs[key] = _as_float(value, where)
         if key in _SOLVER_RANGES:
             ok, msg = _SOLVER_RANGES[key]
             _require(ok(kwargs[key]), where, msg)
-    return SolverConfig(seed=seed, **kwargs)
+    solver = SolverConfig(seed=seed, **kwargs)
+    _check_k0(solver.k0, solver.k_min, "solver.k0")
+    return solver
 
 
-def _parse_search(block: dict) -> SearchConfig:
+def _parse_search(block: dict, k_min: float) -> SearchConfig:
     _check_keys(block, {"targets", "eps_distinct", "schedule"}, "search")
     targets = _as_int(block.get("targets", 3), "search.targets")
     _require(targets >= 0, "search.targets", "must be nonnegative")
@@ -217,19 +229,31 @@ def _parse_search(block: dict) -> SearchConfig:
                 _require(isinstance(item, dict), label, "items must be objects")
                 _check_keys(item, item_keys[key], label)
                 for field, x in item.items():
+                    where = "%s.%s" % (label, field)
                     if field == "orientation":
-                        item[field] = _as_int(x, "%s.orientation" % label)
+                        item[field] = _as_int(x, where)
                     else:
-                        item[field] = _as_float(x, "%s.%s" % (label, field))
+                        item[field] = _as_float(x, where)
+                    if field in _ITEM_RANGES:
+                        ok, msg = _ITEM_RANGES[field]
+                        _require(ok(item[field]), where, msg)
+                if "k0" in item:
+                    _check_k0(item["k0"], k_min, "%s.k0" % label)
     return SearchConfig(targets=targets, eps_distinct=eps, schedule=schedule)
 
 
-def _parse_refine(block: dict) -> RefineConfig:
+def _parse_refine(block: dict, grid: Grid) -> RefineConfig:
     _check_keys(block, {"m_coarse", "m_fine"}, "refine")
     out = {}
     for key in ("m_coarse", "m_fine"):
         value = block.get(key)
-        out[key] = None if value is None else _as_int(value, "refine.%s" % key)
+        if value is not None:
+            value = _as_int(value, "refine.%s" % key)
+            try:
+                replace(grid, nodes_per_period=value)
+            except ValueError as exc:
+                raise ConfigError("refine.%s: %s" % (key, exc)) from exc
+        out[key] = value
     if out["m_coarse"] is not None and out["m_coarse"] == out["m_fine"]:
         raise ConfigError("refine.m_fine: must differ from refine.m_coarse")
     return RefineConfig(**out)
@@ -248,8 +272,8 @@ def parse_config(doc: dict, seed_override: Optional[int] = None) -> RunConfig:
     potential = _parse_potential(doc.get("potential", {}))
     grid = _parse_grid(doc.get("grid", {}), potential.period)
     solver = _parse_solver(doc.get("solver", {}), seed)
-    search = _parse_search(doc.get("search", {}))
-    refine = _parse_refine(doc.get("refine", {}))
+    search = _parse_search(doc.get("search", {}), solver.k_min)
+    refine = _parse_refine(doc.get("refine", {}), grid)
     out_dir = doc.get("out_dir", ".")
     _require(isinstance(out_dir, str), "out_dir", "expected a string")
     return RunConfig(

@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
 Every failure mode that callers are expected to branch on gets its own
-class; generic misuse (bad argument shapes, malformed preconditions) stays
+class; generic misuse (bad argument shapes, out-of-range arguments) stays
 a plain ValueError.
 """
 

@@ -198,14 +198,22 @@ def multibump_guess(
             raise OverlappingBumps(
                 "supports separated by %d nodes, need %d" % (gap, min_gap_nodes)
             )
-    total = np.zeros_like(shifted[0].values)
-    for s in shifted:
+    return _glued_sum(shifted, pot)
+
+
+def _glued_sum(shifted: Sequence[GridFunction], pot: PotentialSpec) -> GridFunction:
+    """Sum of already shifted entries, first plus the rest in order.
+
+    Raises InfeasibleGuess when the sum's segment clearance is below delta_seg.
+    """
+    total = shifted[0].values.copy()
+    for s in shifted[1:]:
         total += s.values
-    u = from_values(grid, total)
+    u = from_values(shifted[0].grid, total)
     clearance = segment_clearance(u.values, pot.q)
     if clearance < pot.delta_seg:
         raise InfeasibleGuess(
-            "glued guess clearance %.3e below %.3e" % (clearance, pot.delta_seg)
+            "glued sum clearance %.3e below %.3e" % (clearance, pot.delta_seg)
         )
     return u
 
@@ -355,11 +363,7 @@ def _glue_pair(
 ) -> HomoclinicCandidate:
     left = shift_periods(a, -((separation + 1) // 2))
     right = shift_periods(b, separation // 2)
-    u = from_values(a.grid, left.values + right.values)
-    clearance = segment_clearance(u.values, pot.q)
-    if clearance < pot.delta_seg:
-        raise InfeasibleGuess("pair sum clearance %.3e" % clearance)
-    cand = polish_to_critical(u, pot, cfg)
+    cand = polish_to_critical(_glued_sum([left, right], pot), pot, cfg)
     cand.schedule_item = item
     return cand
 
@@ -389,7 +393,7 @@ def search_distinct(
     schedule order, so results do not depend on completion timing; with
     jobs == 1 no attempt runs once the target is met).
     Phase 2 glues pairs of found solutions at decreasing separations and
-    descends with renormalization off, so the two bumps keep their
+    polishes each sum by Newton alone, so the two bumps keep their
     positions.  Phase 3 backfills with shifted and reshaped single-loop
     guesses.  Stops as soon as the library holds `targets` entries.
     """

@@ -22,6 +22,7 @@ that a deliberately broken spec can still be built and then diagnosed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -485,17 +486,35 @@ class PotentialSpec:
         return 1e-3 * self.well.q_norm
 
 
-def check_hypotheses(pot: PotentialSpec) -> None:
-    """The solver's gate: A and H2, plus H3 and H4 for the built-in family.
+# The hypothesis table in gate order: (name, description, check).  A check
+# takes the potential and its strong-force witness and returns a report or
+# raises HypothesisViolation.  The lambdas look the checks up by name at
+# call time, so wrappers installed on this module see every call.
+_HYPOTHESES = (
+    ("A", "a(t) > 0 and periodic", lambda pot, wit: check_A(pot.coeff)),
+    ("H2", "negative pinched Hessian at 0", lambda pot, wit: check_H2(pot.well)),
+    ("H3", "strong-force barrier near q", lambda pot, wit: check_H3(pot.well, wit)),
+    ("H4", "far-field domination and growth", lambda pot, wit: check_H4(pot.well, wit)),
+    ("W<0", "W negative away from 0", lambda pot, wit: check_W_negativity(pot.well)),
+)
+_WITNESS_CHECKS = ("H3", "H4")  # skipped for custom wells, which have no witness
 
-    Raises HypothesisViolation on the first failing check.
-    """
-    check_A(pot.coeff)
-    check_H2(pot.well)
-    if pot.well.form == "example":
-        witness = default_witness(pot.well)
-        check_H3(pot.well, witness)
-        check_H4(pot.well, witness)
+
+def hypothesis_checks(pot: PotentialSpec) -> list[tuple[str, str, Callable]]:
+    """The table rows that apply to pot as (name, description, run), run() -> report."""
+    builtin = pot.well.form == "example"
+    witness = default_witness(pot.well) if builtin else None
+    return [
+        (name, description, partial(check, pot, witness))
+        for name, description, check in _HYPOTHESES
+        if builtin or name not in _WITNESS_CHECKS
+    ]
+
+
+def check_hypotheses(pot: PotentialSpec) -> None:
+    """The solver's gate: run the hypothesis table, raising the first failure."""
+    for _, _, run in hypothesis_checks(pot):
+        run()
 
 
 def example_potential(

@@ -7,13 +7,11 @@ constraint, then run monotone Armijo descent with whole-period translation
 renormalization until the scaled gradient norm ||g||_2 / sqrt(h) drops
 below tolerance.
 
-The descent direction is the negative gradient, optionally preconditioned
-by the inverse of the discrete H1 operator (tridiagonal solve per
-component).  Preconditioning changes only the direction, never the
-accepted-value bookkeeping: both paths produce monotone action sequences
-and segment-feasible iterates.  It is on by default because it improves
-conditioning by roughly the square of the node count per unit time; the
-raw path is kept and tested for parity.
+The descent direction is the negative gradient mapped through the inverse
+of the discrete H1 operator (tridiagonal solve per component), which
+improves conditioning by roughly the square of the node count per unit
+time.  It changes only the direction, never the accepted-value
+bookkeeping: action sequences stay monotone and iterates segment-feasible.
 
 Every accepted iterate keeps segment clearance >= delta_seg; trial points
 that would violate it (or park a node inside the guard ball around q) are
@@ -55,6 +53,9 @@ from .potential import PotentialSpec, check_hypotheses, eval_hessW
 
 Array = np.ndarray
 
+_RENORMALIZE_EVERY = 25  # accepted descent steps between whole-period shifts
+_STEP_CAP = 8.0  # longest step tried along the H1 direction
+
 
 @dataclass
 class SolverConfig:
@@ -64,13 +65,11 @@ class SolverConfig:
     backtrack: float = 0.5
     max_backtracks: int = 60
     eps_k: float = 0.1
-    renormalize_every: int = 25
     k0: float = 1.5
     bump_center: float = 0.0
     bump_width: float = 2.0
     transverse: float = 0.5
     orientation: int = 1
-    precondition: bool = True
     seed: int = 0
     max_restarts: int = 4
     zero_tol: float = 1e-4
@@ -293,7 +292,6 @@ def minimize_over_E(
     the iteration cap is hit; the infimum estimate is the final value.
     """
     grid = u0.grid
-    h = grid.h
     kernel = ActionKernel(pot, grid)
     j = constraint.node_index
     if not (0 < j < grid.n - 1):
@@ -309,9 +307,8 @@ def minimize_over_E(
     if p is None:
         raise InfeasibleGuess("starting point of the constrained stage is infeasible")
 
-    pre = H1Preconditioner(grid) if cfg.precondition else None
-    alpha = 1.0 if cfg.precondition else 0.25 * h
-    alpha_cap = 8.0 if cfg.precondition else 0.6 * h
+    pre = H1Preconditioner(grid)
+    alpha = 1.0
 
     history = {"action": [p.value], "clearance": [p.clearance], "k": [k]}
     active_run = 0
@@ -335,9 +332,9 @@ def minimize_over_E(
             converged = True
             break
 
-        direction = pre.apply(g) if pre is not None else g
+        direction = pre.apply(g)
         accepted = False
-        alpha_try = min(alpha * 2.0, alpha_cap)
+        alpha_try = min(alpha * 2.0, _STEP_CAP)
         for _ in range(cfg.max_backtracks):
             trial = vals - alpha_try * direction
             k_t = max(k_min, float(trial[j] @ q) / q2)
@@ -402,21 +399,19 @@ def descend_to_critical(
 ) -> HomoclinicCandidate:
     """Unconstrained monotone descent to a critical point.
 
-    Applies whole-period renormalization every renormalize_every accepted
+    Applies whole-period renormalization every _RENORMALIZE_EVERY accepted
     steps (and once at the end), raises ConvergedToZero when the iterate
     collapses below zero_tol in sup norm, and MaxItersExceeded when the
     cap is reached; the best iterate rides along on the exception.
     """
     grid = u0.grid
-    h = grid.h
     kernel = ActionKernel(pot, grid)
     p = kernel.trial(np.array(u0.values, copy=True))
     if p is None:
         raise InfeasibleGuess("starting point of descent is infeasible")
 
-    pre = H1Preconditioner(grid) if cfg.precondition else None
-    alpha = 1.0 if cfg.precondition else 0.25 * h
-    alpha_cap = 8.0 if cfg.precondition else 0.6 * h
+    pre = H1Preconditioner(grid)
+    alpha = 1.0
 
     history = {"action": [p.value], "clearance": [p.clearance], "renorm": []}
     since_renorm = 0
@@ -437,8 +432,6 @@ def descend_to_critical(
         g = kernel.gradient(p)
         gn = grad_norm(grid, g)
         if gn <= cfg.grad_tol:
-            if not cfg.renormalize_every:
-                break
             before = p
             renormalize_now()
             if p is before:  # no shift happened, fully converged
@@ -447,12 +440,12 @@ def descend_to_critical(
             gn = grad_norm(grid, g)
             if gn <= cfg.grad_tol:
                 break
-        direction = pre.apply(g) if pre is not None else g
+        direction = pre.apply(g)
         gdotd = float((g * direction).sum())
         if gdotd <= 0.0:
             break
         accepted = False
-        alpha_try = min(alpha * 2.0, alpha_cap)
+        alpha_try = min(alpha * 2.0, _STEP_CAP)
         for _ in range(cfg.max_backtracks):
             trial = p.values - alpha_try * direction
             res = kernel.trial(trial)
@@ -472,7 +465,7 @@ def descend_to_critical(
         history["clearance"].append(p.clearance)
         if float(np.sqrt(p.r2.max())) < cfg.zero_tol:
             raise ConvergedToZero("iterate collapsed onto the trivial solution")
-        if cfg.renormalize_every and since_renorm >= cfg.renormalize_every:
+        if since_renorm >= _RENORMALIZE_EVERY:
             renormalize_now()
             since_renorm = 0
 
@@ -481,7 +474,7 @@ def descend_to_critical(
             p, gn = _newton_polish(kernel, grid, p, cfg, history)
             if float(np.sqrt(p.r2.max())) < cfg.zero_tol:
                 raise ConvergedToZero("iterate collapsed onto the trivial solution")
-            if gn > cfg.grad_tol or not cfg.renormalize_every:
+            if gn > cfg.grad_tol:
                 break
             before = p
             renormalize_now()

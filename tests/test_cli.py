@@ -46,8 +46,11 @@ def test_malformed_config_is_exit_1(tmp_path, capsys):
 
 
 def test_unknown_key_is_exit_1(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"solver": {"grad_tolerance": 1e-6}})
-    assert main(["check", "--config", cfg]) == 1
+    # precondition and renormalize_every were solver fields once; both paths are gone
+    for key, value in (("grad_tolerance", 1e-6), ("precondition", False), ("renormalize_every", 0)):
+        cfg = write_config(tmp_path, {"solver": {key: value}})
+        assert main(["check", "--config", cfg]) == 1
+        assert "config error: solver.%s: unknown field" % key in capsys.readouterr().err
 
 
 def test_solve_writes_artifacts(tmp_path):
@@ -232,12 +235,41 @@ def test_diagnose_manifest_missing_field_is_exit_1(tmp_path, capsys, text, messa
         ("armijo_c1", 0.0),
         ("max_iters", -1),
         ("max_backtracks", 0),
+        ("k0", 1.0),
+        ("bump_width", 0.0),
+        ("orientation", 0),
+        ("probe_samples", 0),
     ],
 )
 def test_solver_range_is_exit_1(tmp_path, capsys, field, value):
     cfg = write_config(tmp_path, {"solver": {field: value}})
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
     assert "config error: solver.%s: " % field in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "run"))
+
+
+@pytest.mark.parametrize(
+    "phase,item,field",
+    [
+        ("phase1", {"k0": 0.5}, "k0"),
+        ("backfill", {"center": 0.0, "width": -1.0}, "width"),
+        ("phase1", {"orientation": 2}, "orientation"),
+    ],
+)
+def test_schedule_item_range_is_exit_1(tmp_path, capsys, phase, item, field):
+    cfg = write_config(tmp_path, {"search": {"schedule": {phase: [item]}}})
+    assert main(["search", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "config error: search.schedule.%s.%s: " % (phase, field) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field,value", [("m_coarse", 4), ("m_fine", -2)])
+def test_refine_level_range_is_exit_1(tmp_path, capsys, field, value):
+    cfg = write_config(tmp_path, {"refine": {field: value}})
+    assert main(["refine", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "config error: refine.%s: need at least 8 nodes per period" % field in err
     assert not os.path.exists(str(tmp_path / "run"))
 
 

@@ -7,15 +7,12 @@ from dataclasses import replace
 from homoclinic import (
     ConstraintE,
     ConvergedToZero,
-    Grid,
     GridFunction,
     InfeasibleGuess,
     SolverConfig,
     descend_to_critical,
     eval_action,
-    geometric_distance,
     grad_norm,
-    h1_norm,
     initial_guess_bump,
     minimize_over_E,
     multibump_guess,
@@ -87,18 +84,6 @@ def test_solver_deterministic(pot, grid, cfg, solved):
     again = solve_homoclinic(pot, grid, cfg)
     assert np.array_equal(again.trajectory.values, solved.trajectory.values)
     assert again.action == solved.action
-
-
-def test_raw_gradient_agrees_with_preconditioned(pot, cfg):
-    # small grid so the unpreconditioned flow converges quickly
-    g = Grid(period=1.0, nodes_per_period=10, half_periods=4)
-    pre = solve_homoclinic(pot, g, replace(cfg, precondition=True))
-    raw = solve_homoclinic(pot, g, replace(cfg, precondition=False, max_iters=200000))
-    assert pre.grad_norm <= cfg.grad_tol
-    assert raw.grad_norm <= cfg.grad_tol
-    assert geometric_distance(pre.trajectory, raw.trajectory) < 1e-3 * h1_norm(
-        pre.trajectory
-    )
 
 
 def test_descent_of_unwound_guess_collapses(pot, grid, cfg):
