@@ -5,8 +5,8 @@ Subcommands: check (hypothesis table), solve (one candidate), search
 (inspect a trajectory CSV against a config and an existing library).
 
 All outputs are deterministic for a fixed config and seed; wall-clock
-timings are the only exception and live under the report's "timing" key so
-consumers can strip them.  Exit codes: 0 success, 1 config or IO error,
+timings are the only exception and live under "timing" keys (the report's
+own, and one per search-log record) so consumers can strip them.  Exit codes: 0 success, 1 config or IO error,
 2 hypothesis violation, 3 no (or not enough) solutions.
 """
 

@@ -21,6 +21,7 @@ centers and widths.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -327,15 +328,13 @@ def ps_split(
 
 
 def _default_schedule(grid: Grid, cfg: SolverConfig) -> dict:
+    """The built-in items; their crossing heights are clamped at k_min."""
     t = grid.period
     return {
         "phase1": [
-            {"k0": 1.5, "orientation": 1},
-            {"k0": 1.5, "orientation": -1},
-            {"k0": 2.0, "orientation": 1},
-            {"k0": 2.0, "orientation": -1},
-            {"k0": 1.2, "orientation": 1},
-            {"k0": 1.2, "orientation": -1},
+            {"k0": max(k0, cfg.k_min), "orientation": o}
+            for k0 in (1.5, 2.0, 1.2)
+            for o in (1, -1)
         ],
         "separations": [6, 5, 4],
         "backfill": [
@@ -346,12 +345,14 @@ def _default_schedule(grid: Grid, cfg: SolverConfig) -> dict:
     }
 
 
-def _guarded(fn, *args) -> tuple[Optional[HomoclinicCandidate], str]:
-    """(candidate, "") on success, (None, error text) when the attempt fails."""
+def _guarded(fn, *args) -> tuple[Optional[HomoclinicCandidate], str, float]:
+    """(candidate, "", seconds) on success, (None, error text, seconds) on failure."""
+    t0 = time.perf_counter()
     try:
-        return fn(*args), ""
+        cand, error = fn(*args), ""
     except HomoclinicError as exc:
-        return None, "%s: %s" % (type(exc).__name__, exc)
+        cand, error = None, "%s: %s" % (type(exc).__name__, exc)
+    return cand, error, time.perf_counter() - t0
 
 
 def _phase1_worker(payload):
@@ -369,12 +370,19 @@ def _glue_pair(
 
 
 def _record(lib: SolutionLibrary, item: dict, outcome, phase: int, seed: int) -> None:
-    """Log a failed attempt, or offer its candidate to the library."""
-    cand, error = outcome
+    """Log a failed attempt, or offer its candidate to the library.
+
+    Every record carries the attempt's wall time under "timing", the only
+    field of the log that is not deterministic.
+    """
+    cand, error, seconds = outcome
+    timing = {"seconds": seconds}
     if cand is None:
-        lib.log.append({"outcome": "failed", "schedule_item": item, "error": error})
+        lib.log.append(
+            {"outcome": "failed", "schedule_item": item, "error": error, "timing": timing}
+        )
     else:
-        lib.try_insert(cand, seed=seed, context={"phase": phase})
+        lib.try_insert(cand, seed=seed, context={"phase": phase, "timing": timing})
 
 
 def search_distinct(
@@ -447,6 +455,6 @@ def search_distinct(
         if len(lib) >= targets:
             break
         item = dict(raw, phase=3)
-        item.setdefault("k0", 1.35)
+        item.setdefault("k0", max(1.35, cfg.k_min))
         _record(lib, item, _phase1_worker((pot, grid, cfg, item)), 3, cfg.seed)
     return lib

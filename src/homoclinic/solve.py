@@ -2,16 +2,25 @@
 
 Pipeline: build a one-loop initial guess that crosses the ray {k q : k > 1},
 minimize the action over the discrete constraint class E_h (one node pinned
-to the ray, ray coordinate clamped at k_min = 1 + eps_k), release the
-constraint, then run monotone Armijo descent with whole-period translation
-renormalization until the scaled gradient norm ||g||_2 / sqrt(h) drops
-below tolerance.
+to the ray, ray coordinate clamped at k_min = 1 + eps_k), then release the
+constraint and converge until the scaled gradient norm ||g||_2 / sqrt(h)
+drops below tolerance.
 
-The descent direction is the negative gradient mapped through the inverse
-of the discrete H1 operator (tridiagonal solve per component), which
-improves conditioning by roughly the square of the node count per unit
-time.  It changes only the direction, never the accepted-value
-bookkeeping: action sequences stay monotone and iterates segment-feasible.
+The constrained stage runs projected Armijo descent along the negative
+gradient mapped through the inverse of the discrete H1 operator
+(tridiagonal solve per component), which improves conditioning by roughly
+the square of the node count per unit time.  The component along q is
+solved with the full operator, the transverse components with the pinned
+node held fixed, so the pinned node only moves along the ray.  Once the
+projected gradient is small the stage finishes with damped Newton steps on
+the banded action Hessian, bordered by the ray constraint.
+
+The release is damped Newton on the interior stencil equations, with
+whole-period translation renormalization.  Only when it stalls above
+tolerance does monotone Armijo descent along the H1 direction restart from
+the constrained minimizer; it changes only the direction, never the
+accepted-value bookkeeping: action sequences stay monotone and iterates
+segment-feasible.
 
 Every accepted iterate keeps segment clearance >= delta_seg; trial points
 that would violate it (or park a node inside the guard ball around q) are
@@ -99,6 +108,7 @@ class EStageResult:
     value: float
     grad_norm: float
     iterations: int
+    newton_steps: int
     converged: bool
     constraint_active: bool
     history: dict = field(repr=False, compare=False, default_factory=dict)
@@ -123,30 +133,64 @@ class H1Preconditioner:
     """Solve (K + M) v = g per component on the interior nodes.
 
     K is the forward-difference stiffness (1/h) tridiag(-1, 2, -1), M the
-    trapezoid mass h I; the factorization is computed once per grid.
+    trapezoid mass h I; the factorization is computed once per grid.  With
+    a pinned node the system loses that node's row and column, which cuts
+    the coupling across it, and apply() returns exactly zero there.
     apply() calls LAPACK's banded solve directly, without scipy's wrapper
     overhead, and keeps that wrapper's finiteness check.
     """
 
-    def __init__(self, grid: Grid):
+    def __init__(self, grid: Grid, pinned: Optional[int] = None):
         n_int = grid.n - 2
         h = grid.h
+        self._pinned = pinned
+        if pinned is not None:
+            n_int -= 1
         ab = np.zeros((2, n_int))
         ab[0, 1:] = -1.0 / h
         ab[1, :] = 2.0 / h + h
+        if pinned is not None and pinned - 1 < n_int:
+            ab[0, pinned - 1] = 0.0  # no coupling between the pinned node's neighbours
         self._cb = cholesky_banded(ab, lower=False)
         self._pbtrs = get_lapack_funcs("pbtrs", (self._cb,))
 
     def apply(self, g: Array) -> Array:
-        b = g[1:-1]
+        j = self._pinned
+        b = g[1:-1] if j is None else np.concatenate((g[1:j], g[j + 1 : -1]))
         if not np.isfinite(b).all():
             raise ValueError("array must not contain infs or NaNs")
         x, info = self._pbtrs(self._cb, b, lower=0)
         if info != 0:
             raise ValueError("illegal value in argument %d of pbtrs" % -info)
         out = np.zeros(g.shape)
-        out[1:-1] = x
+        if j is None:
+            out[1:-1] = x
+        else:
+            out[1:j] = x[: j - 1]
+            out[j + 1 : -1] = x[j - 1 :]
         return out
+
+
+def ray_direction(
+    full: H1Preconditioner,
+    pinned: H1Preconditioner,
+    g: Array,
+    q_hat: Array,
+    clamped: bool = False,
+) -> tuple[Array, Array]:
+    """H1 direction over E_h, split into its q_hat and q_hat-perp parts.
+
+    The component along q_hat is solved with the full factor, so the
+    pinned node moves freely along the ray; the transverse components are
+    solved with that node pinned, so they vanish there exactly.  While k
+    sits on its clamp and the gradient pushes it lower, the node cannot
+    move at all, and the q_hat component is solved pinned too.  Returns
+    (along, across): the q_hat coordinate per node and the transverse part
+    in the original coordinates; the direction is
+    outer(along, q_hat) + across.
+    """
+    c = g @ q_hat
+    return (pinned if clamped else full).apply(c), pinned.apply(g - np.outer(c, q_hat))
 
 
 def _transverse_unit(q: Array) -> Array:
@@ -216,6 +260,28 @@ def _flat_threshold(value: float, dec: float) -> float:
     return value + dec
 
 
+def _jacobian_band(kernel: ActionKernel, p: StencilPoint) -> Array:
+    """Action Hessian on the interior nodes in solve_banded's (d, d) layout.
+
+    Unknowns are node-major (node 1 coordinates, node 2 coordinates, ...);
+    the diagonal blocks are (2/h) I - h a(t_i) Hess W(u_i) and the
+    neighbour couplings -1/h I.
+    """
+    h = kernel.h
+    n, d = p.values.shape
+    n_int = n - 2
+    blocks = (2.0 / h) * np.eye(d) - h * (
+        kernel.a[1:-1, None, None] * eval_hessW(kernel.well, p.values[1:-1])
+    )
+    ab = np.zeros((2 * d + 1, n_int * d))
+    for c in range(d):
+        for c2 in range(d):
+            ab[d + c - c2, c2::d] = blocks[:, c, c2]
+    ab[0, d:] = -1.0 / h
+    ab[2 * d, : n_int * d - d] = -1.0 / h
+    return ab
+
+
 def _newton_polish(
     kernel: ActionKernel,
     grid: Grid,
@@ -233,29 +299,17 @@ def _newton_polish(
     iterate stays feasible.  Returns the updated state; stops early on a
     singular Jacobian or when no damping factor helps.
     """
-    h = kernel.h
-    n, d = p.values.shape
-    n_int = n - 2
+    d = p.values.shape[1]
     g = kernel.gradient(p)
     gn = grad_norm(grid, g)
-    eye = np.eye(d)
     for _ in range(cfg.polish_steps):
         if gn <= cfg.grad_tol:
             break
-        blocks = (2.0 / h) * eye - h * (
-            kernel.a[1:-1, None, None] * eval_hessW(kernel.well, p.values[1:-1])
-        )
-        ab = np.zeros((2 * d + 1, n_int * d))
-        for c in range(d):
-            for c2 in range(d):
-                ab[d + c - c2, c2::d] = blocks[:, c, c2]
-        ab[0, d:] = -1.0 / h
-        ab[2 * d, : n_int * d - d] = -1.0 / h
         try:
-            delta = solve_banded((d, d), ab, g[1:-1].reshape(-1))
+            delta = solve_banded((d, d), _jacobian_band(kernel, p), g[1:-1].reshape(-1))
         except LinAlgError:
             break
-        dvals = delta.reshape(n_int, d)
+        dvals = delta.reshape(-1, d)
         improved = False
         scale = 1.0
         for _ in range(8):
@@ -277,19 +331,114 @@ def _newton_polish(
     return p, gn
 
 
+# projected gradient norm at which the E-stage leaves Armijo for bordered Newton
+_NEWTON_HANDOFF = 1.0
+
+
+def _at_clamp(k: float, k_min: float) -> bool:
+    return k <= k_min * (1.0 + 1e-12)
+
+
+def _clamped(g: Array, j: int, q: Array, k: float, k_min: float) -> bool:
+    """k sits on its clamp and the gradient pushes it lower."""
+    return _at_clamp(k, k_min) and float(g[j] @ q) > 0.0
+
+
+def _projected_grad_norm(
+    grid: Grid, g: Array, j: int, q: Array, k: float, k_min: float
+) -> float:
+    """Gradient norm over E_h: at node j only the ray-tangential part counts,
+    and it is blocked when it would push k below the clamp."""
+    pg = g.copy()
+    pg[j] = 0.0 if _clamped(g, j, q, k, k_min) else (float(g[j] @ q) / float(q @ q)) * q
+    return grad_norm(grid, pg)
+
+
+def _bordered_newton(
+    kernel: ActionKernel,
+    grid: Grid,
+    p: StencilPoint,
+    j: int,
+    k: float,
+    k_min: float,
+    cfg: SolverConfig,
+    history: dict,
+) -> tuple[StencilPoint, float, int]:
+    """Damped Newton on the stationarity equations of E_h.
+
+    The directions orthogonal to q at node j are equality constraints
+    (plus the ray direction while k sits on its clamp and the gradient
+    pushes it lower).  Each step solves the banded Jacobian against the
+    gradient and the constraint columns in one multi-right-hand-side
+    solve, then enforces the constraints through the small Schur system of
+    their multipliers.  A step is accepted only when it stays feasible and
+    lowers the projected gradient norm.  Returns (point, k, steps).
+    """
+    q = kernel.q
+    q2 = float(q @ q)
+    d = q.shape[0]
+    # orthonormal rows: first +-q/|q|, then a basis of its complement
+    frame = np.linalg.svd((q / math.sqrt(q2))[None, :])[2]
+    sl = slice((j - 1) * d, j * d)
+    g = kernel.gradient(p)
+    pg_norm = _projected_grad_norm(grid, g, j, q, k, k_min)
+    steps = 0
+    for _ in range(cfg.polish_steps):
+        if pg_norm <= cfg.grad_tol:
+            break
+        rows = frame if _clamped(g, j, q, k, k_min) else frame[1:]
+        rhs = np.zeros((g[1:-1].size, 1 + len(rows)))
+        rhs[:, 0] = g[1:-1].reshape(-1)
+        rhs[sl, 1:] = rows.T
+        try:
+            y = solve_banded((d, d), _jacobian_band(kernel, p), rhs)
+            yj = rows @ y[sl]
+            mu = np.linalg.solve(yj[:, 1:], -yj[:, 0])
+        except LinAlgError:
+            break
+        dvals = (y[:, 0] + y[:, 1:] @ mu).reshape(-1, d)
+        improved = False
+        scale = 1.0
+        for _ in range(8):
+            trial = p.values.copy()
+            trial[1:-1] -= scale * dvals
+            k_t = max(k_min, float(trial[j] @ q) / q2)
+            trial[j] = k_t * q
+            res = kernel.trial(trial)
+            if res is not None:
+                g_t = kernel.gradient(res)
+                pg_t = _projected_grad_norm(grid, g_t, j, q, k_t, k_min)
+                if pg_t < pg_norm:
+                    p, k, g, pg_norm = res, k_t, g_t, pg_t
+                    improved = True
+                    break
+            scale *= 0.5
+        if not improved:
+            break
+        steps += 1
+        history["action"].append(p.value)
+        history["clearance"].append(p.clearance)
+        history["k"].append(k)
+    return p, k, steps
+
+
 def minimize_over_E(
     u0: GridFunction,
     constraint: ConstraintE,
     pot: PotentialSpec,
     cfg: SolverConfig,
 ) -> EStageResult:
-    """Projected Armijo descent over the constraint class E_h.
+    """Minimize the action over the constraint class E_h.
 
     Free variables are all interior nodes except the pinned one plus the
-    ray coordinate k; each trial step is projected back onto the ray (with
-    k clamped at k_min) before the sufficient-decrease test, so every
-    iterate lies in E_h exactly.  Returns the best iterate with flags when
-    the iteration cap is hit; the infimum estimate is the final value.
+    ray coordinate k.  Projected Armijo descent follows ray_direction, the
+    H1 direction whose transverse part is solved with node j pinned, so
+    node j only moves along the ray; each trial's k is clamped at k_min,
+    so every iterate lies in E_h exactly.  Once the projected gradient
+    norm reaches _NEWTON_HANDOFF the stage finishes with bordered Newton
+    (_bordered_newton); if that stalls above grad_tol, Armijo resumes to
+    grad_tol and the iteration cap.  Returns the best iterate with flags
+    when the cap is hit; the infimum estimate is the final value.
     """
     grid = u0.grid
     kernel = ActionKernel(pot, grid)
@@ -298,6 +447,7 @@ def minimize_over_E(
         raise ValueError("constrained node must be interior")
     q = pot.q
     q2 = float(q @ q)
+    q_hat = q / math.sqrt(q2)
     k_min = constraint.k_min
 
     vals = np.array(u0.values, copy=True)
@@ -307,32 +457,35 @@ def minimize_over_E(
     if p is None:
         raise InfeasibleGuess("starting point of the constrained stage is infeasible")
 
-    pre = H1Preconditioner(grid)
+    full = H1Preconditioner(grid)
+    pinned = H1Preconditioner(grid, pinned=j)
     alpha = 1.0
 
     history = {"action": [p.value], "clearance": [p.clearance], "k": [k]}
     active_run = 0
     constraint_active = False
     converged = False
+    handed_off = False
+    newton_steps = 0
     pg_norm = math.inf
     iters = 0
 
     for iters in range(1, cfg.max_iters + 1):
         vals = p.values
         g = kernel.gradient(p)
-        # projected gradient: at node j only the ray-tangential part counts,
-        # and it is blocked when pushing k below the clamp
-        pg = g.copy()
-        tang = float(g[j] @ q) / q2
-        if k <= k_min * (1.0 + 1e-12) and tang > 0.0:
-            tang = 0.0
-        pg[j] = tang * q
-        pg_norm = grad_norm(grid, pg)
+        pg_norm = _projected_grad_norm(grid, g, j, q, k, k_min)
+        if cfg.grad_tol < pg_norm <= _NEWTON_HANDOFF and not handed_off:
+            handed_off = True
+            p, k, newton_steps = _bordered_newton(kernel, grid, p, j, k, k_min, cfg, history)
+            vals = p.values
+            g = kernel.gradient(p)
+            pg_norm = _projected_grad_norm(grid, g, j, q, k, k_min)
         if pg_norm <= cfg.grad_tol:
             converged = True
             break
 
-        direction = pre.apply(g)
+        along, across = ray_direction(full, pinned, g, q_hat, _clamped(g, j, q, k, k_min))
+        direction = np.outer(along, q_hat) + across
         accepted = False
         alpha_try = min(alpha * 2.0, _STEP_CAP)
         for _ in range(cfg.max_backtracks):
@@ -357,19 +510,22 @@ def minimize_over_E(
         history["action"].append(p.value)
         history["clearance"].append(p.clearance)
         history["k"].append(k)
-        if k <= k_min * (1.0 + 1e-12):
+        if _at_clamp(k, k_min):
             active_run += 1
             if active_run >= cfg.constraint_active_iters:
                 constraint_active = True
         else:
             active_run = 0
 
+    if converged and _at_clamp(k, k_min):
+        constraint_active = True  # the bordered finish can reach the clamp in few steps
     return EStageResult(
         trajectory=GridFunction(grid, p.values),
         k=float(k),
         value=float(p.value),
         grad_norm=float(pg_norm),
         iterations=iters,
+        newton_steps=newton_steps,
         converged=converged,
         constraint_active=constraint_active,
         history=history,
@@ -392,6 +548,48 @@ def _detect_crossing(u: GridFunction, pot: PotentialSpec) -> Optional[tuple[int,
     return int(best), float(along[best] / qn)
 
 
+def _renormalize(
+    kernel: ActionKernel, grid: Grid, p: StencilPoint, history: dict
+) -> StencilPoint:
+    """Whole-period shift toward the center; the same point when none applies."""
+    shifted, l = renormalize_translation(GridFunction(grid, p.values))
+    if l != 0:
+        res = kernel.trial(np.array(shifted.values, copy=True))
+        if res is not None:  # a shift that would break feasibility is skipped
+            history["renorm"].append((p.value, res.value, l))
+            return res
+    return p
+
+
+def _polish_rounds(
+    kernel: ActionKernel,
+    grid: Grid,
+    p: StencilPoint,
+    cfg: SolverConfig,
+    history: dict,
+) -> tuple[StencilPoint, float]:
+    """Newton polish, then renormalize; polish again once if the shift moved it.
+
+    Raises ConvergedToZero when the polish collapses onto the trivial
+    solution.
+    """
+    gn = math.inf
+    for _ in range(2):
+        p, gn = _newton_polish(kernel, grid, p, cfg, history)
+        if float(np.sqrt(p.r2.max())) < cfg.zero_tol:
+            raise ConvergedToZero("iterate collapsed onto the trivial solution")
+        if gn > cfg.grad_tol:
+            break
+        before = p
+        p = _renormalize(kernel, grid, p, history)
+        if p is before:
+            break
+        gn = grad_norm(grid, kernel.gradient(p))
+        if gn <= cfg.grad_tol:
+            break
+    return p, gn
+
+
 def descend_to_critical(
     u0: GridFunction,
     pot: PotentialSpec,
@@ -400,9 +598,10 @@ def descend_to_critical(
     """Unconstrained monotone descent to a critical point.
 
     Applies whole-period renormalization every _RENORMALIZE_EVERY accepted
-    steps (and once at the end), raises ConvergedToZero when the iterate
-    collapses below zero_tol in sup norm, and MaxItersExceeded when the
-    cap is reached; the best iterate rides along on the exception.
+    steps (and once at the end), finishes with Newton polish when the
+    Armijo steps stop above tolerance, raises ConvergedToZero when the
+    iterate collapses below zero_tol in sup norm, and MaxItersExceeded
+    when the cap is reached; the best iterate rides along on the exception.
     """
     grid = u0.grid
     kernel = ActionKernel(pot, grid)
@@ -418,22 +617,12 @@ def descend_to_critical(
     iters = 0
     gn = math.inf
 
-    def renormalize_now():
-        nonlocal p
-        shifted, l = renormalize_translation(GridFunction(grid, p.values))
-        if l != 0:
-            res = kernel.trial(np.array(shifted.values, copy=True))
-            if res is None:
-                return  # shift would break feasibility; keep the iterate
-            history["renorm"].append((p.value, res.value, l))
-            p = res
-
     while iters < cfg.max_iters:
         g = kernel.gradient(p)
         gn = grad_norm(grid, g)
         if gn <= cfg.grad_tol:
             before = p
-            renormalize_now()
+            p = _renormalize(kernel, grid, p, history)
             if p is before:  # no shift happened, fully converged
                 break
             g = kernel.gradient(p)
@@ -466,23 +655,11 @@ def descend_to_critical(
         if float(np.sqrt(p.r2.max())) < cfg.zero_tol:
             raise ConvergedToZero("iterate collapsed onto the trivial solution")
         if since_renorm >= _RENORMALIZE_EVERY:
-            renormalize_now()
+            p = _renormalize(kernel, grid, p, history)
             since_renorm = 0
 
     if gn > cfg.grad_tol and cfg.polish_steps > 0:
-        for _ in range(2):
-            p, gn = _newton_polish(kernel, grid, p, cfg, history)
-            if float(np.sqrt(p.r2.max())) < cfg.zero_tol:
-                raise ConvergedToZero("iterate collapsed onto the trivial solution")
-            if gn > cfg.grad_tol:
-                break
-            before = p
-            renormalize_now()
-            if p is before:
-                break
-            gn = grad_norm(grid, kernel.gradient(p))
-            if gn <= cfg.grad_tol:
-                break
+        p, gn = _polish_rounds(kernel, grid, p, cfg, history)
 
     u = GridFunction(grid, p.values)
     if gn > cfg.grad_tol:
@@ -493,6 +670,28 @@ def descend_to_critical(
             best=best,
         )
     return _wrap_candidate(u, pot, cfg, iters, history, verify=True)
+
+
+def _release(u0: GridFunction, pot: PotentialSpec, cfg: SolverConfig) -> HomoclinicCandidate:
+    """Release the constraint: Newton polish first, Armijo descent if it stalls.
+
+    The Newton steps land in history["polish_grad_norm"]; when they stall
+    above grad_tol, descend_to_critical starts over from u0 and the stalled
+    steps are counted ahead of its own polish steps.
+    """
+    grid = u0.grid
+    kernel = ActionKernel(pot, grid)
+    p = kernel.trial(np.array(u0.values, copy=True))
+    if p is None:
+        raise InfeasibleGuess("starting point of the release is infeasible")
+    history = {"action": [p.value], "clearance": [p.clearance], "renorm": []}
+    p, gn = _polish_rounds(kernel, grid, p, cfg, history)
+    if gn <= cfg.grad_tol:
+        return _wrap_candidate(GridFunction(grid, p.values), pot, cfg, 0, history, verify=True)
+    cand = descend_to_critical(u0, pot, cfg)
+    for key in ("polish_grad_norm", "polish_action"):
+        cand.history[key] = history.get(key, []) + cand.history.get(key, [])
+    return cand
 
 
 def polish_to_critical(
@@ -578,8 +777,11 @@ def _restart_schedule(grid: Grid, cfg: SolverConfig) -> list[dict]:
 def single_loop_attempt(
     pot: PotentialSpec, grid: Grid, cfg: SolverConfig, item: dict
 ) -> HomoclinicCandidate:
-    """One guess -> constrained stage -> descent attempt for a schedule item.
+    """One guess -> constrained stage -> release attempt for a schedule item.
 
+    The constrained stage is minimize_over_E (pinned-H1 Armijo, then
+    bordered Newton); the release is Newton polish, with Armijo descent
+    from the constrained minimizer as the fallback when Newton stalls.
     Missing guess parameters (k0, center, width, orientation) fall back to
     cfg; the candidate carries the constrained-stage summary and the item.
     """
@@ -597,10 +799,18 @@ def single_loop_attempt(
     )
     constraint = ConstraintE(node_index=snap_center(grid, center), k_min=cfg.k_min, k=k0)
     e_res = minimize_over_E(guess, constraint, pot, cfg)
-    cand = descend_to_critical(e_res.trajectory, pot, cfg)
+    cand = _release(e_res.trajectory, pot, cfg)
     cand.e_stage = {
         key: getattr(e_res, key)
-        for key in ("value", "k", "iterations", "converged", "constraint_active", "grad_norm")
+        for key in (
+            "value",
+            "k",
+            "iterations",
+            "newton_steps",
+            "converged",
+            "constraint_active",
+            "grad_norm",
+        )
     }
     cand.schedule_item = dict(item)
     return cand
@@ -611,7 +821,7 @@ def solve_homoclinic(
     grid: Grid,
     cfg: Optional[SolverConfig] = None,
 ) -> HomoclinicCandidate:
-    """Full pipeline: hypothesis gate, constrained stage, release, descent.
+    """Full pipeline: hypothesis gate, constrained stage, release.
 
     Retries over a small restart schedule of guess parameters; raises
     NoSolutionFound when every attempt fails.  The returned candidate

@@ -46,6 +46,12 @@ def library3(pot, grid, cfg, fixture_seconds):
     return lib
 
 
+# the full default search at m=40: phase 1, six glues and the backfill
+@pytest.fixture(scope="session")
+def library9(pot, grid, cfg):
+    return search_distinct(pot, grid, cfg, targets=9)
+
+
 def pytest_terminal_summary(terminalreporter):
     # acceptance verdicts, one line per criterion, kept out of the capture
     import sys

@@ -299,3 +299,15 @@ def test_solve_summary_counts_polish(tmp_path, capsys):
     polish = int(line.rsplit("+ ", 1)[1].split()[0])
     assert polish > 0
     assert load_report(out)["candidate"]["iterations"] == 0
+
+
+def test_search_large_eps_k_clamps_builtin_items(tmp_path, capsys):
+    # k_min = 1.3 is above the built-in phase-1 height 1.2: those items
+    # are raised to k_min instead of failing inside the guess
+    out = str(tmp_path / "run")
+    cfg = write_config(tmp_path, {"solver": {"eps_k": 0.3}, "search": {"targets": 9}})
+    assert main(["search", "--config", cfg, "--out", out]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    log = load_report(out)["library"]["log"]
+    heights = [rec["schedule_item"]["k0"] for rec in log if rec.get("phase") in (1, 3)]
+    assert heights and min(heights) >= 1.3

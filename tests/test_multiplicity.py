@@ -247,3 +247,18 @@ def test_search_phase1_is_lazy(pot, grid, cfg, monkeypatch):
     assert len(lib) == 1
     assert len(calls) == 1
     assert [rec["outcome"] for rec in lib.log] == ["inserted"]
+
+
+def test_search_log_times_every_attempt(pot, grid, cfg, library9):
+    # inserted, duplicate and failed records and phase 2 glues all carry
+    # the attempt's seconds; nothing else in the log depends on time
+    again = search_distinct(pot, grid, cfg, targets=9)
+    assert {rec["outcome"] for rec in library9.log} == {"inserted", "duplicate", "failed"}
+    assert any(rec.get("phase") == 2 for rec in library9.log)
+    for rec in library9.log + again.log:
+        assert rec["timing"]["seconds"] >= 0.0
+
+    def untimed(log):
+        return [{k: v for k, v in rec.items() if k != "timing"} for rec in log]
+
+    assert untimed(again.log) == untimed(library9.log)

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 from homoclinic import (
     ConstraintE,
+    H1Preconditioner,
     ConvergedToZero,
     GridFunction,
     InfeasibleGuess,
@@ -17,11 +18,13 @@ from homoclinic import (
     minimize_over_E,
     multibump_guess,
     polish_to_critical,
+    search_distinct,
     shift_periods,
     snap_center,
     solve_homoclinic,
     sup_norm,
 )
+from homoclinic.solve import ray_direction
 
 
 def test_snap_center_clamps_to_interior(grid):
@@ -152,3 +155,62 @@ def test_history_records_descent(solved, cfg):
     assert len(hist["action"]) >= 1
     assert hist["action"][-1] == pytest.approx(solved.action, rel=1e-9)
     assert all(c > 0.0 for c in hist["clearance"])
+
+
+def test_ray_direction_pins_transverse_part(pot, grid):
+    # off the symmetric phase, where the old solve-then-project direction stalled
+    j = snap_center(grid, 0.25 * grid.period)
+    guess = initial_guess_bump(grid, pot, k0=1.35, center=0.25 * grid.period)
+    g = eval_action(guess, pot).gradient
+    q_hat = pot.q / np.linalg.norm(pot.q)
+    full = H1Preconditioner(grid)
+    along, across = ray_direction(full, H1Preconditioner(grid, pinned=j), g, q_hat)
+    assert np.all(across[j] == 0.0)
+    assert np.array_equal(along, full.apply(g @ q_hat))
+    # away from j the transverse part solves (K + M) v = g_perp with v_j = 0
+    h = grid.h
+    g_perp = g - np.outer(g @ q_hat, q_hat)
+    kv = (2.0 / h + h) * across[1:-1] - (across[2:] + across[:-2]) / h
+    free = np.arange(1, grid.n - 1) != j
+    assert np.abs(kv - g_perp[1:-1])[free].max() <= 1e-10 * np.abs(g_perp).max()
+    assert np.abs(across).max() > 0.0
+
+
+@pytest.mark.parametrize("width", [2.0, 1.25])
+@pytest.mark.parametrize("phase", [0.25, 0.75])
+def test_e_stage_converges_off_the_symmetric_phases(pot, grid, cfg, phase, width):
+    center = phase * grid.period
+    guess = initial_guess_bump(grid, pot, k0=1.35, center=center, width=width)
+    constraint = ConstraintE(node_index=snap_center(grid, center), k_min=cfg.k_min, k=1.35)
+    res = minimize_over_E(guess, constraint, pot, cfg)
+    assert res.converged
+    assert res.iterations <= 500
+    assert res.grad_norm <= cfg.grad_tol
+
+
+def test_e_stage_level_is_the_released_action(solved):
+    # the constrained critical point is already critical: d_h is the action
+    assert abs(solved.e_stage["value"] - solved.action) <= 1e-8
+    assert solved.crossing is not None
+    assert solved.e_stage["converged"]
+    assert solved.e_stage["newton_steps"] >= 0
+
+
+# the parent pipeline's library at m=40, alpha=2, targets=9, in insertion order
+_LIBRARY9_ACTIONS = [
+    27.308803721782354,
+    27.308803721782354,
+    54.623019122015066,
+    54.5989568751207,
+    54.631586360405905,
+    54.56401253523263,
+    54.655425060666445,
+    54.45604486018254,
+    20.28553988584698,
+]
+
+
+def test_search_reproduces_the_library(library9):
+    actions = [e.action for e in library9.entries]
+    assert len(actions) == len(_LIBRARY9_ACTIONS)
+    assert np.allclose(actions, _LIBRARY9_ACTIONS, rtol=0.0, atol=1e-8)
