@@ -598,10 +598,9 @@ def descend_to_critical(
     """Unconstrained monotone descent to a critical point.
 
     Applies whole-period renormalization every _RENORMALIZE_EVERY accepted
-    steps (and once at the end), finishes with Newton polish when the
-    Armijo steps stop above tolerance, raises ConvergedToZero when the
-    iterate collapses below zero_tol in sup norm, and MaxItersExceeded
-    when the cap is reached; the best iterate rides along on the exception.
+    steps (and once at the end), raises ConvergedToZero when the iterate
+    collapses below zero_tol in sup norm, and MaxItersExceeded when the
+    cap is reached; the best iterate rides along on the exception.
     """
     grid = u0.grid
     kernel = ActionKernel(pot, grid)

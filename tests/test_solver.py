@@ -196,7 +196,7 @@ def test_e_stage_level_is_the_released_action(solved):
     assert solved.e_stage["newton_steps"] >= 0
 
 
-# the parent pipeline's library at m=40, alpha=2, targets=9, in insertion order
+# the default search library at m=40, alpha=2, targets=9, in insertion order
 _LIBRARY9_ACTIONS = [
     27.308803721782354,
     27.308803721782354,
