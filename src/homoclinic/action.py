@@ -25,6 +25,8 @@ nodes: offsets from q, the guard test, the segment clearance, W and the
 action value.  The resulting StencilPoint carries |u - q| and |u|^2, so
 the gradient at an accepted point reuses them.  The solver, eval_action,
 the residuals and the positivity probe all evaluate through it.
+The action gap on the H1 sphere is the closed-form sphere_action_bound;
+the sampled positivity_probe only cross-checks it.
 """
 
 from __future__ import annotations
@@ -327,10 +329,12 @@ def positivity_probe(
     n_samples: int = 200,
     rng: Optional[np.random.Generator] = None,
 ) -> PositivityProbe:
-    """Sampled lower bound for the action on the H1 sphere of given radius.
+    """Sampled minimum of the action on the H1 sphere of given radius.
 
-    Random smooth feasible trajectories are rescaled to h1_norm == radius;
-    the reported minimum is the sampled action gap alpha_r.
+    Random smooth feasible trajectories are rescaled to h1_norm == radius.
+    A minimum over samples is an upper bound on the infimum over the
+    sphere, so it certifies nothing; it is kept to cross-check
+    sphere_action_bound, which must not exceed it.
     """
     if rng is None:
         rng = np.random.default_rng(3)
@@ -346,3 +350,17 @@ def positivity_probe(
             continue
         best = min(best, p.value)
     return PositivityProbe(min_action=float(best), radius=radius, n_samples=n_samples)
+
+
+def sphere_action_bound(pot: PotentialSpec) -> Optional[float]:
+    """Proven lower bound min(1/2, a_min (|q| + 1/sqrt(2))^-alpha) on the unit H1 sphere.
+
+    On a pinned grid |u_i|^2 <= ||u'|| ||u|| <= h1_norm(u)^2 / 2 exactly in
+    the quadrature of grids.py, so -W(u_i) >= |u_i|^2 (|q| + 1/sqrt(2))^-alpha
+    for the built-in well, and a(t) >= a_min = a_base - |a_amp|.  Custom
+    wells state no constant for W <= -c |u|^2, so they (and a_min <= 0) get None.
+    """
+    a_min = pot.coeff.a_base - abs(pot.coeff.a_amp)
+    if pot.well.form != "example" or a_min <= 0.0:
+        return None
+    return min(0.5, a_min * (pot.well.q_norm + math.sqrt(0.5)) ** (-pot.well.alpha))

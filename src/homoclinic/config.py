@@ -99,7 +99,6 @@ _ITEM_RANGES = {
 _SOLVER_RANGES = {
     "bump_width": _ITEM_RANGES["width"],
     "orientation": _ITEM_RANGES["orientation"],
-    "probe_samples": (lambda x: x >= 1, "must be at least 1"),
     "grad_tol": (lambda x: math.isfinite(x) and x >= 0.0, "must be finite and nonnegative"),
     "eps_k": (lambda x: math.isfinite(x) and x > 0.0, "must be finite and positive"),
     "armijo_c1": (lambda x: 0.0 < x < 1.0, "must lie in (0, 1)"),

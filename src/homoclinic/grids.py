@@ -24,7 +24,6 @@ composing the public functions.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -287,13 +286,13 @@ CSV_FLOAT_FORMAT = "%.17g"
 
 
 def write_trajectory_csv(path, u: GridFunction) -> None:
-    """Write one row per node with header t,u1,...,ud at full precision."""
-    header = ["t"] + ["u%d" % (a + 1) for a in range(u.d)]
+    """Write one row per node with header t,u1,...,ud at full precision, CRLF line ends."""
+    header = ",".join(["t"] + ["u%d" % (a + 1) for a in range(u.d)])
+    data = np.column_stack([u.grid.times, u.values])
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for t, row in zip(u.grid.times, u.values):
-            w.writerow([CSV_FLOAT_FORMAT % t] + [CSV_FLOAT_FORMAT % x for x in row])
+        np.savetxt(
+            f, data, fmt=CSV_FLOAT_FORMAT, delimiter=",", newline="\r\n", header=header, comments=""
+        )
 
 
 def read_trajectory_csv(path, grid: Grid) -> GridFunction:
@@ -302,24 +301,21 @@ def read_trajectory_csv(path, grid: Grid) -> GridFunction:
     Validates header shape, row count and node times; boundary rows must
     be zero.
     """
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows:
+    with open(path) as f:
+        header = f.readline()
+        body = f.readlines()
+    if not header:
         raise TrajectoryFormatError("empty trajectory file")
-    header = rows[0]
-    if len(header) < 2 or header[0] != "t":
-        raise TrajectoryFormatError("header must be t,u1,...,ud")
+    header = header.rstrip("\n").split(",")
     d = len(header) - 1
-    expect = ["u%d" % (a + 1) for a in range(d)]
-    if header[1:] != expect:
+    if d < 1 or header != ["t"] + ["u%d" % (a + 1) for a in range(d)]:
         raise TrajectoryFormatError("header must be t,u1,...,ud")
-    body = rows[1:]
     if len(body) != grid.n:
         raise TrajectoryFormatError(
             "expected %d rows for this grid, found %d" % (grid.n, len(body))
         )
     try:
-        data = np.array([[float(x) for x in row] for row in body], dtype=float)
+        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
         raise TrajectoryFormatError("non-numeric value in trajectory: %s" % exc)
     if data.shape[1] != d + 1:

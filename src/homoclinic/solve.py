@@ -48,8 +48,8 @@ from .action import (
     eval_action,
     grad_norm,
     ode_residual,
-    positivity_probe,
     segment_clearance,
+    sphere_action_bound,
 )
 from .errors import (
     ConvergedToZero,
@@ -82,9 +82,6 @@ class SolverConfig:
     seed: int = 0
     max_restarts: int = 4
     zero_tol: float = 1e-4
-    constraint_active_iters: int = 50
-    probe_radius: float = 1.0
-    probe_samples: int = 200
     polish_steps: int = 12
 
     @property
@@ -110,7 +107,7 @@ class EStageResult:
     iterations: int
     newton_steps: int
     converged: bool
-    constraint_active: bool
+    constraint_active: bool  # the stage ended with k on its clamp k_min
     history: dict = field(repr=False, compare=False, default_factory=dict)
 
 
@@ -462,8 +459,6 @@ def minimize_over_E(
     alpha = 1.0
 
     history = {"action": [p.value], "clearance": [p.clearance], "k": [k]}
-    active_run = 0
-    constraint_active = False
     converged = False
     handed_off = False
     newton_steps = 0
@@ -510,15 +505,6 @@ def minimize_over_E(
         history["action"].append(p.value)
         history["clearance"].append(p.clearance)
         history["k"].append(k)
-        if _at_clamp(k, k_min):
-            active_run += 1
-            if active_run >= cfg.constraint_active_iters:
-                constraint_active = True
-        else:
-            active_run = 0
-
-    if converged and _at_clamp(k, k_min):
-        constraint_active = True  # the bordered finish can reach the clamp in few steps
     return EStageResult(
         trajectory=GridFunction(grid, p.values),
         k=float(k),
@@ -527,7 +513,7 @@ def minimize_over_E(
         iterations=iters,
         newton_steps=newton_steps,
         converged=converged,
-        constraint_active=constraint_active,
+        constraint_active=_at_clamp(k, k_min),
         history=history,
     )
 
@@ -825,7 +811,8 @@ def solve_homoclinic(
     Retries over a small restart schedule of guess parameters; raises
     NoSolutionFound when every attempt fails.  The returned candidate
     carries the constrained-stage summary (infimum estimate d_h, final k,
-    constraint-activity flag) and the sampled action gap alpha_gap.
+    constraint-activity flag) and alpha_gap, the proven action gap on the
+    unit H1 sphere from action.sphere_action_bound (None for custom wells).
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -838,14 +825,7 @@ def solve_homoclinic(
         except (InfeasibleGuess, ConvergedToZero, MaxItersExceeded) as exc:
             failures.append("%s: %s" % (type(exc).__name__, exc))
             continue
-        probe = positivity_probe(
-            pot,
-            grid,
-            radius=cfg.probe_radius,
-            n_samples=cfg.probe_samples,
-            rng=np.random.default_rng(cfg.seed),
-        )
-        cand.alpha_gap = probe.min_action
+        cand.alpha_gap = sphere_action_bound(pot)
         return cand
     raise NoSolutionFound(
         "all %d attempts failed: %s" % (len(failures), "; ".join(failures))

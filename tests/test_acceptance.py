@@ -292,13 +292,21 @@ def test_criterion_09_sobolev_bound(grid, solved, library3):
 def test_criterion_10_positivity_gap(pot, grid, solved, library3):
     probe = positivity_probe(pot, grid, radius=1.0, n_samples=1000, rng=np.random.default_rng(10))
     actions = [solved.action] + [e.action for e in library3.entries]
-    ok = probe.min_action > 0.0 and all(a > probe.min_action for a in actions)
+    gap = solved.alpha_gap
+    ok = (
+        probe.min_action > 0.0
+        and all(a > probe.min_action for a in actions)
+        and 0.0 < gap <= probe.min_action
+    )
     report(
         10,
         ok,
-        "sampled unit-sphere action gap %.4f > 0; smallest library action %.4f exceeds it"
-        % (probe.min_action, min(actions)),
+        "proven unit-sphere action gap %.4f <= sampled minimum %.4f; smallest library action %.4f exceeds both"
+        % (gap, probe.min_action, min(actions)),
     )
     assert probe.min_action > 0.0
     for a in actions:
         assert a > probe.min_action
+    assert 0.0 < gap <= probe.min_action
+    for a in actions:
+        assert a > gap

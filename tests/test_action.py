@@ -9,11 +9,14 @@ from homoclinic import (
     GRAD_NORM_CONVENTION,
     Grid,
     GridFunction,
+    PotentialSpec,
+    SingularPotentialSpec,
     SingularityProximity,
     eval_a,
     eval_action,
     eval_gradient_fd_check,
     eval_W,
+    eval_gradW,
     example_potential,
     grad_norm,
     kinetic_seminorm_sq,
@@ -23,6 +26,7 @@ from homoclinic import (
     segment_clearance,
     shift_periods,
     singularity_clearance,
+    sphere_action_bound,
     truncation_residual,
     zero_function,
 )
@@ -264,3 +268,25 @@ def test_positivity_probe_deterministic():
     assert p1.min_action == p2.min_action
     assert p1.min_action > 0.0
     assert p1.n_samples == 200
+
+
+@pytest.mark.parametrize("m", [40, 160])
+@pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0])
+def test_sphere_action_bound_below_sampled_minimum(alpha, m):
+    # a sampled minimum bounds the sphere infimum from above, the closed form from below
+    pot = example_potential(alpha=alpha)
+    grid = Grid(period=1.0, nodes_per_period=m, half_periods=8)
+    bound = sphere_action_bound(pot)
+    probe = positivity_probe(pot, grid, rng=np.random.default_rng(3))
+    assert 0.0 < bound <= probe.min_action
+
+
+def test_sphere_action_bound_none_for_custom_well():
+    # the built-in well through callables: same W, but no stated constant
+    well = SingularPotentialSpec(
+        q=POT.q,
+        form="custom",
+        w_fn=lambda u: eval_W(POT.well, u),
+        grad_fn=lambda u: eval_gradW(POT.well, u),
+    )
+    assert sphere_action_bound(PotentialSpec(coeff=POT.coeff, well=well)) is None

@@ -46,8 +46,16 @@ def test_malformed_config_is_exit_1(tmp_path, capsys):
 
 
 def test_unknown_key_is_exit_1(tmp_path, capsys):
-    # precondition and renormalize_every were solver fields once; both paths are gone
-    for key, value in (("grad_tolerance", 1e-6), ("precondition", False), ("renormalize_every", 0)):
+    # a removed solver field is a config error, never silently ignored
+    gone = (
+        ("grad_tolerance", 1e-6),
+        ("precondition", False),
+        ("renormalize_every", 0),
+        ("probe_radius", 1.0),
+        ("probe_samples", 0),
+        ("constraint_active_iters", 50),
+    )
+    for key, value in gone:
         cfg = write_config(tmp_path, {"solver": {key: value}})
         assert main(["check", "--config", cfg]) == 1
         assert "config error: solver.%s: unknown field" % key in capsys.readouterr().err
@@ -238,7 +246,6 @@ def test_diagnose_manifest_missing_field_is_exit_1(tmp_path, capsys, text, messa
         ("k0", 1.0),
         ("bump_width", 0.0),
         ("orientation", 0),
-        ("probe_samples", 0),
     ],
 )
 def test_solver_range_is_exit_1(tmp_path, capsys, field, value):

@@ -1,5 +1,8 @@
 """Grid functions: norms, shifts, renormalization, window bound, CSV."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,6 +176,16 @@ def test_sobolev_window_bound_random(seed):
         assert rep.passed, "window bound violated at s=%s" % s
 
 
+@given(seed=st.integers(0, 500))
+@settings(max_examples=30, deadline=None)
+def test_sup_norm_bounded_by_half_h1_norm_squared(seed):
+    # |u_i|^2 <= ||u'|| ||u|| <= h1_norm(u)^2 / 2 on a pinned grid: the
+    # estimate behind action.sphere_action_bound
+    g = Grid(period=1.0, nodes_per_period=20, half_periods=4)
+    u = random_smooth_function(g, 2, np.random.default_rng(seed))
+    assert sup_norm(u) ** 2 <= h1_norm(u) ** 2 / 2.0 * (1.0 + 1e-12)
+
+
 def test_sobolev_bound_is_tight_for_constants():
     # flat plateau: |u(s)| = 1, window l2 = 1, kinetic = 0
     g = SMALL
@@ -223,8 +236,57 @@ def test_csv_rejects_wrong_grid(tmp_path):
         read_trajectory_csv(path, other)
 
 
+def _valid_csv_lines():
+    u = random_smooth_function(SMALL, 2, np.random.default_rng(0))
+    rows = zip(SMALL.times, u.values)
+    return ["t,u1,u2"] + ["%.17g,%.17g,%.17g" % (t, a, b) for t, (a, b) in rows]
+
+
+def _edit(index, text):
+    def apply(lines):
+        lines[index] = text
+        return lines
+
+    return apply
+
+
+def _shift_times(lines):
+    rows = [row.split(",", 1) for row in lines[1:]]
+    return lines[:1] + ["%.17g,%s" % (float(t) + 0.05, rest) for t, rest in rows]
+
+
+GARBAGE = [
+    (lambda lines: ["t,u1,u2", "0,not,a number"], "expected %d rows" % SMALL.n),
+    (lambda lines: [], "empty trajectory file"),
+    (_edit(0, "t,x,y"), "header must be"),
+    (_edit(0, "t"), "header must be"),
+    (lambda lines: lines[:-1], "expected %d rows" % SMALL.n),
+    (_edit(7, "nope,0,0"), "non-numeric value"),
+    (_edit(5, "-3.875,0.5"), "non-numeric value"),  # loadtxt: number of columns changed
+    (lambda lines: lines[:1] + [row + ",0" for row in lines[1:]], "ragged rows"),
+    (_edit(1, "%.17g,0,1e-300" % SMALL.times[0]), "boundary rows must be zero"),
+    (_edit(-1, "%.17g,0.25,0" % SMALL.times[-1]), "boundary rows must be zero"),
+    (_shift_times, "node times do not match"),
+]
+
+
 def test_csv_rejects_garbage(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("t,u1,u2\n0,not,a number\n")
-    with pytest.raises(TrajectoryFormatError):
-        read_trajectory_csv(path, SMALL)
+    for make, message in GARBAGE:
+        lines = make(_valid_csv_lines())
+        path.write_bytes("".join(row + "\r\n" for row in lines).encode())
+        with pytest.raises(TrajectoryFormatError, match=message):
+            read_trajectory_csv(path, SMALL)
+
+
+def test_csv_writer_matches_csv_module(tmp_path):
+    # the csv module's default dialect: CRLF line ends, %.17g cells, no quoting
+    u = random_smooth_function(SMALL, 3, np.random.default_rng(7))
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    w.writerow(["t", "u1", "u2", "u3"])
+    for t, row in zip(SMALL.times, u.values):
+        w.writerow(["%.17g" % t] + ["%.17g" % x for x in row])
+    path = tmp_path / "u.csv"
+    write_trajectory_csv(path, u)
+    assert path.read_bytes() == ref.getvalue().encode()

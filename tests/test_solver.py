@@ -13,6 +13,7 @@ from homoclinic import (
     SolverConfig,
     descend_to_critical,
     eval_action,
+    example_potential,
     grad_norm,
     initial_guess_bump,
     minimize_over_E,
@@ -22,8 +23,10 @@ from homoclinic import (
     shift_periods,
     snap_center,
     solve_homoclinic,
+    sphere_action_bound,
     sup_norm,
 )
+from homoclinic import action, solve
 from homoclinic.solve import ray_direction
 
 
@@ -148,6 +151,19 @@ def test_alpha_gap_and_e_stage_attached(solved):
     assert solved.e_stage is not None
     assert solved.e_stage["k"] > 1.0
     assert solved.schedule_item is not None
+
+
+@pytest.mark.parametrize("alpha,gap", [(2.0, 0.136455), (3.0, 0.050406), (4.0, 0.018620)])
+def test_solve_reports_closed_form_gap_without_sampling(grid, cfg, monkeypatch, alpha, gap):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("solve sampled the H1 sphere")
+
+    monkeypatch.setattr(action, "positivity_probe", no_sampling)
+    monkeypatch.setattr(solve, "positivity_probe", no_sampling, raising=False)
+    pot = example_potential(alpha=alpha)
+    cand = solve_homoclinic(pot, grid, cfg)
+    assert cand.alpha_gap == sphere_action_bound(pot)
+    assert cand.alpha_gap == pytest.approx(gap, abs=5e-7)
 
 
 def test_history_records_descent(solved, cfg):
