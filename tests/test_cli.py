@@ -246,6 +246,8 @@ def test_diagnose_manifest_missing_field_is_exit_1(tmp_path, capsys, text, messa
         ("k0", 1.0),
         ("bump_width", 0.0),
         ("orientation", 0),
+        # a removed field: refused as unknown before any output is written
+        ("probe_samples", 0),
     ],
 )
 def test_solver_range_is_exit_1(tmp_path, capsys, field, value):
