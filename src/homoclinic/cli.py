@@ -40,6 +40,7 @@ from .errors import (
     HypothesisViolation,
     MaxItersExceeded,
     NoSolutionFound,
+    SingularityProximity,
     TrajectoryFormatError,
     WindowOutOfDomain,
 )
@@ -201,7 +202,7 @@ def _write_library(out_dir: str, lib: SolutionLibrary, dist: np.ndarray, seed: i
                 "grad_norm": entry.grad_norm,
                 "clearance": entry.clearance,
                 "trajectory_csv_path": csv_name,
-                "seed": entry.seed if entry.seed is not None else seed,
+                "seed": seed,
                 "schedule_item": entry.schedule_item,
             }
         )
@@ -220,6 +221,8 @@ def _write_library(out_dir: str, lib: SolutionLibrary, dist: np.ndarray, seed: i
 
 
 def cmd_search(cfg: RunConfig, jobs: int = 1) -> int:
+    if jobs < 1:
+        raise ConfigError("--jobs: must be at least 1")
     gated = _gate(cfg)
     if gated is None:
         return 2
@@ -369,7 +372,6 @@ def _load_library(out_dir: str, grid: Grid) -> Optional[SolutionLibrary]:
                 action=item["action"],
                 grad_norm=item["grad_norm"],
                 clearance=item["clearance"],
-                seed=item.get("seed"),
                 schedule_item=item.get("schedule_item"),
             )
         )
@@ -379,7 +381,10 @@ def _load_library(out_dir: str, grid: Grid) -> Optional[SolutionLibrary]:
 def cmd_diagnose(cfg: RunConfig, trajectory_path: str) -> int:
     u = read_trajectory_csv(trajectory_path, cfg.grid)
     pot = cfg.potential
-    ae = eval_action(u, pot)
+    try:
+        ae = eval_action(u, pot)
+    except SingularityProximity as exc:
+        raise TrajectoryFormatError("%s: %s" % (trajectory_path, exc)) from exc
     gn = grad_norm(u.grid, ae.gradient)
     res = ode_residual(u, pot)
     print("trajectory: %s" % trajectory_path)
@@ -446,7 +451,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 type=int,
                 default=1,
                 metavar="N",
-                help="parallel workers for the first search phase (default 1)",
+                help="parallel workers for the first search phase, at most one "
+                "per phase-1 item (default 1)",
             )
         if name == "diagnose":
             p.add_argument("trajectory", metavar="CSV", help="trajectory file to inspect")

@@ -76,7 +76,6 @@ class LibraryEntry:
     action: float
     grad_norm: float
     clearance: float
-    seed: Optional[int] = None
     schedule_item: Optional[dict] = None
 
 
@@ -125,18 +124,12 @@ class SolutionLibrary:
         self.log.append(record)
         return True
 
-    def try_insert(
-        self,
-        cand: HomoclinicCandidate,
-        seed: Optional[int] = None,
-        context: Optional[dict] = None,
-    ) -> bool:
+    def try_insert(self, cand: HomoclinicCandidate, context: Optional[dict] = None) -> bool:
         entry = LibraryEntry(
             trajectory=cand.trajectory,
             action=cand.action,
             grad_norm=cand.grad_norm,
             clearance=cand.clearance,
-            seed=seed,
             schedule_item=cand.schedule_item,
         )
         return self.try_insert_entry(entry, context=context)
@@ -369,7 +362,7 @@ def _glue_pair(
     return cand
 
 
-def _record(lib: SolutionLibrary, item: dict, outcome, phase: int, seed: int) -> None:
+def _record(lib: SolutionLibrary, item: dict, outcome, phase: int) -> None:
     """Log a failed attempt, or offer its candidate to the library.
 
     Every record carries the attempt's wall time under "timing", the only
@@ -382,7 +375,7 @@ def _record(lib: SolutionLibrary, item: dict, outcome, phase: int, seed: int) ->
             {"outcome": "failed", "schedule_item": item, "error": error, "timing": timing}
         )
     else:
-        lib.try_insert(cand, seed=seed, context={"phase": phase, "timing": timing})
+        lib.try_insert(cand, context={"phase": phase, "timing": timing})
 
 
 def search_distinct(
@@ -397,9 +390,10 @@ def search_distinct(
     """Deterministic multi-solution search.
 
     Phase 1 solves single-loop guesses over crossing heights and winding
-    senses (parallelizable with jobs > 1; insertion order stays the
-    schedule order, so results do not depend on completion timing; with
-    jobs == 1 no attempt runs once the target is met).
+    senses (parallelizable with jobs > 1, at most one worker per item;
+    insertion order stays the schedule order, so results do not depend
+    on completion timing; with jobs == 1 no attempt runs once the target
+    is met).
     Phase 2 glues pairs of found solutions at decreasing separations and
     polishes each sum by Newton alone, so the two bumps keep their
     positions.  Phase 3 backfills with shifted and reshaped single-loop
@@ -416,17 +410,18 @@ def search_distinct(
 
     phase1 = [dict(item, phase=1) for item in sched["phase1"]]
     payloads = [(pot, grid, cfg, it) for it in phase1]
-    if jobs > 1:
+    workers = min(jobs, len(payloads))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             results = iter(list(ex.map(_phase1_worker, payloads)))
     else:
         results = map(_phase1_worker, payloads)  # lazy: stops at the target
     for item in phase1:
         if len(lib) >= targets:
             break
-        _record(lib, item, next(results), 1, cfg.seed)
+        _record(lib, item, next(results), 1)
     if len(lib) >= targets:
         return lib
 
@@ -447,7 +442,7 @@ def search_distinct(
                 break
             item = {"phase": 2, "separation": int(sep), "pair": [ia, ib]}
             glued = _guarded(_glue_pair, base[ia], base[ib], int(sep), pot, pair_cfg, item)
-            _record(lib, item, glued, 2, cfg.seed)
+            _record(lib, item, glued, 2)
     if len(lib) >= targets:
         return lib
 
@@ -456,5 +451,5 @@ def search_distinct(
             break
         item = dict(raw, phase=3)
         item.setdefault("k0", max(1.35, cfg.k_min))
-        _record(lib, item, _phase1_worker((pot, grid, cfg, item)), 3, cfg.seed)
+        _record(lib, item, _phase1_worker((pot, grid, cfg, item)), 3)
     return lib

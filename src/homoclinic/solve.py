@@ -64,24 +64,21 @@ Array = np.ndarray
 
 _RENORMALIZE_EVERY = 25  # accepted descent steps between whole-period shifts
 _STEP_CAP = 8.0  # longest step tried along the H1 direction
+_ARMIJO_C1 = 1e-4  # sufficient-decrease constant of both Armijo loops
+_BACKTRACK = 0.5  # step shrink factor per rejected trial
+_MAX_BACKTRACKS = 60  # trials per Armijo step before the loop stalls
+_ZERO_TOL = 1e-4  # sup norm below which an iterate has collapsed onto 0
 
 
 @dataclass
 class SolverConfig:
     grad_tol: float = 1e-6
     max_iters: int = 20000
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 60
     eps_k: float = 0.1
     k0: float = 1.5
     bump_center: float = 0.0
     bump_width: float = 2.0
-    transverse: float = 0.5
     orientation: int = 1
-    seed: int = 0
-    max_restarts: int = 4
-    zero_tol: float = 1e-4
     polish_steps: int = 12
 
     @property
@@ -483,7 +480,7 @@ def minimize_over_E(
         direction = np.outer(along, q_hat) + across
         accepted = False
         alpha_try = min(alpha * 2.0, _STEP_CAP)
-        for _ in range(cfg.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             trial = vals - alpha_try * direction
             k_t = max(k_min, float(trial[j] @ q) / q2)
             trial[j] = k_t * q
@@ -492,11 +489,11 @@ def minimize_over_E(
             res = kernel.trial(trial)
             if res is not None:
                 delta = trial - vals
-                dec = cfg.armijo_c1 * float((g * delta).sum())
+                dec = _ARMIJO_C1 * float((g * delta).sum())
                 if dec < 0.0 and res.value <= _flat_threshold(p.value, dec):
                     accepted = True
                     break
-            alpha_try *= cfg.backtrack
+            alpha_try *= _BACKTRACK
         if not accepted or (trial == vals).all():
             break  # stalled at the floating-point floor
         p = res
@@ -562,7 +559,7 @@ def _polish_rounds(
     gn = math.inf
     for _ in range(2):
         p, gn = _newton_polish(kernel, grid, p, cfg, history)
-        if float(np.sqrt(p.r2.max())) < cfg.zero_tol:
+        if float(np.sqrt(p.r2.max())) < _ZERO_TOL:
             raise ConvergedToZero("iterate collapsed onto the trivial solution")
         if gn > cfg.grad_tol:
             break
@@ -585,7 +582,7 @@ def descend_to_critical(
 
     Applies whole-period renormalization every _RENORMALIZE_EVERY accepted
     steps (and once at the end), raises ConvergedToZero when the iterate
-    collapses below zero_tol in sup norm, and MaxItersExceeded when the
+    collapses below _ZERO_TOL in sup norm, and MaxItersExceeded when the
     cap is reached; the best iterate rides along on the exception.
     """
     grid = u0.grid
@@ -620,15 +617,15 @@ def descend_to_critical(
             break
         accepted = False
         alpha_try = min(alpha * 2.0, _STEP_CAP)
-        for _ in range(cfg.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             trial = p.values - alpha_try * direction
             res = kernel.trial(trial)
             if res is not None:
-                dec = -cfg.armijo_c1 * alpha_try * gdotd
+                dec = -_ARMIJO_C1 * alpha_try * gdotd
                 if res.value <= _flat_threshold(p.value, dec):
                     accepted = True
                     break
-            alpha_try *= cfg.backtrack
+            alpha_try *= _BACKTRACK
         if not accepted or (trial == p.values).all():
             break
         p = res
@@ -637,7 +634,7 @@ def descend_to_critical(
         since_renorm += 1
         history["action"].append(p.value)
         history["clearance"].append(p.clearance)
-        if float(np.sqrt(p.r2.max())) < cfg.zero_tol:
+        if float(np.sqrt(p.r2.max())) < _ZERO_TOL:
             raise ConvergedToZero("iterate collapsed onto the trivial solution")
         if since_renorm >= _RENORMALIZE_EVERY:
             p = _renormalize(kernel, grid, p, history)
@@ -699,7 +696,7 @@ def polish_to_critical(
         raise InfeasibleGuess("starting point of polish is infeasible")
     history = {}
     p, gn = _newton_polish(kernel, grid, p, cfg, history)
-    if float(np.sqrt(p.r2.max())) < cfg.zero_tol:
+    if float(np.sqrt(p.r2.max())) < _ZERO_TOL:
         raise ConvergedToZero("polish collapsed onto the trivial solution")
     steps = len(history.get("polish_grad_norm", []))
     u = GridFunction(grid, p.values)
@@ -749,14 +746,13 @@ def _restart_schedule(grid: Grid, cfg: SolverConfig) -> list[dict]:
         "width": cfg.bump_width,
         "orientation": cfg.orientation,
     }
-    variations = [
+    return [
         base,
         {**base, "orientation": -cfg.orientation},
         {**base, "k0": min(2.5, cfg.k0 * 1.25), "width": cfg.bump_width * 0.75},
         {**base, "center": cfg.bump_center + t_half},
         {**base, "k0": max(1.0 + cfg.eps_k, cfg.k0 * 0.85), "width": cfg.bump_width * 1.5},
     ]
-    return variations[: max(1, cfg.max_restarts + 1)]
 
 
 def single_loop_attempt(
@@ -778,7 +774,6 @@ def single_loop_attempt(
         k0=k0,
         center=center,
         width=float(item.get("width", cfg.bump_width)),
-        transverse=cfg.transverse,
         orientation=int(item.get("orientation", cfg.orientation)),
         eps_k=cfg.eps_k,
     )

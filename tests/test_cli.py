@@ -8,7 +8,7 @@ import pytest
 
 from homoclinic.cli import main
 from homoclinic.config import parse_config
-from homoclinic.grids import write_trajectory_csv, zero_function
+from homoclinic.grids import from_values, write_trajectory_csv, zero_function
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -54,6 +54,13 @@ def test_unknown_key_is_exit_1(tmp_path, capsys):
         ("probe_radius", 1.0),
         ("probe_samples", 0),
         ("constraint_active_iters", 50),
+        ("armijo_c1", 1e-4),
+        ("backtrack", 0.5),
+        ("max_backtracks", 60),
+        ("zero_tol", 1e-4),
+        ("max_restarts", 4),
+        ("transverse", 0.5),
+        ("seed", 0),
     )
     for key, value in gone:
         cfg = write_config(tmp_path, {"solver": {key: value}})
@@ -246,7 +253,7 @@ def test_diagnose_manifest_missing_field_is_exit_1(tmp_path, capsys, text, messa
         ("k0", 1.0),
         ("bump_width", 0.0),
         ("orientation", 0),
-        # a removed field: refused as unknown before any output is written
+        # removed fields: refused as unknown before any output is written
         ("probe_samples", 0),
     ],
 )
@@ -284,9 +291,9 @@ def test_refine_level_range_is_exit_1(tmp_path, capsys, field, value):
 
 def test_solver_range_edges_accepted():
     # zero tolerance stays legal (tests and users ask for "as far as it goes")
-    doc = {"grad_tol": 0.0, "max_iters": 0, "max_backtracks": 1, "backtrack": 0.9}
+    doc = {"grad_tol": 0.0, "max_iters": 0}
     solver = parse_config({"solver": doc}).solver
-    assert (solver.grad_tol, solver.max_iters, solver.max_backtracks) == (0.0, 0, 1)
+    assert (solver.grad_tol, solver.max_iters) == (0.0, 0)
 
 
 @pytest.mark.parametrize("command", ["check", "solve"])
@@ -320,3 +327,125 @@ def test_search_large_eps_k_clamps_builtin_items(tmp_path, capsys):
     log = load_report(out)["library"]["log"]
     heights = [rec["schedule_item"]["k0"] for rec in log if rec.get("phase") in (1, 3)]
     assert heights and min(heights) >= 1.3
+
+
+@pytest.mark.parametrize(
+    "doc,where",
+    [
+        ({"potential": {"a_base": float("inf")}}, "potential.a_base"),
+        ({"potential": {"a_base": 10**400}}, "potential.a_base"),
+        ({"potential": {"a_amp": float("nan")}}, "potential.a_amp"),
+        ({"potential": {"period": float("inf")}}, "potential.period"),
+        ({"solver": {"k0": float("inf")}}, "solver.k0"),
+        ({"solver": {"bump_center": float("inf")}}, "solver.bump_center"),
+        ({"solver": {"bump_width": float("inf")}}, "solver.bump_width"),
+        ({"solver": {"grad_tol": float("nan")}}, "solver.grad_tol"),
+        ({"solver": {"eps_k": float("inf")}}, "solver.eps_k"),
+        (
+            {"search": {"schedule": {"phase1": [{"center": float("nan")}]}}},
+            "search.schedule.phase1.center",
+        ),
+        (
+            {"search": {"schedule": {"phase1": [{"k0": float("inf")}]}}},
+            "search.schedule.phase1.k0",
+        ),
+        ({"search": {"eps_distinct": float("inf")}}, "search.eps_distinct"),
+    ],
+)
+def test_non_finite_number_is_exit_1(tmp_path, capsys, doc, where):
+    # json reads NaN, Infinity and over-long integer literals; none is a setting
+    cfg = write_config(tmp_path, doc)
+    assert main(["search", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "config error: %s: expected a finite number" % where in err
+    assert "Traceback" not in err
+    assert not os.path.exists(str(tmp_path / "run"))
+
+
+def test_diagnose_node_at_q_is_exit_1(tmp_path, capsys):
+    grid = parse_config({}).grid
+    vals = np.zeros((grid.n, 2))
+    vals[grid.center_index] = (2.0, 0.0)  # the default q, at t = 0
+    csv = str(tmp_path / "at_q.csv")
+    write_trajectory_csv(csv, from_values(grid, vals))
+    assert main(["diagnose", "--out", str(tmp_path), csv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: " % csv)
+    assert "guard ball around q" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_search_jobs_below_one_is_exit_1(tmp_path, capsys, jobs):
+    out = str(tmp_path / "lib")
+    assert main(["search", "--out", out, "--jobs", jobs]) == 1
+    assert "config error: --jobs: must be at least 1" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_search_pool_capped_at_phase1_items(pot, grid, cfg, monkeypatch):
+    # a stand-in pool that records its size and maps serially: no process starts
+    import concurrent.futures
+
+    from homoclinic import search_distinct
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    lib = search_distinct(pot, grid, cfg, targets=3, jobs=10**6)
+    assert sizes == [6]
+    assert len(lib) == 3
+
+
+def _without_timing(report):
+    report.pop("timing")
+    report["config"].pop("out_dir")
+    for record in report["library"]["log"]:
+        record.pop("timing", None)
+    return report
+
+
+def test_search_jobs_2_matches_jobs_1(tmp_path):
+    reports, files = [], []
+    for jobs in ("1", "2"):
+        out = str(tmp_path / ("jobs" + jobs))
+        assert main(["search", "--out", out, "--jobs", jobs]) == 0
+        reports.append(_without_timing(load_report(out)))
+        files.append({name: open(os.path.join(out, name), "rb").read() for name in os.listdir(out)})
+    assert reports[0] == reports[1]
+    files[0].pop("report.json")
+    files[1].pop("report.json")
+    assert files[0] == files[1]
+
+
+@pytest.mark.parametrize("command", ["solve", "search", "refine"])
+def test_hypothesis_violation_is_exit_2(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, {"potential": {"a_base": 1.0, "a_amp": 2.0}})
+    out = str(tmp_path / "run")
+    assert main([command, "--config", cfg, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert "FAIL" in captured.out
+    assert "hypothesis checks failed" in captured.err
+    assert not os.path.exists(out)
+
+
+def test_refine_unreachable_tolerance_is_exit_3(tmp_path):
+    out = str(tmp_path / "run")
+    cfg = write_config(tmp_path, {"solver": {"grad_tol": 0.0, "max_iters": 50}})
+    assert main(["refine", "--config", cfg, "--out", out]) == 3
+    rep = load_report(out)
+    assert rep["error"].startswith("coarse level (m=40): ")
+    assert "refine" not in rep
