@@ -98,6 +98,7 @@ _SOLVER_RANGES = {
     "grad_tol": (lambda x: x >= 0.0, "must be nonnegative"),
     "eps_k": (lambda x: x > 0.0, "must be positive"),
     "max_iters": (lambda x: x >= 0, "must be nonnegative"),
+    "polish_steps": (lambda x: x >= 0, "must be nonnegative"),
 }
 
 

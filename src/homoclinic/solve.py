@@ -15,12 +15,13 @@ node held fixed, so the pinned node only moves along the ray.  Once the
 projected gradient is small the stage finishes with damped Newton steps on
 the banded action Hessian, bordered by the ray constraint.
 
-The release is damped Newton on the interior stencil equations, with
-whole-period translation renormalization.  Only when it stalls above
-tolerance does monotone Armijo descent along the H1 direction restart from
-the constrained minimizer; it changes only the direction, never the
-accepted-value bookkeeping: action sequences stay monotone and iterates
-segment-feasible.
+The release is the same damped Newton without the ray constraint, with
+whole-period translation renormalization; polish_to_critical (the glue
+polish of multibump guesses) is that Newton alone.  Only when the release
+stalls above tolerance does monotone Armijo descent along the H1 direction
+restart from the constrained minimizer; it changes only the direction,
+never the accepted-value bookkeeping: action sequences stay monotone and
+iterates segment-feasible.
 
 Every accepted iterate keeps segment clearance >= delta_seg; trial points
 that would violate it (or park a node inside the guard ball around q) are
@@ -105,11 +106,14 @@ class EStageResult:
     newton_steps: int
     converged: bool
     constraint_active: bool  # the stage ended with k on its clamp k_min
-    history: dict = field(repr=False, compare=False, default_factory=dict)
 
 
 @dataclass
 class HomoclinicCandidate:
+    """One trajectory with its certificates.  history keeps "action" and
+    "clearance" (start point, then each accepted Armijo descent step) and
+    "polish_grad_norm" (the gradient norm after each accepted Newton step)."""
+
     trajectory: GridFunction
     action: float
     grad_norm: float
@@ -276,55 +280,6 @@ def _jacobian_band(kernel: ActionKernel, p: StencilPoint) -> Array:
     return ab
 
 
-def _newton_polish(
-    kernel: ActionKernel,
-    grid: Grid,
-    p: StencilPoint,
-    cfg: SolverConfig,
-    history: dict,
-) -> tuple[StencilPoint, float]:
-    """Drive the interior stencil equations down by damped Newton steps.
-
-    A value-monotone line search cannot certify progress once the
-    remaining action improvement drops below one ulp of the action, which
-    happens at gradient norms around 1e-6 on desk grids.  The stencil
-    equations have no such floor, so each step solves the banded Jacobian
-    system and is accepted only when the gradient norm decreases and the
-    iterate stays feasible.  Returns the updated state; stops early on a
-    singular Jacobian or when no damping factor helps.
-    """
-    d = p.values.shape[1]
-    g = kernel.gradient(p)
-    gn = grad_norm(grid, g)
-    for _ in range(cfg.polish_steps):
-        if gn <= cfg.grad_tol:
-            break
-        try:
-            delta = solve_banded((d, d), _jacobian_band(kernel, p), g[1:-1].reshape(-1))
-        except LinAlgError:
-            break
-        dvals = delta.reshape(-1, d)
-        improved = False
-        scale = 1.0
-        for _ in range(8):
-            trial = p.values.copy()
-            trial[1:-1] -= scale * dvals
-            res = kernel.trial(trial)
-            if res is not None:
-                g_t = kernel.gradient(res)
-                gn_t = grad_norm(grid, g_t)
-                if gn_t < gn:
-                    p, g, gn = res, g_t, gn_t
-                    improved = True
-                    break
-            scale *= 0.5
-        if not improved:
-            break
-        history.setdefault("polish_grad_norm", []).append(float(gn))
-        history.setdefault("polish_action", []).append(p.value)
-    return p, gn
-
-
 # projected gradient norm at which the E-stage leaves Armijo for bordered Newton
 _NEWTON_HANDOFF = 1.0
 
@@ -348,39 +303,51 @@ def _projected_grad_norm(
     return grad_norm(grid, pg)
 
 
-def _bordered_newton(
+def _damped_newton(
     kernel: ActionKernel,
     grid: Grid,
     p: StencilPoint,
-    j: int,
-    k: float,
-    k_min: float,
     cfg: SolverConfig,
-    history: dict,
-) -> tuple[StencilPoint, float, int]:
-    """Damped Newton on the stationarity equations of E_h.
+    ray: Optional[tuple[int, float, float]] = None,
+) -> tuple[StencilPoint, Optional[float], float, list[float]]:
+    """Damped Newton on the stationarity equations, free or over E_h.
 
-    The directions orthogonal to q at node j are equality constraints
-    (plus the ray direction while k sits on its clamp and the gradient
-    pushes it lower).  Each step solves the banded Jacobian against the
-    gradient and the constraint columns in one multi-right-hand-side
-    solve, then enforces the constraints through the small Schur system of
-    their multipliers.  A step is accepted only when it stays feasible and
-    lowers the projected gradient norm.  Returns (point, k, steps).
+    A value-monotone line search cannot certify progress once the action
+    improvement drops below one ulp, around gradient norm 1e-6 on desk
+    grids; the stencil equations have no such floor.  With ray = (j, k,
+    k_min) the directions orthogonal to q at node j are equality
+    constraints (plus the ray direction while k sits on its clamp and the
+    gradient pushes it lower), each trial snaps node j onto the ray, and
+    the norm is the projected one.  Each step solves the banded Hessian
+    against the gradient and the constraint columns at once, then enforces
+    the constraints through the Schur system of their multipliers (empty
+    without a ray).  A step is accepted only when it stays feasible and
+    lowers the norm; the loop stops on a singular system or when no
+    damping helps.  Returns (point, k, norm, accepted norms); k is None
+    without a ray.
     """
     q = kernel.q
     q2 = float(q @ q)
     d = q.shape[0]
     # orthonormal rows: first +-q/|q|, then a basis of its complement
     frame = np.linalg.svd((q / math.sqrt(q2))[None, :])[2]
+    # without a ray there are no constraint rows; node 1 only shapes the empty block
+    j, k, k_min = ray if ray is not None else (1, None, None)
     sl = slice((j - 1) * d, j * d)
-    g = kernel.gradient(p)
-    pg_norm = _projected_grad_norm(grid, g, j, q, k, k_min)
-    steps = 0
-    for _ in range(cfg.polish_steps):
-        if pg_norm <= cfg.grad_tol:
-            break
+
+    def measure(g: Array, k: Optional[float]) -> tuple[float, Array]:
+        """Norm to drive down and constraint rows at node j."""
+        if ray is None:
+            return grad_norm(grid, g), frame[:0]
         rows = frame if _clamped(g, j, q, k, k_min) else frame[1:]
+        return _projected_grad_norm(grid, g, j, q, k, k_min), rows
+
+    g = kernel.gradient(p)
+    gn, rows = measure(g, k)
+    norms = []
+    for _ in range(cfg.polish_steps):
+        if gn <= cfg.grad_tol:
+            break
         rhs = np.zeros((g[1:-1].size, 1 + len(rows)))
         rhs[:, 0] = g[1:-1].reshape(-1)
         rhs[sl, 1:] = rows.T
@@ -396,24 +363,23 @@ def _bordered_newton(
         for _ in range(8):
             trial = p.values.copy()
             trial[1:-1] -= scale * dvals
-            k_t = max(k_min, float(trial[j] @ q) / q2)
-            trial[j] = k_t * q
+            k_t = k
+            if ray is not None:
+                k_t = max(k_min, float(trial[j] @ q) / q2)
+                trial[j] = k_t * q
             res = kernel.trial(trial)
             if res is not None:
                 g_t = kernel.gradient(res)
-                pg_t = _projected_grad_norm(grid, g_t, j, q, k_t, k_min)
-                if pg_t < pg_norm:
-                    p, k, g, pg_norm = res, k_t, g_t, pg_t
+                gn_t, rows_t = measure(g_t, k_t)
+                if gn_t < gn:
+                    p, k, g, gn, rows = res, k_t, g_t, gn_t, rows_t
                     improved = True
                     break
             scale *= 0.5
         if not improved:
             break
-        steps += 1
-        history["action"].append(p.value)
-        history["clearance"].append(p.clearance)
-        history["k"].append(k)
-    return p, k, steps
+        norms.append(float(gn))
+    return p, k, gn, norms
 
 
 def minimize_over_E(
@@ -429,10 +395,11 @@ def minimize_over_E(
     H1 direction whose transverse part is solved with node j pinned, so
     node j only moves along the ray; each trial's k is clamped at k_min,
     so every iterate lies in E_h exactly.  Once the projected gradient
-    norm reaches _NEWTON_HANDOFF the stage finishes with bordered Newton
-    (_bordered_newton); if that stalls above grad_tol, Armijo resumes to
-    grad_tol and the iteration cap.  Returns the best iterate with flags
-    when the cap is hit; the infimum estimate is the final value.
+    norm reaches _NEWTON_HANDOFF the stage finishes with _damped_newton
+    along the ray (counted as newton_steps); if that stalls above
+    grad_tol, Armijo resumes to grad_tol and the iteration cap.  Returns
+    the best iterate with flags when the cap is hit; the infimum estimate
+    is the final value.  No per-step history is kept.
     """
     grid = u0.grid
     kernel = ActionKernel(pot, grid)
@@ -455,7 +422,6 @@ def minimize_over_E(
     pinned = H1Preconditioner(grid, pinned=j)
     alpha = 1.0
 
-    history = {"action": [p.value], "clearance": [p.clearance], "k": [k]}
     converged = False
     handed_off = False
     newton_steps = 0
@@ -468,10 +434,10 @@ def minimize_over_E(
         pg_norm = _projected_grad_norm(grid, g, j, q, k, k_min)
         if cfg.grad_tol < pg_norm <= _NEWTON_HANDOFF and not handed_off:
             handed_off = True
-            p, k, newton_steps = _bordered_newton(kernel, grid, p, j, k, k_min, cfg, history)
+            p, k, pg_norm, steps = _damped_newton(kernel, grid, p, cfg, (j, k, k_min))
+            newton_steps = len(steps)
             vals = p.values
             g = kernel.gradient(p)
-            pg_norm = _projected_grad_norm(grid, g, j, q, k, k_min)
         if pg_norm <= cfg.grad_tol:
             converged = True
             break
@@ -499,9 +465,6 @@ def minimize_over_E(
         p = res
         k = k_t
         alpha = alpha_try
-        history["action"].append(p.value)
-        history["clearance"].append(p.clearance)
-        history["k"].append(k)
     return EStageResult(
         trajectory=GridFunction(grid, p.values),
         k=float(k),
@@ -511,7 +474,6 @@ def minimize_over_E(
         newton_steps=newton_steps,
         converged=converged,
         constraint_active=_at_clamp(k, k_min),
-        history=history,
     )
 
 
@@ -531,46 +493,41 @@ def _detect_crossing(u: GridFunction, pot: PotentialSpec) -> Optional[tuple[int,
     return int(best), float(along[best] / qn)
 
 
-def _renormalize(
-    kernel: ActionKernel, grid: Grid, p: StencilPoint, history: dict
-) -> StencilPoint:
+def _renormalize(kernel: ActionKernel, grid: Grid, p: StencilPoint) -> StencilPoint:
     """Whole-period shift toward the center; the same point when none applies."""
     shifted, l = renormalize_translation(GridFunction(grid, p.values))
     if l != 0:
         res = kernel.trial(np.array(shifted.values, copy=True))
         if res is not None:  # a shift that would break feasibility is skipped
-            history["renorm"].append((p.value, res.value, l))
             return res
     return p
 
 
 def _polish_rounds(
-    kernel: ActionKernel,
-    grid: Grid,
-    p: StencilPoint,
-    cfg: SolverConfig,
-    history: dict,
-) -> tuple[StencilPoint, float]:
+    kernel: ActionKernel, grid: Grid, p: StencilPoint, cfg: SolverConfig
+) -> tuple[StencilPoint, float, list[float]]:
     """Newton polish, then renormalize; polish again once if the shift moved it.
 
-    Raises ConvergedToZero when the polish collapses onto the trivial
-    solution.
+    Returns (point, gradient norm, accepted norms of both rounds).  Raises
+    ConvergedToZero when the polish collapses onto the trivial solution.
     """
     gn = math.inf
+    norms = []
     for _ in range(2):
-        p, gn = _newton_polish(kernel, grid, p, cfg, history)
+        p, _, gn, steps = _damped_newton(kernel, grid, p, cfg)
+        norms += steps
         if float(np.sqrt(p.r2.max())) < _ZERO_TOL:
             raise ConvergedToZero("iterate collapsed onto the trivial solution")
         if gn > cfg.grad_tol:
             break
         before = p
-        p = _renormalize(kernel, grid, p, history)
+        p = _renormalize(kernel, grid, p)
         if p is before:
             break
         gn = grad_norm(grid, kernel.gradient(p))
         if gn <= cfg.grad_tol:
             break
-    return p, gn
+    return p, gn, norms
 
 
 def descend_to_critical(
@@ -594,7 +551,7 @@ def descend_to_critical(
     pre = H1Preconditioner(grid)
     alpha = 1.0
 
-    history = {"action": [p.value], "clearance": [p.clearance], "renorm": []}
+    history = {"action": [p.value], "clearance": [p.clearance]}
     since_renorm = 0
     iters = 0
     gn = math.inf
@@ -604,7 +561,7 @@ def descend_to_critical(
         gn = grad_norm(grid, g)
         if gn <= cfg.grad_tol:
             before = p
-            p = _renormalize(kernel, grid, p, history)
+            p = _renormalize(kernel, grid, p)
             if p is before:  # no shift happened, fully converged
                 break
             g = kernel.gradient(p)
@@ -637,11 +594,11 @@ def descend_to_critical(
         if float(np.sqrt(p.r2.max())) < _ZERO_TOL:
             raise ConvergedToZero("iterate collapsed onto the trivial solution")
         if since_renorm >= _RENORMALIZE_EVERY:
-            p = _renormalize(kernel, grid, p, history)
+            p = _renormalize(kernel, grid, p)
             since_renorm = 0
 
     if gn > cfg.grad_tol and cfg.polish_steps > 0:
-        p, gn = _polish_rounds(kernel, grid, p, cfg, history)
+        p, gn, history["polish_grad_norm"] = _polish_rounds(kernel, grid, p, cfg)
 
     u = GridFunction(grid, p.values)
     if gn > cfg.grad_tol:
@@ -657,22 +614,24 @@ def descend_to_critical(
 def _release(u0: GridFunction, pot: PotentialSpec, cfg: SolverConfig) -> HomoclinicCandidate:
     """Release the constraint: Newton polish first, Armijo descent if it stalls.
 
-    The Newton steps land in history["polish_grad_norm"]; when they stall
-    above grad_tol, descend_to_critical starts over from u0 and the stalled
-    steps are counted ahead of its own polish steps.
+    The candidate's history holds the start point's "action" and
+    "clearance" and the accepted Newton norms in "polish_grad_norm"; when
+    Newton stalls above grad_tol, descend_to_critical starts over from u0,
+    its history is returned, and the stalled norms go ahead of its own
+    polish norms.
     """
     grid = u0.grid
     kernel = ActionKernel(pot, grid)
     p = kernel.trial(np.array(u0.values, copy=True))
     if p is None:
         raise InfeasibleGuess("starting point of the release is infeasible")
-    history = {"action": [p.value], "clearance": [p.clearance], "renorm": []}
-    p, gn = _polish_rounds(kernel, grid, p, cfg, history)
+    history = {"action": [p.value], "clearance": [p.clearance]}
+    p, gn, polish = _polish_rounds(kernel, grid, p, cfg)
+    history["polish_grad_norm"] = polish
     if gn <= cfg.grad_tol:
         return _wrap_candidate(GridFunction(grid, p.values), pot, cfg, 0, history, verify=True)
     cand = descend_to_critical(u0, pot, cfg)
-    for key in ("polish_grad_norm", "polish_action"):
-        cand.history[key] = history.get(key, []) + cand.history.get(key, [])
+    cand.history["polish_grad_norm"] = polish + cand.history.get("polish_grad_norm", [])
     return cand
 
 
@@ -694,11 +653,11 @@ def polish_to_critical(
     p = kernel.trial(np.array(u0.values, copy=True))
     if p is None:
         raise InfeasibleGuess("starting point of polish is infeasible")
-    history = {}
-    p, gn = _newton_polish(kernel, grid, p, cfg, history)
+    p, _, gn, norms = _damped_newton(kernel, grid, p, cfg)
     if float(np.sqrt(p.r2.max())) < _ZERO_TOL:
         raise ConvergedToZero("polish collapsed onto the trivial solution")
-    steps = len(history.get("polish_grad_norm", []))
+    history = {"polish_grad_norm": norms}
+    steps = len(norms)
     u = GridFunction(grid, p.values)
     if gn > cfg.grad_tol:
         best = _wrap_candidate(u, pot, cfg, steps, history, verify=False)

@@ -249,6 +249,7 @@ def test_diagnose_manifest_missing_field_is_exit_1(tmp_path, capsys, text, messa
         ("backtrack", 1.0),
         ("armijo_c1", 0.0),
         ("max_iters", -1),
+        ("polish_steps", -1),
         ("max_backtracks", 0),
         ("k0", 1.0),
         ("bump_width", 0.0),
@@ -291,9 +292,9 @@ def test_refine_level_range_is_exit_1(tmp_path, capsys, field, value):
 
 def test_solver_range_edges_accepted():
     # zero tolerance stays legal (tests and users ask for "as far as it goes")
-    doc = {"grad_tol": 0.0, "max_iters": 0}
+    doc = {"grad_tol": 0.0, "max_iters": 0, "polish_steps": 0}
     solver = parse_config({"solver": doc}).solver
-    assert (solver.grad_tol, solver.max_iters) == (0.0, 0)
+    assert (solver.grad_tol, solver.max_iters, solver.polish_steps) == (0.0, 0, 0)
 
 
 @pytest.mark.parametrize("command", ["check", "solve"])

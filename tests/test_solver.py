@@ -28,6 +28,7 @@ from homoclinic import (
 )
 from homoclinic import action, solve
 from homoclinic.solve import ray_direction
+from scipy.linalg import solve_banded
 
 
 def test_snap_center_clamps_to_interior(grid):
@@ -210,6 +211,120 @@ def test_e_stage_level_is_the_released_action(solved):
     assert solved.crossing is not None
     assert solved.e_stage["converged"]
     assert solved.e_stage["newton_steps"] >= 0
+
+
+def _e_stage_point(pot, grid, cfg):
+    """Converged E-stage iterate of the default guess, as a kernel point."""
+    j = grid.center_index
+    guess = initial_guess_bump(grid, pot, k0=cfg.k0)
+    res = minimize_over_E(guess, ConstraintE(node_index=j, k_min=cfg.k_min, k=cfg.k0), pot, cfg)
+    assert res.converged
+    kernel = action.ActionKernel(pot, grid)
+    return kernel, kernel.trial(np.array(res.trajectory.values)), res
+
+
+def test_newton_free_step_is_the_banded_solve(pot, grid, cfg):
+    # at a loose tolerance the E-stage stops where the full step is accepted
+    kernel, p, _ = _e_stage_point(pot, grid, replace(cfg, grad_tol=1e-3))
+    g = kernel.gradient(p)
+    d = pot.q.shape[0]
+    p1, k, gn, norms = solve._damped_newton(kernel, grid, p, replace(cfg, polish_steps=1))
+    step = solve_banded((d, d), solve._jacobian_band(kernel, p), g[1:-1].ravel())
+    assert np.array_equal(p1.values[1:-1], p.values[1:-1] - step.reshape(-1, d))
+    assert k is None
+    assert norms == [gn] and gn < grad_norm(grid, g)
+
+
+def test_newton_iterates_stay_on_the_ray(grid, cfg):
+    # q off the coordinate axes, so an unsnapped step leaves the ray by rounding;
+    # start at the Armijo handoff point, far enough out for several steps
+    pot = example_potential(q=[2.0 * np.cos(0.3), 2.0 * np.sin(0.3)])
+    kernel, p, res = _e_stage_point(pot, grid, replace(cfg, grad_tol=1.0))
+    assert res.newton_steps == 0
+    j = grid.center_index
+    taken = []
+    for cap in range(1, cfg.polish_steps + 1):
+        p_s, k, gn, norms = solve._damped_newton(
+            kernel, grid, p, replace(cfg, polish_steps=cap), (j, res.k, cfg.k_min)
+        )
+        assert np.array_equal(p_s.values[j], k * pot.q)
+        assert k >= cfg.k_min
+        taken.append(len(norms))
+    assert taken[:3] == [1, 2, 3]
+    assert gn <= cfg.grad_tol
+
+
+def test_newton_adds_the_ray_row_on_the_clamp(pot, grid, cfg, monkeypatch):
+    # k_min = 1.3 lies above the item's free optimum: the gradient pushes k
+    # into its clamp, so every E-stage Newton solve carries the ray row too
+    columns = []
+
+    def recording(l_and_u, ab, b):
+        columns.append(b.shape[1])
+        return solve_banded(l_and_u, ab, b)
+
+    monkeypatch.setattr(solve, "solve_banded", recording)
+    clamp_cfg = replace(cfg, eps_k=0.3)
+    item = {"center": 0.5, "width": 2.0, "k0": 1.35}
+    e_stage = solve.single_loop_attempt(pot, grid, clamp_cfg, item).e_stage
+    assert e_stage["k"] == clamp_cfg.k_min
+    assert e_stage["constraint_active"]
+    assert e_stage["newton_steps"] == 3
+    d = pot.q.shape[0]
+    assert columns[:3] == [1 + d] * 3  # gradient, the d - 1 q-perp rows, the ray row
+    assert set(columns[3:]) == {1}  # the release solves against the gradient alone
+
+
+def _count_descents(monkeypatch):
+    calls = []
+    descend = solve.descend_to_critical
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return descend(*args, **kwargs)
+
+    monkeypatch.setattr(solve, "descend_to_critical", counting)
+    return calls
+
+
+def test_release_fallback_collapses_off_phase(pot, grid, cfg, monkeypatch):
+    # off the symmetric phase Newton stalls, and the Armijo descent from
+    # the E-stage minimizer unwinds the loop
+    descents = _count_descents(monkeypatch)
+    with pytest.raises(ConvergedToZero):
+        solve.single_loop_attempt(pot, grid, cfg, {"center": 0.25, "width": 2.0, "k0": 1.35})
+    assert len(descents) == 1
+
+
+@pytest.mark.parametrize(
+    "alpha,changes,item,fallbacks,polished",
+    [
+        (2.0, {}, {"center": 0.0}, 0, 0),  # the E-stage minimizer is already critical
+        (2.0, {"eps_k": 0.3}, {"center": 0.5, "width": 2.0, "k0": 1.35}, 0, 7),
+        # Newton stalls at its step cap and the descent converges without
+        # polish: the stalled norms are kept
+        (3.0, {"grad_tol": 1e-3}, {"center": 0.4, "width": 2.0, "k0": 1.5}, 1, 12),
+    ],
+)
+def test_release_records_every_polish_step(
+    grid, cfg, monkeypatch, alpha, changes, item, fallbacks, polished
+):
+    descents = _count_descents(monkeypatch)
+    released = []  # accepted norms of every unconstrained Newton run
+    newton = solve._damped_newton
+
+    def recording(kernel, grid, p, cfg, ray=None):
+        out = newton(kernel, grid, p, cfg, ray)
+        if ray is None:
+            released.extend(out[3])
+        return out
+
+    monkeypatch.setattr(solve, "_damped_newton", recording)
+    pot = example_potential(alpha=alpha)
+    cand = solve.single_loop_attempt(pot, grid, replace(cfg, **changes), item)
+    assert len(descents) == fallbacks
+    assert cand.history["polish_grad_norm"] == released
+    assert len(released) == polished
 
 
 # the default search library at m=40, alpha=2, targets=9, in insertion order
