@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -61,8 +62,11 @@ from .solve import solve_homoclinic
 
 
 def _jsonable(obj):
+    """Plain JSON values; a non-finite float becomes null (strict JSON has no Infinity)."""
     if isinstance(obj, np.generic):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
     if isinstance(obj, np.ndarray):
         return [_jsonable(x) for x in obj]
     if isinstance(obj, dict):
@@ -74,7 +78,7 @@ def _jsonable(obj):
 
 def _write_json(path: str, doc: dict):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(doc), fh, indent=2, sort_keys=True)
+        json.dump(_jsonable(doc), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -21,7 +21,8 @@ polish of multibump guesses) is that Newton alone.  Only when the release
 stalls above tolerance does monotone Armijo descent along the H1 direction
 restart from the constrained minimizer; it changes only the direction,
 never the accepted-value bookkeeping: action sequences stay monotone and
-iterates segment-feasible.
+iterates segment-feasible.  Both Armijo descents step through one
+backtracking line search, _armijo_step.
 
 Every accepted iterate keeps segment clearance >= delta_seg; trial points
 that would violate it (or park a node inside the guard ball around q) are
@@ -112,7 +113,8 @@ class EStageResult:
 class HomoclinicCandidate:
     """One trajectory with its certificates.  history keeps "action" and
     "clearance" (start point, then each accepted Armijo descent step) and
-    "polish_grad_norm" (the gradient norm after each accepted Newton step)."""
+    "polish_grad_norm" (the gradient norm after each accepted Newton step);
+    glue candidates from polish_to_critical carry only "polish_grad_norm"."""
 
     trajectory: GridFunction
     action: float
@@ -248,14 +250,61 @@ def initial_guess_bump(
 
 
 _FLAT_RTOL = 4.0 * np.finfo(float).eps
+_POLISH_STALL = "polish stalled at gradient norm %(gn).3e above tolerance %(tol).3e"
 
 
-def _flat_threshold(value: float, dec: float) -> float:
-    # near the floating-point floor of the action, fall back to plain
-    # nonincrease instead of demanding an unresolvable decrement
-    if -dec < _FLAT_RTOL * abs(value):
-        return value
-    return value + dec
+def _start(
+    pot: PotentialSpec, grid: Grid, values: Array, stage: str
+) -> tuple[ActionKernel, StencilPoint]:
+    """The stage's kernel and its first point; InfeasibleGuess names the stage."""
+    kernel = ActionKernel(pot, grid)
+    p = kernel.trial(np.array(values, copy=True))
+    if p is None:
+        raise InfeasibleGuess("starting point of %s is infeasible" % stage)
+    return kernel, p
+
+
+def _check_collapse(p: StencilPoint, what: str = "iterate") -> None:
+    if float(np.sqrt(p.r2.max())) < _ZERO_TOL:
+        raise ConvergedToZero("%s collapsed onto the trivial solution" % what)
+
+
+def _snap_to_ray(trial: Array, q: Array, j: int, k_min: float) -> float:
+    """Put node j of trial on the ray k q, k clamped at k_min; returns k."""
+    k = max(k_min, float(trial[j] @ q) / float(q @ q))
+    trial[j] = k * q
+    return k
+
+
+def _armijo_step(
+    kernel: ActionKernel,
+    p: StencilPoint,
+    g: Array,
+    direction: Array,
+    alpha: float,
+    ray: Optional[tuple[int, float]] = None,
+) -> Optional[tuple[StencilPoint, Optional[float], float]]:
+    """One Armijo backtracking step from p along -direction.
+
+    Steps start at min(2 alpha, _STEP_CAP) and shrink by _BACKTRACK; the
+    first feasible trial whose action drops by _ARMIJO_C1 <g, trial - p>
+    is accepted (near the floating-point floor of the action, plain
+    nonincrease is enough).  With ray = (j, k_min) every trial snaps node
+    j onto the ray.  Returns (point, k, step), k None without a ray, or
+    None when no trial is accepted: the descent has stalled.
+    """
+    step = min(alpha * 2.0, _STEP_CAP)
+    for _ in range(_MAX_BACKTRACKS):
+        trial = p.values - step * direction
+        k = None if ray is None else _snap_to_ray(trial, kernel.q, *ray)
+        res = kernel.trial(trial)
+        if res is not None:
+            dec = _ARMIJO_C1 * float((g * (trial - p.values)).sum())
+            floor = p.value if -dec < _FLAT_RTOL * abs(p.value) else p.value + dec
+            if dec < 0.0 and res.value <= floor:
+                return res, k, step
+        step *= _BACKTRACK
+    return None
 
 
 def _jacobian_band(kernel: ActionKernel, p: StencilPoint) -> Array:
@@ -327,10 +376,9 @@ def _damped_newton(
     without a ray.
     """
     q = kernel.q
-    q2 = float(q @ q)
     d = q.shape[0]
     # orthonormal rows: first +-q/|q|, then a basis of its complement
-    frame = np.linalg.svd((q / math.sqrt(q2))[None, :])[2]
+    frame = np.linalg.svd((q / math.sqrt(float(q @ q)))[None, :])[2]
     # without a ray there are no constraint rows; node 1 only shapes the empty block
     j, k, k_min = ray if ray is not None else (1, None, None)
     sl = slice((j - 1) * d, j * d)
@@ -363,10 +411,7 @@ def _damped_newton(
         for _ in range(8):
             trial = p.values.copy()
             trial[1:-1] -= scale * dvals
-            k_t = k
-            if ray is not None:
-                k_t = max(k_min, float(trial[j] @ q) / q2)
-                trial[j] = k_t * q
+            k_t = k if ray is None else _snap_to_ray(trial, q, j, k_min)
             res = kernel.trial(trial)
             if res is not None:
                 g_t = kernel.gradient(res)
@@ -402,21 +447,17 @@ def minimize_over_E(
     is the final value.  No per-step history is kept.
     """
     grid = u0.grid
-    kernel = ActionKernel(pot, grid)
     j = constraint.node_index
     if not (0 < j < grid.n - 1):
         raise ValueError("constrained node must be interior")
     q = pot.q
-    q2 = float(q @ q)
-    q_hat = q / math.sqrt(q2)
+    q_hat = q / math.sqrt(float(q @ q))
     k_min = constraint.k_min
 
     vals = np.array(u0.values, copy=True)
     k = max(float(constraint.k), k_min)
     vals[j] = k * q
-    p = kernel.trial(vals)
-    if p is None:
-        raise InfeasibleGuess("starting point of the constrained stage is infeasible")
+    kernel, p = _start(pot, grid, vals, "the constrained stage")
 
     full = H1Preconditioner(grid)
     pinned = H1Preconditioner(grid, pinned=j)
@@ -429,42 +470,22 @@ def minimize_over_E(
     iters = 0
 
     for iters in range(1, cfg.max_iters + 1):
-        vals = p.values
         g = kernel.gradient(p)
         pg_norm = _projected_grad_norm(grid, g, j, q, k, k_min)
         if cfg.grad_tol < pg_norm <= _NEWTON_HANDOFF and not handed_off:
             handed_off = True
             p, k, pg_norm, steps = _damped_newton(kernel, grid, p, cfg, (j, k, k_min))
             newton_steps = len(steps)
-            vals = p.values
             g = kernel.gradient(p)
         if pg_norm <= cfg.grad_tol:
             converged = True
             break
 
         along, across = ray_direction(full, pinned, g, q_hat, _clamped(g, j, q, k, k_min))
-        direction = np.outer(along, q_hat) + across
-        accepted = False
-        alpha_try = min(alpha * 2.0, _STEP_CAP)
-        for _ in range(_MAX_BACKTRACKS):
-            trial = vals - alpha_try * direction
-            k_t = max(k_min, float(trial[j] @ q) / q2)
-            trial[j] = k_t * q
-            trial[0] = 0.0
-            trial[-1] = 0.0
-            res = kernel.trial(trial)
-            if res is not None:
-                delta = trial - vals
-                dec = _ARMIJO_C1 * float((g * delta).sum())
-                if dec < 0.0 and res.value <= _flat_threshold(p.value, dec):
-                    accepted = True
-                    break
-            alpha_try *= _BACKTRACK
-        if not accepted or (trial == vals).all():
+        step = _armijo_step(kernel, p, g, np.outer(along, q_hat) + across, alpha, (j, k_min))
+        if step is None:
             break  # stalled at the floating-point floor
-        p = res
-        k = k_t
-        alpha = alpha_try
+        p, k, alpha = step
     return EStageResult(
         trajectory=GridFunction(grid, p.values),
         k=float(k),
@@ -516,8 +537,7 @@ def _polish_rounds(
     for _ in range(2):
         p, _, gn, steps = _damped_newton(kernel, grid, p, cfg)
         norms += steps
-        if float(np.sqrt(p.r2.max())) < _ZERO_TOL:
-            raise ConvergedToZero("iterate collapsed onto the trivial solution")
+        _check_collapse(p)
         if gn > cfg.grad_tol:
             break
         before = p
@@ -543,15 +563,11 @@ def descend_to_critical(
     cap is reached; the best iterate rides along on the exception.
     """
     grid = u0.grid
-    kernel = ActionKernel(pot, grid)
-    p = kernel.trial(np.array(u0.values, copy=True))
-    if p is None:
-        raise InfeasibleGuess("starting point of descent is infeasible")
-
+    kernel, p = _start(pot, grid, u0.values, "descent")
     pre = H1Preconditioner(grid)
     alpha = 1.0
 
-    history = {"action": [p.value], "clearance": [p.clearance]}
+    history = {"action": [p.value], "clearance": [p.clearance], "polish_grad_norm": []}
     since_renorm = 0
     iters = 0
     gn = math.inf
@@ -568,47 +584,25 @@ def descend_to_critical(
             gn = grad_norm(grid, g)
             if gn <= cfg.grad_tol:
                 break
-        direction = pre.apply(g)
-        gdotd = float((g * direction).sum())
-        if gdotd <= 0.0:
+        step = _armijo_step(kernel, p, g, pre.apply(g), alpha)
+        if step is None:
             break
-        accepted = False
-        alpha_try = min(alpha * 2.0, _STEP_CAP)
-        for _ in range(_MAX_BACKTRACKS):
-            trial = p.values - alpha_try * direction
-            res = kernel.trial(trial)
-            if res is not None:
-                dec = -_ARMIJO_C1 * alpha_try * gdotd
-                if res.value <= _flat_threshold(p.value, dec):
-                    accepted = True
-                    break
-            alpha_try *= _BACKTRACK
-        if not accepted or (trial == p.values).all():
-            break
-        p = res
-        alpha = alpha_try
+        p, _, alpha = step
         iters += 1
         since_renorm += 1
         history["action"].append(p.value)
         history["clearance"].append(p.clearance)
-        if float(np.sqrt(p.r2.max())) < _ZERO_TOL:
-            raise ConvergedToZero("iterate collapsed onto the trivial solution")
+        _check_collapse(p)
         if since_renorm >= _RENORMALIZE_EVERY:
             p = _renormalize(kernel, grid, p)
             since_renorm = 0
 
     if gn > cfg.grad_tol and cfg.polish_steps > 0:
         p, gn, history["polish_grad_norm"] = _polish_rounds(kernel, grid, p, cfg)
-
-    u = GridFunction(grid, p.values)
-    if gn > cfg.grad_tol:
-        best = _wrap_candidate(u, pot, cfg, iters, history, verify=False)
-        raise MaxItersExceeded(
-            "gradient norm %.3e above tolerance %.3e after %d iterations"
-            % (gn, cfg.grad_tol, iters),
-            best=best,
-        )
-    return _wrap_candidate(u, pot, cfg, iters, history, verify=True)
+    return _wrap_candidate(
+        grid, p, pot, cfg, iters, history, gn,
+        "gradient norm %(gn).3e above tolerance %(tol).3e after %(iters)d iterations",
+    )
 
 
 def _release(u0: GridFunction, pot: PotentialSpec, cfg: SolverConfig) -> HomoclinicCandidate:
@@ -617,21 +611,22 @@ def _release(u0: GridFunction, pot: PotentialSpec, cfg: SolverConfig) -> Homocli
     The candidate's history holds the start point's "action" and
     "clearance" and the accepted Newton norms in "polish_grad_norm"; when
     Newton stalls above grad_tol, descend_to_critical starts over from u0,
-    its history is returned, and the stalled norms go ahead of its own
-    polish norms.
+    its history is returned (on MaxItersExceeded, the one of its best
+    iterate), and the stalled norms go ahead of its own polish norms.
     """
     grid = u0.grid
-    kernel = ActionKernel(pot, grid)
-    p = kernel.trial(np.array(u0.values, copy=True))
-    if p is None:
-        raise InfeasibleGuess("starting point of the release is infeasible")
+    kernel, p = _start(pot, grid, u0.values, "the release")
     history = {"action": [p.value], "clearance": [p.clearance]}
     p, gn, polish = _polish_rounds(kernel, grid, p, cfg)
     history["polish_grad_norm"] = polish
     if gn <= cfg.grad_tol:
-        return _wrap_candidate(GridFunction(grid, p.values), pot, cfg, 0, history, verify=True)
-    cand = descend_to_critical(u0, pot, cfg)
-    cand.history["polish_grad_norm"] = polish + cand.history.get("polish_grad_norm", [])
+        return _wrap_candidate(grid, p, pot, cfg, 0, history, gn, _POLISH_STALL)
+    try:
+        cand = descend_to_critical(u0, pot, cfg)
+    except MaxItersExceeded as exc:
+        exc.best.history["polish_grad_norm"][:0] = polish
+        raise
+    cand.history["polish_grad_norm"][:0] = polish
     return cand
 
 
@@ -649,51 +644,49 @@ def polish_to_critical(
     iterate attached) when the polish stalls above tolerance.
     """
     grid = u0.grid
-    kernel = ActionKernel(pot, grid)
-    p = kernel.trial(np.array(u0.values, copy=True))
-    if p is None:
-        raise InfeasibleGuess("starting point of polish is infeasible")
+    kernel, p = _start(pot, grid, u0.values, "polish")
     p, _, gn, norms = _damped_newton(kernel, grid, p, cfg)
-    if float(np.sqrt(p.r2.max())) < _ZERO_TOL:
-        raise ConvergedToZero("polish collapsed onto the trivial solution")
+    _check_collapse(p, "polish")
     history = {"polish_grad_norm": norms}
-    steps = len(norms)
-    u = GridFunction(grid, p.values)
-    if gn > cfg.grad_tol:
-        best = _wrap_candidate(u, pot, cfg, steps, history, verify=False)
-        raise MaxItersExceeded(
-            "polish stalled at gradient norm %.3e above tolerance %.3e" % (gn, cfg.grad_tol),
-            best=best,
-        )
-    return _wrap_candidate(u, pot, cfg, steps, history, verify=True)
+    return _wrap_candidate(grid, p, pot, cfg, len(norms), history, gn, _POLISH_STALL)
 
 
 def _wrap_candidate(
-    u: GridFunction,
+    grid: Grid,
+    p: StencilPoint,
     pot: PotentialSpec,
     cfg: SolverConfig,
     iters: int,
     history: dict,
-    verify: bool,
+    gn: float,
+    stall: str,
 ) -> HomoclinicCandidate:
+    """Certify the final iterate of a stage whose last gradient norm is gn.
+
+    Above grad_tol this raises MaxItersExceeded with the stage's stall
+    message (formatted from gn, tol and iters) and the candidate as best;
+    otherwise the candidate must have positive action and clearance.
+    """
+    u = GridFunction(grid, p.values)
     ae = eval_action(u, pot)
-    gn = grad_norm(u.grid, ae.gradient)
-    res = ode_residual(u, pot)
     cand = HomoclinicCandidate(
         trajectory=u,
         action=float(ae.value),
-        grad_norm=float(gn),
-        residual=res,
+        grad_norm=float(grad_norm(grid, ae.gradient)),
+        residual=ode_residual(u, pot),
         clearance=float(ae.min_seg_dist),
         crossing=_detect_crossing(u, pot),
         iterations=iters,
         history=history,
     )
-    if verify:
-        if cand.action <= 0.0:
-            raise ConvergedToZero("converged point has nonpositive action")
-        if cand.clearance < pot.delta_seg:
-            raise InfeasibleGuess("converged point violates segment clearance")
+    if gn > cfg.grad_tol:
+        raise MaxItersExceeded(
+            stall % {"gn": gn, "tol": cfg.grad_tol, "iters": iters}, best=cand
+        )
+    if cand.action <= 0.0:
+        raise ConvergedToZero("converged point has nonpositive action")
+    if cand.clearance < pot.delta_seg:
+        raise InfeasibleGuess("converged point violates segment clearance")
     return cand
 
 

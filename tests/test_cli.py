@@ -17,9 +17,13 @@ def write_config(tmp_path, doc, name="cfg.json"):
     return str(path)
 
 
+def _not_strict(constant):
+    raise ValueError("report.json holds %s, which strict JSON parsers reject" % constant)
+
+
 def load_report(out_dir):
     with open(os.path.join(out_dir, "report.json")) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_not_strict)
 
 
 def test_check_defaults_pass(capsys):
@@ -316,6 +320,19 @@ def test_solve_summary_counts_polish(tmp_path, capsys):
     polish = int(line.rsplit("+ ", 1)[1].split()[0])
     assert polish > 0
     assert load_report(out)["candidate"]["iterations"] == 0
+
+
+def test_report_is_strict_json(tmp_path):
+    # the first search record has no nearest entry, and a zero-iteration
+    # E-stage never measures its gradient: both non-finite values are null
+    lib = str(tmp_path / "lib")
+    cfg = write_config(tmp_path, {"search": {"targets": 1}})
+    assert main(["search", "--config", cfg, "--out", lib]) == 0
+    assert load_report(lib)["library"]["log"][0]["nearest_distance"] is None
+    run = str(tmp_path / "run")
+    cfg = write_config(tmp_path, {"solver": {"max_iters": 0}}, name="zero.json")
+    assert main(["solve", "--config", cfg, "--out", run]) == 0
+    assert load_report(run)["candidate"]["e_stage"]["grad_norm"] is None
 
 
 def test_search_large_eps_k_clamps_builtin_items(tmp_path, capsys):

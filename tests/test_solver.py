@@ -10,6 +10,7 @@ from homoclinic import (
     ConvergedToZero,
     GridFunction,
     InfeasibleGuess,
+    MaxItersExceeded,
     SolverConfig,
     descend_to_critical,
     eval_action,
@@ -69,6 +70,17 @@ def test_e_stage_properties(pot, grid, cfg):
     v = res.trajectory.values[j]
     k_measured = float(v @ pot.q) / float(pot.q @ pot.q)
     assert k_measured == pytest.approx(res.k, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha,iterations,newton_steps", [(2.0, 8, 5), (3.0, 10, 9), (4.0, 17, 12)])
+def test_e_stage_iterates_are_pinned(grid, cfg, alpha, iterations, newton_steps):
+    # the default guess's E-stage: Armijo steps to the handoff, then bordered Newton
+    pot = example_potential(alpha=alpha)
+    guess = initial_guess_bump(grid, pot, k0=cfg.k0)
+    constraint = ConstraintE(node_index=grid.center_index, k_min=cfg.k_min, k=cfg.k0)
+    res = minimize_over_E(guess, constraint, pot, cfg)
+    assert res.converged
+    assert (res.iterations, res.newton_steps) == (iterations, newton_steps)
 
 
 def test_descent_reaches_tolerance(pot, grid, cfg, solved):
@@ -304,6 +316,8 @@ def test_release_fallback_collapses_off_phase(pot, grid, cfg, monkeypatch):
         # Newton stalls at its step cap and the descent converges without
         # polish: the stalled norms are kept
         (3.0, {"grad_tol": 1e-3}, {"center": 0.4, "width": 2.0, "k0": 1.5}, 1, 12),
+        # the descent hits max_iters: its best iterate keeps the stalled norms too
+        (3.0, {"max_iters": 3000}, {"center": 0.1}, 1, 13),
     ],
 )
 def test_release_records_every_polish_step(
@@ -321,10 +335,20 @@ def test_release_records_every_polish_step(
 
     monkeypatch.setattr(solve, "_damped_newton", recording)
     pot = example_potential(alpha=alpha)
-    cand = solve.single_loop_attempt(pot, grid, replace(cfg, **changes), item)
+    stalls = "max_iters" in changes
+    if stalls:
+        with pytest.raises(MaxItersExceeded) as info:
+            solve.single_loop_attempt(pot, grid, replace(cfg, **changes), item)
+        cand = info.value.best
+    else:
+        cand = solve.single_loop_attempt(pot, grid, replace(cfg, **changes), item)
     assert len(descents) == fallbacks
     assert cand.history["polish_grad_norm"] == released
     assert len(released) == polished
+    if fallbacks and not stalls:
+        # the Armijo descent converged; the shared line search keeps its iterates
+        assert (cand.e_stage["iterations"], cand.iterations) == (206, 16)
+        assert cand.action == pytest.approx(22.562507308332922, rel=0.0, abs=1e-12)
 
 
 # the default search library at m=40, alpha=2, targets=9, in insertion order
