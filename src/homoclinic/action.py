@@ -107,7 +107,8 @@ class ActionKernel:
     """The discrete action stencil on one (potential, grid) pair.
 
     trial() is the solver's feasibility-aware evaluation: a node within
-    2 eps_q of q or a clearance below delta_seg makes it return None.
+    2 eps_q of q, a clearance below delta_seg or a value that overflows
+    makes it return None.
     evaluate() raises SingularityProximity for a node inside the eps_q
     guard ball and otherwise reports the clearance without judging it.
     Custom wells are evaluated through their own w_fn / grad_fn.
@@ -160,7 +161,7 @@ class ActionKernel:
         if p.clearance < self.delta_seg:
             return None
         p.value = self._value(p)
-        return p
+        return p if math.isfinite(p.value) else None
 
     def grad_w(self, p: StencilPoint) -> Array:
         """grad W at every node, from the point's stored offsets."""

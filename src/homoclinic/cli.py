@@ -4,10 +4,18 @@ Subcommands: check (hypothesis table), solve (one candidate), search
 (multi-solution library), refine (two-grid discretization study), diagnose
 (inspect a trajectory CSV against a config and an existing library).
 
+check prints the rows of potential.run_hypotheses.  solve, search and
+refine share one pipeline, _reported: it runs that table as the gate
+(exit 2 before the output directory exists), builds the report header
+(command, config, hypotheses, timing.checks), lets the command add its
+own fields and its timing key, and writes report.json at its one write
+site.
+
 All outputs are deterministic for a fixed config and seed; wall-clock
 timings are the only exception and live under "timing" keys (the report's
-own, and one per search-log record) so consumers can strip them.  Exit codes: 0 success, 1 config or IO error,
-2 hypothesis violation, 3 no (or not enough) solutions.
+own, and one per search-log record) so consumers can strip them.  Exit
+codes: 0 success, 1 config or IO error, 2 hypothesis violation, 3 no (or
+not enough) solutions.
 """
 
 from __future__ import annotations
@@ -37,7 +45,6 @@ from .config import (
 )
 from .errors import (
     ConfigError,
-    HomoclinicError,
     HypothesisViolation,
     MaxItersExceeded,
     NoSolutionFound,
@@ -57,7 +64,7 @@ from .multiplicity import (
     ps_split,
     search_distinct,
 )
-from .potential import hypothesis_checks
+from .potential import run_hypotheses
 from .solve import solve_homoclinic
 
 
@@ -82,111 +89,86 @@ def _write_json(path: str, doc: dict):
         fh.write("\n")
 
 
-def _hypothesis_rows(cfg: RunConfig):
-    """Run the hypothesis table; never raises.  Returns (rows, reports, ok)."""
-    rows = []
-    reports = {}
-    ok = True
-    for name, description, run in hypothesis_checks(cfg.potential):
-        try:
-            report = run()
-            reports[name] = dict(asdict(report), passed=True)
-            rows.append((name, "pass", description, _margin_text(name, report)))
-        except HypothesisViolation as exc:
-            reports[name] = {"passed": False, "error": str(exc)}
-            rows.append((name, "FAIL", description, str(exc)))
-            ok = False
-    return rows, reports, ok
-
-
-def _margin_text(name: str, report) -> str:
-    if name == "A":
-        return "a in [%.6g, %.6g]" % (report.min_a, report.max_a)
-    if name == "H2":
-        return "eigenvalues in [%.6g, %.6g]" % (report.eigen_min, report.eigen_max)
-    if name == "H3":
-        return "min margin %.3e inside radius %.3g" % (report.min_margin, report.radius)
-    if name == "H4":
-        return "min margin %.3e, min growth %.3e" % (report.min_margin, report.min_growth)
-    return "max W %.3e" % report.max_w
-
-
 def _print_check_table(rows):
     width = max(len(r[0]) for r in rows)
-    for name, status, description, detail in rows:
+    for name, description, report, detail in rows:
+        status = "FAIL" if report is None else "pass"
         print("%-*s  %-4s  %s (%s)" % (width, name, status, description, detail))
 
 
-def _candidate_summary(cand, csv_name: Optional[str]) -> dict:
-    out = {
+def _candidate_summary(cand, csv_name: str) -> dict:
+    return {
         "action": cand.action,
         "grad_norm": cand.grad_norm,
         "clearance": cand.clearance,
         "residual": asdict(cand.residual),
-        "crossing": list(cand.crossing) if cand.crossing is not None else None,
+        "crossing": cand.crossing,
         "iterations": cand.iterations,
         "alpha_gap": cand.alpha_gap,
         "e_stage": cand.e_stage,
         "schedule_item": cand.schedule_item,
+        "trajectory_csv": csv_name,
     }
-    if csv_name is not None:
-        out["trajectory_csv"] = csv_name
-    return out
 
 
-def _gate(cfg: RunConfig) -> Optional[tuple]:
-    """(hypothesis reports, check seconds) with out_dir created, or None on failure."""
+def _reported(cfg: RunConfig, command: str, timing_key: str, body) -> int:
+    """The pipeline of solve, search and refine around one report.json.
+
+    Runs the hypothesis table; on a violation prints it and returns 2
+    before out_dir exists.  Otherwise creates out_dir, builds the report
+    header (command, config, hypotheses), lets body(report) add the
+    command's own fields and return the exit code, times body under
+    timing[timing_key] next to timing["checks"], and writes report.json.
+    """
     t0 = time.perf_counter()
-    rows, reports, ok = _hypothesis_rows(cfg)
-    if not ok:
+    rows = list(run_hypotheses(cfg.potential))
+    if any(report is None for _, _, report, _ in rows):
         _print_check_table(rows)
         print("hypothesis checks failed", file=sys.stderr)
-        return None
-    t_check = time.perf_counter() - t0
+        return 2
+    timing = {"checks": time.perf_counter() - t0}
     os.makedirs(cfg.out_dir, exist_ok=True)
-    return reports, t_check
+    report = {
+        "command": command,
+        "config": cfg.echo(),
+        "hypotheses": {name: dict(asdict(rep), passed=True) for name, _, rep, _ in rows},
+    }
+    t1 = time.perf_counter()
+    code = body(report)
+    timing[timing_key] = time.perf_counter() - t1
+    report["timing"] = timing
+    _write_json(os.path.join(cfg.out_dir, "report.json"), report)
+    return code
 
 
 def cmd_check(cfg: RunConfig) -> int:
-    rows, _, ok = _hypothesis_rows(cfg)
+    rows = list(run_hypotheses(cfg.potential))
     _print_check_table(rows)
-    return 0 if ok else 2
+    return 2 if any(report is None for _, _, report, _ in rows) else 0
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    gated = _gate(cfg)
-    if gated is None:
-        return 2
-    reports, t_check = gated
-    report = {
-        "command": "solve",
-        "config": cfg.echo(),
-        "hypotheses": reports,
-    }
-    t1 = time.perf_counter()
-    try:
-        cand = solve_homoclinic(cfg.potential, cfg.grid, cfg.solver)
-    except (NoSolutionFound, MaxItersExceeded) as exc:
-        report["error"] = "%s: %s" % (type(exc).__name__, exc)
-        report["timing"] = {"checks": t_check, "solve": time.perf_counter() - t1}
-        _write_json(os.path.join(cfg.out_dir, "report.json"), report)
-        print("no solution found: %s" % exc, file=sys.stderr)
-        return 3
-    t_solve = time.perf_counter() - t1
-    csv_name = "solution.csv"
-    write_trajectory_csv(os.path.join(cfg.out_dir, csv_name), cand.trajectory)
-    report["candidate"] = _candidate_summary(cand, csv_name)
-    report["timing"] = {"checks": t_check, "solve": t_solve}
-    _write_json(os.path.join(cfg.out_dir, "report.json"), report)
-    e_iters = cand.e_stage["iterations"] if cand.e_stage else 0
-    polish = len(cand.history.get("polish_grad_norm", ()))
-    print(
-        "solution: action %.6f, grad norm %.3e, clearance %.4f, "
-        "iterations %d E-stage + %d descent + %d polish"
-        % (cand.action, cand.grad_norm, cand.clearance, e_iters, cand.iterations, polish)
-    )
-    print("wrote %s and report.json in %s" % (csv_name, cfg.out_dir))
-    return 0
+    def body(report: dict) -> int:
+        try:
+            cand = solve_homoclinic(cfg.potential, cfg.grid, cfg.solver)
+        except NoSolutionFound as exc:
+            report["error"] = "%s: %s" % (type(exc).__name__, exc)
+            print("no solution found: %s" % exc, file=sys.stderr)
+            return 3
+        csv_name = "solution.csv"
+        write_trajectory_csv(os.path.join(cfg.out_dir, csv_name), cand.trajectory)
+        report["candidate"] = _candidate_summary(cand, csv_name)
+        e_iters = cand.e_stage["iterations"] if cand.e_stage else 0
+        polish = len(cand.history["polish_grad_norm"])
+        print(
+            "solution: action %.6f, grad norm %.3e, clearance %.4f, "
+            "iterations %d E-stage + %d descent + %d polish"
+            % (cand.action, cand.grad_norm, cand.clearance, e_iters, cand.iterations, polish)
+        )
+        print("wrote %s and report.json in %s" % (csv_name, cfg.out_dir))
+        return 0
+
+    return _reported(cfg, "solve", "solve", body)
 
 
 def _entry_id(i: int) -> str:
@@ -227,54 +209,32 @@ def _write_library(out_dir: str, lib: SolutionLibrary, dist: np.ndarray, seed: i
 def cmd_search(cfg: RunConfig, jobs: int = 1) -> int:
     if jobs < 1:
         raise ConfigError("--jobs: must be at least 1")
-    gated = _gate(cfg)
-    if gated is None:
-        return 2
-    reports, t_check = gated
-    t1 = time.perf_counter()
-    lib = search_distinct(
-        cfg.potential,
-        cfg.grid,
-        cfg.solver,
-        targets=cfg.search.targets,
-        eps_distinct=cfg.search.eps_distinct,
-        schedule=cfg.search.schedule,
-        jobs=jobs,
-    )
-    t_search = time.perf_counter() - t1
-    dist = lib.distance_matrix()
-    library_doc = _write_library(cfg.out_dir, lib, dist, cfg.seed)
-    met = len(lib) >= cfg.search.targets
-    report = {
-        "command": "search",
-        "config": cfg.echo(),
-        "hypotheses": reports,
-        "library": library_doc,
-        "targets": cfg.search.targets,
-        "targets_met": met,
-        "timing": {"checks": t_check, "search": t_search},
-    }
-    _write_json(os.path.join(cfg.out_dir, "report.json"), report)
-    print(
-        "library: %d of %d targets, min pairwise distance %s"
-        % (
-            len(lib),
-            cfg.search.targets,
-            (
-                "%.4f" % dist[np.triu_indices(len(lib), 1)].min()
-                if len(lib) > 1
-                else "n/a"
-            ),
+
+    def body(report: dict) -> int:
+        lib = search_distinct(
+            cfg.potential,
+            cfg.grid,
+            cfg.solver,
+            targets=cfg.search.targets,
+            eps_distinct=cfg.search.eps_distinct,
+            schedule=cfg.search.schedule,
+            jobs=jobs,
         )
-    )
-    print("wrote manifest.json, distances.csv and report.json in %s" % cfg.out_dir)
-    if not met:
-        print(
-            "found %d candidates, wanted %d" % (len(lib), cfg.search.targets),
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+        dist = lib.distance_matrix()
+        targets = cfg.search.targets
+        met = len(lib) >= targets
+        report["library"] = _write_library(cfg.out_dir, lib, dist, cfg.seed)
+        report["targets"] = targets
+        report["targets_met"] = met
+        closest = "%.4f" % dist[np.triu_indices(len(lib), 1)].min() if len(lib) > 1 else "n/a"
+        print("library: %d of %d targets, min pairwise distance %s" % (len(lib), targets, closest))
+        print("wrote manifest.json, distances.csv and report.json in %s" % cfg.out_dir)
+        if not met:
+            print("found %d candidates, wanted %d" % (len(lib), targets), file=sys.stderr)
+            return 3
+        return 0
+
+    return _reported(cfg, "search", "search", body)
 
 
 def cmd_refine(cfg: RunConfig) -> int:
@@ -282,66 +242,49 @@ def cmd_refine(cfg: RunConfig) -> int:
     m_fine = cfg.refine.m_fine or 2 * m_coarse
     if m_fine == m_coarse:
         raise ConfigError("refine: coarse and fine node counts are both %d" % m_coarse)
-    gated = _gate(cfg)
-    if gated is None:
-        return 2
-    reports, t_check = gated
     # the ratio needs residuals evaluated well below the h^2 truncation
     # signal, so the study always runs at a tight gradient tolerance
     solver = replace(cfg.solver, grad_tol=min(cfg.solver.grad_tol, 1e-8))
-    levels = {}
-    report = {
-        "command": "refine",
-        "config": cfg.echo(),
-        "hypotheses": reports,
-    }
-    t1 = time.perf_counter()
-    for label, m in (("coarse", m_coarse), ("fine", m_fine)):
-        grid = replace(cfg.grid, nodes_per_period=m)
-        try:
-            cand = solve_homoclinic(cfg.potential, grid, solver)
-        except (NoSolutionFound, MaxItersExceeded) as exc:
-            report["error"] = "%s level (m=%d): %s: %s" % (
-                label,
-                m,
-                type(exc).__name__,
-                exc,
-            )
-            report["timing"] = {"checks": t_check, "solve": time.perf_counter() - t1}
-            _write_json(os.path.join(cfg.out_dir, "report.json"), report)
-            print(report["error"], file=sys.stderr)
-            return 3
-        csv_name = "solution_%s.csv" % label
-        write_trajectory_csv(os.path.join(cfg.out_dir, csv_name), cand.trajectory)
-        levels[label] = {
-            "m": m,
-            "action": cand.action,
-            "grad_norm": cand.grad_norm,
-            "truncation_residual": truncation_residual(cand.trajectory, cfg.potential),
-            "stencil_residual": ode_residual(cand.trajectory, cfg.potential).sup_residual,
-            "trajectory_csv": csv_name,
+
+    def body(report: dict) -> int:
+        levels = {}
+        for label, m in (("coarse", m_coarse), ("fine", m_fine)):
+            grid = replace(cfg.grid, nodes_per_period=m)
+            try:
+                cand = solve_homoclinic(cfg.potential, grid, solver)
+            except NoSolutionFound as exc:
+                report["error"] = "%s level (m=%d): %s: %s" % (label, m, type(exc).__name__, exc)
+                print(report["error"], file=sys.stderr)
+                return 3
+            csv_name = "solution_%s.csv" % label
+            write_trajectory_csv(os.path.join(cfg.out_dir, csv_name), cand.trajectory)
+            levels[label] = {
+                "m": m,
+                "action": cand.action,
+                "grad_norm": cand.grad_norm,
+                "truncation_residual": truncation_residual(cand.trajectory, cfg.potential),
+                "stencil_residual": cand.residual.sup_residual,
+                "trajectory_csv": csv_name,
+            }
+        coarse, fine = levels["coarse"], levels["fine"]
+        ratio = coarse["truncation_residual"] / fine["truncation_residual"]
+        drift = abs(fine["action"] - coarse["action"]) / abs(coarse["action"])
+        passed = 3.5 <= ratio <= 4.5 and drift <= 0.05
+        report["refine"] = {
+            "coarse": coarse,
+            "fine": fine,
+            "residual_ratio": ratio,
+            "action_drift": drift,
+            "grad_tol_used": solver.grad_tol,
+            "passed": passed,
         }
-    t_solve = time.perf_counter() - t1
-    ratio = levels["coarse"]["truncation_residual"] / levels["fine"]["truncation_residual"]
-    drift = abs(levels["fine"]["action"] - levels["coarse"]["action"]) / abs(
-        levels["coarse"]["action"]
-    )
-    passed = 3.5 <= ratio <= 4.5 and drift <= 0.05
-    report["refine"] = {
-        "coarse": levels["coarse"],
-        "fine": levels["fine"],
-        "residual_ratio": ratio,
-        "action_drift": drift,
-        "grad_tol_used": solver.grad_tol,
-        "passed": passed,
-    }
-    report["timing"] = {"checks": t_check, "solve": t_solve}
-    _write_json(os.path.join(cfg.out_dir, "report.json"), report)
-    print(
-        "refine m=%d -> m=%d: residual ratio %.3f (want [3.5, 4.5]), action drift %.3e (want <= 5e-2)"
-        % (m_coarse, m_fine, ratio, drift)
-    )
-    return 0 if passed else 3
+        print(
+            "refine m=%d -> m=%d: residual ratio %.3f (want [3.5, 4.5]), action drift %.3e (want <= 5e-2)"
+            % (m_coarse, m_fine, ratio, drift)
+        )
+        return 0 if passed else 3
+
+    return _reported(cfg, "refine", "solve", body)
 
 
 _MANIFEST_FIELDS = ("trajectory_csv_path", "action", "grad_norm", "clearance")

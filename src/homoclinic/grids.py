@@ -233,8 +233,11 @@ class WindowBoundReport:
     passed: bool
 
 
-def sobolev_bound_check(u: GridFunction, s: float, tol: float = 1e-8) -> WindowBoundReport:
-    """Check |u(s)| <= sqrt(window L2^2) + sqrt(window kinetic^2).
+_WINDOW_TOL = 1e-8  # slack of the window bound for rounding
+
+
+def sobolev_bound_check(u: GridFunction, s: float) -> WindowBoundReport:
+    """Check |u(s)| <= sqrt(window L2^2) + sqrt(window kinetic^2) + _WINDOW_TOL.
 
     The unit window is [s, s+1] for s >= 0 and [s-1, s] for s < 0, snapped
     to whole cells; s itself must be a node.
@@ -257,15 +260,13 @@ def sobolev_bound_check(u: GridFunction, s: float, tol: float = 1e-8) -> WindowB
     kinw = _kinetic_sq(window, grid.h)
     lhs = float(np.linalg.norm(u.values[i]))
     rhs = float(np.sqrt(l2w) + np.sqrt(kinw))
-    return WindowBoundReport(s=s, lhs=lhs, rhs=rhs, passed=lhs <= rhs + tol)
+    return WindowBoundReport(s=s, lhs=lhs, rhs=rhs, passed=lhs <= rhs + _WINDOW_TOL)
 
 
-def random_smooth_function(
-    grid: Grid,
-    d: int,
-    rng: np.random.Generator,
-    modes: int = 8,
-) -> GridFunction:
+_SMOOTH_MODES = 8  # sine modes of a random smooth function
+
+
+def random_smooth_function(grid: Grid, d: int, rng: np.random.Generator) -> GridFunction:
     """Random smooth zero-boundary trajectory from a low sine series.
 
     Coefficients fall off like 1/j^2, so samples are H1-regular; callers
@@ -273,9 +274,9 @@ def random_smooth_function(
     """
     t = grid.times
     L = grid.half_length
-    j = np.arange(1, modes + 1)
+    j = np.arange(1, _SMOOTH_MODES + 1)
     basis = np.sin(np.outer(j, (t + L) * (np.pi / (2.0 * L))))  # (modes, n)
-    coef = rng.standard_normal((modes, d)) / (j * j)[:, None]
+    coef = rng.standard_normal((_SMOOTH_MODES, d)) / (j * j)[:, None]
     vals = basis.T @ coef
     vals[0] = 0.0
     vals[-1] = 0.0

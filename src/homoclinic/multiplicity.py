@@ -16,23 +16,20 @@ grids.shift_gaps.
 search_distinct runs a deterministic three-phase schedule: single-loop
 guesses with varied crossing height and winding sense, pairwise sums of
 found solutions at decreasing separations, and a backfill sweep over bump
-centers and widths.
+centers and widths.  Every attempt of every phase runs through
+solve.run_attempt, the same runner as solve_homoclinic's restarts, and
+_record turns its outcome into one library log record.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .action import segment_clearance
-from .errors import (
-    HomoclinicError,
-    InfeasibleGuess,
-    OverlappingBumps,
-)
+from .errors import InfeasibleGuess, OverlappingBumps
 from .grids import (
     Grid,
     GridFunction,
@@ -47,6 +44,7 @@ from .solve import (
     HomoclinicCandidate,
     SolverConfig,
     polish_to_critical,
+    run_attempt,
     single_loop_attempt,
 )
 
@@ -82,8 +80,9 @@ class LibraryEntry:
 class SolutionLibrary:
     """Distinct solutions modulo whole-period shifts.
 
-    try_insert applies the eps_distinct gate and records every decision in
-    self.log, accepted or not, so a search run can be audited afterwards.
+    try_insert_entry applies the eps_distinct gate and records every
+    decision in self.log, accepted or not, so a search run can be audited
+    afterwards.
     """
 
     def __init__(self, eps_distinct: float = 0.1):
@@ -124,16 +123,6 @@ class SolutionLibrary:
         self.log.append(record)
         return True
 
-    def try_insert(self, cand: HomoclinicCandidate, context: Optional[dict] = None) -> bool:
-        entry = LibraryEntry(
-            trajectory=cand.trajectory,
-            action=cand.action,
-            grad_norm=cand.grad_norm,
-            clearance=cand.clearance,
-            schedule_item=cand.schedule_item,
-        )
-        return self.try_insert_entry(entry, context=context)
-
     def distance_matrix(self) -> Array:
         m = len(self.entries)
         out = np.zeros((m, m))
@@ -154,16 +143,16 @@ def _support_interval(values: Array, threshold: float) -> Optional[tuple[int, in
     return int(idx[0]), int(idx[-1])
 
 
+_SUPPORT_THRESHOLD = 1e-6  # node norm above which a node is in the numerical support
+
+
 def multibump_guess(
-    entries: Sequence[GridFunction],
-    shifts: Sequence[int],
-    pot: PotentialSpec,
-    support_threshold: float = 1e-6,
+    entries: Sequence[GridFunction], shifts: Sequence[int], pot: PotentialSpec
 ) -> GridFunction:
     """Sum of shifted entries with cleanly separated supports.
 
     The numerical support of each shifted entry (node norms above
-    support_threshold) must be disjoint from the others with at least two
+    _SUPPORT_THRESHOLD) must be disjoint from the others with at least two
     coefficient periods of slack, otherwise OverlappingBumps is raised; a
     sum whose segment clearance dips below delta_seg raises
     InfeasibleGuess.  Entries with fat tails fail the support test by
@@ -181,7 +170,7 @@ def multibump_guess(
     shifted = [shift_periods(e, int(k)) for e, k in zip(entries, shifts)]
     intervals = []
     for s in shifted:
-        iv = _support_interval(s.values, support_threshold)
+        iv = _support_interval(s.values, _SUPPORT_THRESHOLD)
         if iv is None:
             raise ValueError("an entry has empty numerical support")
         intervals.append(iv)
@@ -240,22 +229,21 @@ class BumpDecomposition:
     cut_indices: list[int] = field(default_factory=list)
 
 
-def ps_split(
-    u: GridFunction,
-    library: SolutionLibrary,
-    delta_bump: float = 0.05,
-    delta_gap: float = 0.01,
-    taper_cells: int = 8,
-) -> BumpDecomposition:
+_DELTA_BUMP = 0.05  # node norm of a bump core
+_DELTA_GAP = 0.01  # node norm to which a bump window extends
+_TAPER_CELLS = 8  # cells of the half-cosine taper at a nonzero cut
+
+
+def ps_split(u: GridFunction, library: SolutionLibrary) -> BumpDecomposition:
     """Cut a trajectory into bump pieces and match them to the library.
 
-    Cores are maximal runs with node norm >= delta_bump; each core's
-    window extends outward while the norm stays >= delta_gap.  Adjacent
+    Cores are maximal runs with node norm >= _DELTA_BUMP; each core's
+    window extends outward while the norm stays >= _DELTA_GAP.  Adjacent
     cores are separated by a cut at the valley argmin of the node norm
-    between them, whether or not the valley dips below delta_gap, so two
+    between them, whether or not the valley dips below _DELTA_GAP, so two
     bumps glued at small separation still split.  Each piece owns the full
     territory up to its cuts (or the domain ends); at a cut with nonzero
-    value a half-cosine taper over taper_cells keeps the piece in the
+    value a half-cosine taper over _TAPER_CELLS keeps the piece in the
     zero-boundary class without a jump.  Pieces are matched to library
     entries by minimum H1 distance over whole-period shifts, and
     residual_norm is the H1 norm of u minus the sum of matched shifted
@@ -266,7 +254,7 @@ def ps_split(
     grid = u.grid
     shifts = _admissible_shifts(grid)
     norms = np.sqrt(np.sum(u.values * u.values, axis=1))
-    cores = _runs(norms >= delta_bump)
+    cores = _runs(norms >= _DELTA_BUMP)
     if not cores:
         return BumpDecomposition(bumps=[], residual_norm=h1_norm(u))
 
@@ -278,7 +266,7 @@ def ps_split(
 
     # gap-extended window per core, clipped to the core's territory
     bounds = [0] + [c + 1 for c in cuts] + [grid.n]
-    gap_mask = norms >= delta_gap
+    gap_mask = norms >= _DELTA_GAP
     bumps = []
     recon = np.zeros_like(u.values)
     for i, (cs, ce) in enumerate(cores):
@@ -291,7 +279,7 @@ def ps_split(
             we += 1
         piece_vals = np.zeros_like(u.values)
         piece_vals[lo : hi + 1] = u.values[lo : hi + 1]
-        ramp = min(taper_cells, hi + 1 - lo)
+        ramp = min(_TAPER_CELLS, hi + 1 - lo)
         w = 0.5 * (1.0 - np.cos(np.pi * np.arange(ramp) / max(ramp, 1)))
         if lo > 0 and norms[lo] > 0:
             piece_vals[lo : lo + ramp] *= w[:, None]
@@ -338,18 +326,8 @@ def _default_schedule(grid: Grid, cfg: SolverConfig) -> dict:
     }
 
 
-def _guarded(fn, *args) -> tuple[Optional[HomoclinicCandidate], str, float]:
-    """(candidate, "", seconds) on success, (None, error text, seconds) on failure."""
-    t0 = time.perf_counter()
-    try:
-        cand, error = fn(*args), ""
-    except HomoclinicError as exc:
-        cand, error = None, "%s: %s" % (type(exc).__name__, exc)
-    return cand, error, time.perf_counter() - t0
-
-
 def _phase1_worker(payload):
-    return _guarded(single_loop_attempt, *payload)
+    return run_attempt(single_loop_attempt, *payload)
 
 
 def _glue_pair(
@@ -365,8 +343,9 @@ def _glue_pair(
 def _record(lib: SolutionLibrary, item: dict, outcome, phase: int) -> None:
     """Log a failed attempt, or offer its candidate to the library.
 
-    Every record carries the attempt's wall time under "timing", the only
-    field of the log that is not deterministic.
+    outcome is what run_attempt returned.  Every record carries the
+    attempt's wall time under "timing", the only field of the log that is
+    not deterministic.
     """
     cand, error, seconds = outcome
     timing = {"seconds": seconds}
@@ -374,8 +353,15 @@ def _record(lib: SolutionLibrary, item: dict, outcome, phase: int) -> None:
         lib.log.append(
             {"outcome": "failed", "schedule_item": item, "error": error, "timing": timing}
         )
-    else:
-        lib.try_insert(cand, context={"phase": phase, "timing": timing})
+        return
+    entry = LibraryEntry(
+        trajectory=cand.trajectory,
+        action=cand.action,
+        grad_norm=cand.grad_norm,
+        clearance=cand.clearance,
+        schedule_item=cand.schedule_item,
+    )
+    lib.try_insert_entry(entry, context={"phase": phase, "timing": timing})
 
 
 def search_distinct(
@@ -441,7 +427,7 @@ def search_distinct(
             if len(lib) >= targets:
                 break
             item = {"phase": 2, "separation": int(sep), "pair": [ia, ib]}
-            glued = _guarded(_glue_pair, base[ia], base[ib], int(sep), pot, pair_cfg, item)
+            glued = run_attempt(_glue_pair, base[ia], base[ib], int(sep), pot, pair_cfg, item)
             _record(lib, item, glued, 2)
     if len(lib) >= targets:
         return lib

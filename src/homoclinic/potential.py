@@ -17,13 +17,16 @@ inequalities near q and at infinity.
 Structural conditions are validated by sampling probes (check_A, check_H2,
 check_H3, check_H4, check_W_negativity) rather than at construction time so
 that a deliberately broken spec can still be built and then diagnosed.
+Their sample counts, step and seeds are module constants.  The table
+_HYPOTHESES lists the probes in gate order, each row with its own margin
+text.  run_hypotheses is its one runner: the `check` command prints its
+rows, the CLI gate reports them, check_hypotheses raises the first failure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -250,11 +253,17 @@ class CoefficientReport:
     n_samples: int
 
 
-def check_A(spec: CoefficientSpec, n_samples: int = 2048) -> CoefficientReport:
+_A_SAMPLES = 2048  # coefficient samples per period
+_H2_FD_STEP = 1e-3  # finite-difference step of the Hessian at the origin
+_SHELLS, _PER_SHELL = 16, 16  # radii and directions per radius of the H3 and H4 probes
+_W_SAMPLES = 512  # box samples of the negativity probe
+
+
+def check_A(spec: CoefficientSpec) -> CoefficientReport:
     """Sample a(t) over one period and verify strict positivity."""
-    t = np.linspace(0.0, spec.period, n_samples, endpoint=False)
+    t = np.linspace(0.0, spec.period, _A_SAMPLES, endpoint=False)
     vals = eval_a(spec, t)
-    report = CoefficientReport(float(vals.min()), float(vals.max()), n_samples)
+    report = CoefficientReport(float(vals.min()), float(vals.max()), _A_SAMPLES)
     if report.min_a <= 0.0:
         raise HypothesisViolation(
             "coefficient a(t) is not positive: sampled min %.6g" % report.min_a
@@ -271,7 +280,7 @@ class PinchingReport:
     fd_step: float
 
 
-def check_H2(spec: SingularPotentialSpec, fd_step: float = 1e-3) -> PinchingReport:
+def check_H2(spec: SingularPotentialSpec) -> PinchingReport:
     """Finite-difference Hessian of W at the origin; all eigenvalues must be < 0.
 
     The Hessian is always finite-differenced, even when a closed form is
@@ -280,7 +289,7 @@ def check_H2(spec: SingularPotentialSpec, fd_step: float = 1e-3) -> PinchingRepo
     pinching constants).
     """
     d = spec.dimension
-    h = fd_step
+    h = _H2_FD_STEP
     hess = np.empty((d, d))
     eye = np.eye(d)
     for a in range(d):
@@ -337,12 +346,7 @@ class BarrierReport:
     radius: float
 
 
-def check_H3(
-    spec: SingularPotentialSpec,
-    witness: StrongForceWitness,
-    n_samples: int = 256,
-    rng: Optional[np.random.Generator] = None,
-) -> BarrierReport:
+def check_H3(spec: SingularPotentialSpec, witness: StrongForceWitness) -> BarrierReport:
     """Sampled strong-force inequality W(u) <= -|grad U(u)|^2 near q.
 
     Samples shells 0 < |u - q| <= r.  The shell radius must satisfy
@@ -351,20 +355,16 @@ def check_H3(
     r = witness.r
     if not (0.0 < r < spec.q_norm / 2.0):
         raise ValueError("witness radius must satisfy 0 < r < |q|/2")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    n_radii = 16
-    per_shell = max(1, n_samples // n_radii)
-    radii = np.geomspace(1e-4 * r, r, n_radii)
+    rng = np.random.default_rng(0)
     margin = np.inf
-    for rho in radii:
-        dirs = _unit_sphere(rng, per_shell, spec.dimension)
+    for rho in np.geomspace(1e-4 * r, r, _SHELLS):
+        dirs = _unit_sphere(rng, _PER_SHELL, spec.dimension)
         pts = spec.q + rho * dirs
         w = eval_W(spec, pts)
         gu = _witness_grad(witness.U, witness.grad_U, pts, 1e-6 * rho)
         m = -w - np.sum(gu * gu, axis=-1)
         margin = min(margin, float(m.min()))
-    report = BarrierReport(min_margin=margin, n_samples=n_radii * per_shell, radius=r)
+    report = BarrierReport(min_margin=margin, n_samples=_SHELLS * _PER_SHELL, radius=r)
     if margin < 0.0:
         raise HypothesisViolation(
             "strong-force barrier fails near q: min margin %.6g" % margin
@@ -380,28 +380,19 @@ class FarFieldReport:
     R0: float
 
 
-def check_H4(
-    spec: SingularPotentialSpec,
-    witness: StrongForceWitness,
-    n_samples: int = 256,
-    rng: Optional[np.random.Generator] = None,
-) -> FarFieldReport:
+def check_H4(spec: SingularPotentialSpec, witness: StrongForceWitness) -> FarFieldReport:
     """Sampled far-field inequality W <= -|grad U_inf|^2 plus a growth probe.
 
     The growth probe walks rays outward from |u| = R0 and requires |U_inf|
     to increase without leveling off (sampled surrogate for |U_inf| -> inf).
     """
-    if rng is None:
-        rng = np.random.default_rng(1)
+    rng = np.random.default_rng(1)
     R0 = witness.R0
-    n_radii = 16
-    per_shell = max(1, n_samples // n_radii)
-    radii = np.geomspace(R0, 64.0 * R0, n_radii)
     margin = np.inf
     growth = np.inf
-    dirs = _unit_sphere(rng, per_shell, spec.dimension)
+    dirs = _unit_sphere(rng, _PER_SHELL, spec.dimension)
     prev_abs = None
-    for rho in radii:
+    for rho in np.geomspace(R0, 64.0 * R0, _SHELLS):
         pts = rho * dirs
         w = eval_W(spec, pts)
         gu = _witness_grad(witness.U_inf, witness.grad_U_inf, pts, 1e-6 * rho)
@@ -414,7 +405,7 @@ def check_H4(
     report = FarFieldReport(
         min_margin=margin,
         min_growth=growth,
-        n_samples=n_radii * per_shell,
+        n_samples=_SHELLS * _PER_SHELL,
         R0=R0,
     )
     if margin < 0.0:
@@ -435,15 +426,10 @@ class NegativityReport:
     n_samples: int
 
 
-def check_W_negativity(
-    spec: SingularPotentialSpec,
-    n_samples: int = 512,
-    rng: Optional[np.random.Generator] = None,
-) -> NegativityReport:
+def check_W_negativity(spec: SingularPotentialSpec) -> NegativityReport:
     """Sample W away from {0, q} and verify strict negativity."""
-    if rng is None:
-        rng = np.random.default_rng(2)
-    pts = rng.uniform(-4.0 * spec.q_norm, 4.0 * spec.q_norm, (n_samples, spec.dimension))
+    rng = np.random.default_rng(2)
+    pts = rng.uniform(-4.0 * spec.q_norm, 4.0 * spec.q_norm, (_W_SAMPLES, spec.dimension))
     keep = (np.linalg.norm(pts, axis=1) > 1e-6) & (
         _dist_to_q(spec, pts) > 10.0 * spec.eps_q
     )
@@ -486,35 +472,51 @@ class PotentialSpec:
         return 1e-3 * self.well.q_norm
 
 
-# The hypothesis table in gate order: (name, description, check).  A check
-# takes the potential and its strong-force witness and returns a report or
-# raises HypothesisViolation.  The lambdas look the checks up by name at
-# call time, so wrappers installed on this module see every call.
+# The hypothesis table in gate order: (name, description, check, margin).  A
+# check takes the potential and its strong-force witness and returns a report
+# or raises HypothesisViolation; margin renders a passing report.  The
+# lambdas look the checks up by name at call time, so wrappers installed on
+# this module see every call.
 _HYPOTHESES = (
-    ("A", "a(t) > 0 and periodic", lambda pot, wit: check_A(pot.coeff)),
-    ("H2", "negative pinched Hessian at 0", lambda pot, wit: check_H2(pot.well)),
-    ("H3", "strong-force barrier near q", lambda pot, wit: check_H3(pot.well, wit)),
-    ("H4", "far-field domination and growth", lambda pot, wit: check_H4(pot.well, wit)),
-    ("W<0", "W negative away from 0", lambda pot, wit: check_W_negativity(pot.well)),
+    ("A", "a(t) > 0 and periodic", lambda pot, wit: check_A(pot.coeff),
+     lambda r: "a in [%.6g, %.6g]" % (r.min_a, r.max_a)),
+    ("H2", "negative pinched Hessian at 0", lambda pot, wit: check_H2(pot.well),
+     lambda r: "eigenvalues in [%.6g, %.6g]" % (r.eigen_min, r.eigen_max)),
+    ("H3", "strong-force barrier near q", lambda pot, wit: check_H3(pot.well, wit),
+     lambda r: "min margin %.3e inside radius %.3g" % (r.min_margin, r.radius)),
+    ("H4", "far-field domination and growth", lambda pot, wit: check_H4(pot.well, wit),
+     lambda r: "min margin %.3e, min growth %.3e" % (r.min_margin, r.min_growth)),
+    ("W<0", "W negative away from 0", lambda pot, wit: check_W_negativity(pot.well),
+     lambda r: "max W %.3e" % r.max_w),
 )
 _WITNESS_CHECKS = ("H3", "H4")  # skipped for custom wells, which have no witness
 
 
-def hypothesis_checks(pot: PotentialSpec) -> list[tuple[str, str, Callable]]:
-    """The table rows that apply to pot as (name, description, run), run() -> report."""
+def run_hypotheses(pot: PotentialSpec) -> Iterator[tuple[str, str, Optional[object], str]]:
+    """Run the table rows that apply to pot, in gate order, one row per step.
+
+    Yields (name, description, report, detail): a passing row has its
+    report and margin text, a failing one report None and the violation
+    message.  Rows run lazily, so a consumer that stops early skips the rest.
+    """
     builtin = pot.well.form == "example"
     witness = default_witness(pot.well) if builtin else None
-    return [
-        (name, description, partial(check, pot, witness))
-        for name, description, check in _HYPOTHESES
-        if builtin or name not in _WITNESS_CHECKS
-    ]
+    for name, description, check, margin in _HYPOTHESES:
+        if not builtin and name in _WITNESS_CHECKS:
+            continue
+        try:
+            report = check(pot, witness)
+        except HypothesisViolation as exc:
+            yield name, description, None, str(exc)
+        else:
+            yield name, description, report, margin(report)
 
 
 def check_hypotheses(pot: PotentialSpec) -> None:
-    """The solver's gate: run the hypothesis table, raising the first failure."""
-    for _, _, run in hypothesis_checks(pot):
-        run()
+    """The solver's gate: raise HypothesisViolation at the first failing row."""
+    for _, _, report, detail in run_hypotheses(pot):
+        if report is None:
+            raise HypothesisViolation(detail)
 
 
 def example_potential(

@@ -31,12 +31,16 @@ rejected during backtracking, so the strong-force barrier is never crossed.
 All value, clearance and gradient evaluations go through one
 action.ActionKernel per stage.  Each loop keeps the accepted trial's
 StencilPoint, so the next gradient reuses the offsets from q and the well
-terms computed when that trial was valued.
+terms computed when that trial was valued; the candidate's certificate is
+read from the stage's kernel at its last accepted point.  run_attempt runs
+every attempt of solve_homoclinic and of the search, turning any
+HomoclinicError into an error text so the caller moves on to its next item.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -47,7 +51,6 @@ from .action import (
     ActionKernel,
     ResidualReport,
     StencilPoint,
-    eval_action,
     grad_norm,
     ode_residual,
     segment_clearance,
@@ -55,6 +58,7 @@ from .action import (
 )
 from .errors import (
     ConvergedToZero,
+    HomoclinicError,
     InfeasibleGuess,
     MaxItersExceeded,
     NoSolutionFound,
@@ -111,10 +115,8 @@ class EStageResult:
 
 @dataclass
 class HomoclinicCandidate:
-    """One trajectory with its certificates.  history keeps "action" and
-    "clearance" (start point, then each accepted Armijo descent step) and
-    "polish_grad_norm" (the gradient norm after each accepted Newton step);
-    glue candidates from polish_to_critical carry only "polish_grad_norm"."""
+    """One trajectory with its certificates.  history keeps
+    "polish_grad_norm", the gradient norm after each accepted Newton step."""
 
     trajectory: GridFunction
     action: float
@@ -226,7 +228,8 @@ def initial_guess_bump(
     antisymmetric transverse component tanh * sech is added: the path bows
     to one side before the center node, passes through k0 * q exactly, and
     returns on the other side, winding once around q.  orientation flips
-    the winding sense.
+    the winding sense.  A k0 so large that the values overflow makes the
+    guess infeasible.
     """
     if k0 < 1.0 + eps_k:
         raise ValueError("k0 must be at least 1 + eps_k")
@@ -237,11 +240,14 @@ def initial_guess_bump(
     sech = 1.0 / np.cosh(width * tau)
     swing = np.tanh(width * tau) * sech
     p_hat = _transverse_unit(pot.q)
-    vals = k0 * np.outer(sech, pot.q) + (
-        orientation * transverse * pot.well.q_norm
-    ) * np.outer(swing, p_hat)
-    u = from_values(grid, vals)
-    clearance = segment_clearance(u.values, pot.q)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge k0 overflows
+        vals = k0 * np.outer(sech, pot.q) + (
+            orientation * transverse * pot.well.q_norm
+        ) * np.outer(swing, p_hat)
+        if not np.isfinite(vals).all():
+            raise InfeasibleGuess("guess with k0 %.3g is not finite" % k0)
+        u = from_values(grid, vals)
+        clearance = segment_clearance(u.values, pot.q)
     if clearance < pot.delta_seg:
         raise InfeasibleGuess(
             "guess clearance %.3e below the %.3e floor" % (clearance, pot.delta_seg)
@@ -258,7 +264,8 @@ def _start(
 ) -> tuple[ActionKernel, StencilPoint]:
     """The stage's kernel and its first point; InfeasibleGuess names the stage."""
     kernel = ActionKernel(pot, grid)
-    p = kernel.trial(np.array(values, copy=True))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing start is infeasible
+        p = kernel.trial(np.array(values, copy=True))
     if p is None:
         raise InfeasibleGuess("starting point of %s is infeasible" % stage)
     return kernel, p
@@ -567,7 +574,7 @@ def descend_to_critical(
     pre = H1Preconditioner(grid)
     alpha = 1.0
 
-    history = {"action": [p.value], "clearance": [p.clearance], "polish_grad_norm": []}
+    history = {"polish_grad_norm": []}
     since_renorm = 0
     iters = 0
     gn = math.inf
@@ -590,8 +597,6 @@ def descend_to_critical(
         p, _, alpha = step
         iters += 1
         since_renorm += 1
-        history["action"].append(p.value)
-        history["clearance"].append(p.clearance)
         _check_collapse(p)
         if since_renorm >= _RENORMALIZE_EVERY:
             p = _renormalize(kernel, grid, p)
@@ -600,7 +605,7 @@ def descend_to_critical(
     if gn > cfg.grad_tol and cfg.polish_steps > 0:
         p, gn, history["polish_grad_norm"] = _polish_rounds(kernel, grid, p, cfg)
     return _wrap_candidate(
-        grid, p, pot, cfg, iters, history, gn,
+        kernel, grid, p, pot, cfg, iters, history, gn,
         "gradient norm %(gn).3e above tolerance %(tol).3e after %(iters)d iterations",
     )
 
@@ -608,19 +613,17 @@ def descend_to_critical(
 def _release(u0: GridFunction, pot: PotentialSpec, cfg: SolverConfig) -> HomoclinicCandidate:
     """Release the constraint: Newton polish first, Armijo descent if it stalls.
 
-    The candidate's history holds the start point's "action" and
-    "clearance" and the accepted Newton norms in "polish_grad_norm"; when
-    Newton stalls above grad_tol, descend_to_critical starts over from u0,
-    its history is returned (on MaxItersExceeded, the one of its best
-    iterate), and the stalled norms go ahead of its own polish norms.
+    The candidate's history holds the accepted Newton norms in
+    "polish_grad_norm"; when Newton stalls above grad_tol,
+    descend_to_critical starts over from u0, and the stalled norms go ahead
+    of its own polish norms (on MaxItersExceeded, those of its best iterate).
     """
     grid = u0.grid
     kernel, p = _start(pot, grid, u0.values, "the release")
-    history = {"action": [p.value], "clearance": [p.clearance]}
     p, gn, polish = _polish_rounds(kernel, grid, p, cfg)
-    history["polish_grad_norm"] = polish
     if gn <= cfg.grad_tol:
-        return _wrap_candidate(grid, p, pot, cfg, 0, history, gn, _POLISH_STALL)
+        history = {"polish_grad_norm": polish}
+        return _wrap_candidate(kernel, grid, p, pot, cfg, 0, history, gn, _POLISH_STALL)
     try:
         cand = descend_to_critical(u0, pot, cfg)
     except MaxItersExceeded as exc:
@@ -648,10 +651,11 @@ def polish_to_critical(
     p, _, gn, norms = _damped_newton(kernel, grid, p, cfg)
     _check_collapse(p, "polish")
     history = {"polish_grad_norm": norms}
-    return _wrap_candidate(grid, p, pot, cfg, len(norms), history, gn, _POLISH_STALL)
+    return _wrap_candidate(kernel, grid, p, pot, cfg, len(norms), history, gn, _POLISH_STALL)
 
 
 def _wrap_candidate(
+    kernel: ActionKernel,
     grid: Grid,
     p: StencilPoint,
     pot: PotentialSpec,
@@ -663,18 +667,19 @@ def _wrap_candidate(
 ) -> HomoclinicCandidate:
     """Certify the final iterate of a stage whose last gradient norm is gn.
 
-    Above grad_tol this raises MaxItersExceeded with the stage's stall
-    message (formatted from gn, tol and iters) and the candidate as best;
-    otherwise the candidate must have positive action and clearance.
+    Action and clearance are the stage kernel's values at its accepted
+    point p, and the gradient norm is measured at p.  Above grad_tol this
+    raises MaxItersExceeded with the stage's stall message (formatted from
+    gn, tol and iters) and the candidate as best; otherwise the candidate
+    must have positive action and clearance.
     """
     u = GridFunction(grid, p.values)
-    ae = eval_action(u, pot)
     cand = HomoclinicCandidate(
         trajectory=u,
-        action=float(ae.value),
-        grad_norm=float(grad_norm(grid, ae.gradient)),
+        action=float(p.value),
+        grad_norm=float(grad_norm(grid, kernel.gradient(p))),
         residual=ode_residual(u, pot),
-        clearance=float(ae.min_seg_dist),
+        clearance=float(p.clearance),
         crossing=_detect_crossing(u, pot),
         iterations=iters,
         history=history,
@@ -748,6 +753,17 @@ def single_loop_attempt(
     return cand
 
 
+def run_attempt(fn, *args) -> tuple[Optional[HomoclinicCandidate], str, float]:
+    """fn(*args) as (candidate, "", seconds), or (None, error text, seconds)
+    when it raises a HomoclinicError."""
+    t0 = time.perf_counter()
+    try:
+        cand, error = fn(*args), ""
+    except HomoclinicError as exc:
+        cand, error = None, "%s: %s" % (type(exc).__name__, exc)
+    return cand, error, time.perf_counter() - t0
+
+
 def solve_homoclinic(
     pot: PotentialSpec,
     grid: Grid,
@@ -755,8 +771,8 @@ def solve_homoclinic(
 ) -> HomoclinicCandidate:
     """Full pipeline: hypothesis gate, constrained stage, release.
 
-    Retries over a small restart schedule of guess parameters; raises
-    NoSolutionFound when every attempt fails.  The returned candidate
+    Retries over a small restart schedule of guess parameters, each item
+    through run_attempt; raises NoSolutionFound when every attempt fails.  The returned candidate
     carries the constrained-stage summary (infimum estimate d_h, final k,
     constraint-activity flag) and alpha_gap, the proven action gap on the
     unit H1 sphere from action.sphere_action_bound (None for custom wells).
@@ -767,13 +783,11 @@ def solve_homoclinic(
 
     failures = []
     for item in _restart_schedule(grid, cfg):
-        try:
-            cand = single_loop_attempt(pot, grid, cfg, item)
-        except (InfeasibleGuess, ConvergedToZero, MaxItersExceeded) as exc:
-            failures.append("%s: %s" % (type(exc).__name__, exc))
-            continue
-        cand.alpha_gap = sphere_action_bound(pot)
-        return cand
+        cand, error, _ = run_attempt(single_loop_attempt, pot, grid, cfg, item)
+        if cand is not None:
+            cand.alpha_gap = sphere_action_bound(pot)
+            return cand
+        failures.append(error)
     raise NoSolutionFound(
         "all %d attempts failed: %s" % (len(failures), "; ".join(failures))
     )

@@ -26,18 +26,26 @@ def load_report(out_dir):
         return json.load(fh, parse_constant=_not_strict)
 
 
+# the rows after A, identical for both check configs below
+_CHECK_ROWS = [
+    "H2   pass  negative pinched Hessian at 0 (eigenvalues in [-0.5, -0.5])",
+    "H3   pass  strong-force barrier near q (min margin 2.616e+02 inside radius 0.1)",
+    "H4   pass  far-field domination and growth (min margin 3.949e-01, min growth 1.278e+00)",
+    "W<0  pass  W negative away from 0 (max W -6.793e-02)",
+]
+
+
 def test_check_defaults_pass(capsys):
     assert main(["check"]) == 0
-    out = capsys.readouterr().out
-    for tag in ("A", "H2", "H3", "H4", "W<0"):
-        assert tag in out
-    assert "FAIL" not in out
+    first = "A    pass  a(t) > 0 and periodic (a in [1, 3])"
+    assert capsys.readouterr().out.splitlines() == [first] + _CHECK_ROWS
 
 
 def test_check_reports_violation(tmp_path, capsys):
     cfg = write_config(tmp_path, {"potential": {"a_base": 1.0, "a_amp": 2.0}})
     assert main(["check", "--config", cfg]) == 2
-    assert "FAIL" in capsys.readouterr().out
+    first = "A    FAIL  a(t) > 0 and periodic (coefficient a(t) is not positive: sampled min -1)"
+    assert capsys.readouterr().out.splitlines() == [first] + _CHECK_ROWS
 
 
 def test_malformed_config_is_exit_1(tmp_path, capsys):
@@ -467,3 +475,58 @@ def test_refine_unreachable_tolerance_is_exit_3(tmp_path):
     rep = load_report(out)
     assert rep["error"].startswith("coarse level (m=40): ")
     assert "refine" not in rep
+
+
+@pytest.mark.parametrize(
+    "command,doc",
+    [
+        ("solve", {"solver": {"k0": 1e200}}),  # finite guess, overflowing action
+        ("solve", {"solver": {"k0": 1e308}}),  # the guess itself overflows
+        ("search", {"search": {"schedule": {"phase1": [{"k0": 1e308}, {"k0": 1.5}]}}}),
+    ],
+)
+def test_huge_k0_fails_the_attempt_not_the_run(tmp_path, capsys, command, doc):
+    # the overflowing item fails like an infeasible guess and the schedule goes on
+    out = str(tmp_path / "run")
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", out]) == 0
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Warning" not in err
+    rep = load_report(out)
+    if command == "solve":
+        assert rep["candidate"]["schedule_item"]["k0"] == 2.5  # the third restart item
+    else:
+        first = rep["library"]["log"][0]
+        assert first["outcome"] == "failed"
+        assert first["error"] == "InfeasibleGuess: guess with k0 1e+308 is not finite"
+
+
+_ONE_ITEM = {"phase1": [{"k0": 1.5, "orientation": 1}], "separations": [], "backfill": []}
+_TOL0 = {"solver": {"grad_tol": 0.0, "max_iters": 50}}
+
+
+@pytest.mark.parametrize(
+    "command,doc,code,own,timed",
+    [
+        ("solve", {}, 0, {"candidate"}, "solve"),
+        ("solve", _TOL0, 3, {"error"}, "solve"),
+        ("search", {"search": {"targets": 1}}, 0, {"library", "targets", "targets_met"}, "search"),
+        (
+            "search",
+            {"search": {"targets": 2, "schedule": _ONE_ITEM}},
+            3,
+            {"library", "targets", "targets_met"},
+            "search",
+        ),
+        ("refine", {"refine": {"m_coarse": 20}}, 0, {"refine"}, "solve"),
+        ("refine", _TOL0, 3, {"error"}, "solve"),
+    ],
+)
+def test_report_envelope_keys(tmp_path, command, doc, code, own, timed):
+    out = str(tmp_path / "run")
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", out]) == code
+    rep = load_report(out)
+    assert set(rep) == {"command", "config", "hypotheses", "timing"} | own
+    assert rep["command"] == command
+    assert set(rep["timing"]) == {"checks", timed}
+    assert set(rep["hypotheses"]) == {"A", "H2", "H3", "H4", "W<0"}
