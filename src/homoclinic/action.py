@@ -279,9 +279,16 @@ def ode_residual(u: GridFunction, pot: PotentialSpec) -> ResidualReport:
     discretization error; see truncation_residual for the latter.
     Tail metrics cover |t| >= L - period.
     """
-    grid = u.grid
-    kernel = ActionKernel(pot, grid)
-    p = kernel.evaluate(u.values)
+    kernel = ActionKernel(pot, u.grid)
+    return stencil_residual(kernel, u.grid, kernel.evaluate(u.values))
+
+
+def stencil_residual(kernel: ActionKernel, grid: Grid, p: StencilPoint) -> ResidualReport:
+    """ode_residual of a point the kernel has already evaluated on grid.
+
+    Reads the point's stored offsets, so a solver stage certifies its
+    accepted point without building a second kernel.
+    """
     v = p.values
     h = kernel.h
     gw = kernel.grad_w(p)

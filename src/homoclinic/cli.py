@@ -54,6 +54,7 @@ from .errors import (
 )
 from .grids import (
     Grid,
+    GridFunction,
     read_trajectory_csv,
     sobolev_bound_check,
     write_trajectory_csv,
@@ -290,7 +291,21 @@ def cmd_refine(cfg: RunConfig) -> int:
 _MANIFEST_FIELDS = ("trajectory_csv_path", "action", "grad_norm", "clearance")
 
 
-def _load_library(out_dir: str, grid: Grid) -> Optional[SolutionLibrary]:
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return False
+
+
+def _load_library(
+    out_dir: str, grid: Grid, known: tuple[str, GridFunction]
+) -> Optional[SolutionLibrary]:
+    """The library of out_dir's manifest.json, or None without one.
+
+    known is a (path, trajectory) pair already read on this grid; an
+    entry whose CSV is that same file reuses it instead of reading it again.
+    """
     path = os.path.join(out_dir, "manifest.json")
     if not os.path.exists(path):
         return None
@@ -312,7 +327,11 @@ def _load_library(out_dir: str, grid: Grid) -> Optional[SolutionLibrary]:
             raise TrajectoryFormatError(
                 "%s: entry %d trajectory_csv_path is not a string" % (path, i)
             )
-        u = read_trajectory_csv(os.path.join(out_dir, item["trajectory_csv_path"]), grid)
+        csv_path = os.path.join(out_dir, item["trajectory_csv_path"])
+        if _same_file(csv_path, known[0]):
+            u = known[1]
+        else:
+            u = read_trajectory_csv(csv_path, grid)
         lib.entries.append(
             LibraryEntry(
                 trajectory=u,
@@ -355,7 +374,7 @@ def cmd_diagnose(cfg: RunConfig, trajectory_path: str) -> int:
             "window bound at s=%+.3f: |u(s)| = %.4e <= %.4e %s"
             % (s, wb.lhs, wb.rhs, "ok" if wb.passed else "VIOLATED")
         )
-    lib = _load_library(cfg.out_dir, cfg.grid)
+    lib = _load_library(cfg.out_dir, cfg.grid, (trajectory_path, u))
     if lib is None or len(lib.entries) == 0:
         print("no library manifest in %s; skipping bump decomposition" % cfg.out_dir)
         return 0

@@ -16,17 +16,26 @@ sobolev_bound_check verifies per window.
 
 The quadrature and the whole-period shift rule (move by k*m slots, zero
 fill, re-pin the ends) are written once, as raw-array helpers.  The norms,
-shift_periods, the window sums and the shift-gap kernel shift_gaps all go
-through them; shift_gaps returns ||u - shift_periods(v, k)||_H1 for every
-admissible k without building per-shift GridFunctions, bitwise equal to
-composing the public functions.
+shift_periods, the window sums and the exact shift-gap kernel shift_gaps
+all go through them; shift_gaps returns ||u - shift_periods(v, k)||_H1 for
+every admissible k without building per-shift GridFunctions, bitwise equal
+to composing the public functions.
+
+Shift gaps are screened by one batched product, confirmed by shift_gaps.
+Every admissible shift moves whole m-node blocks, so ShiftBlocks keeps
+each function as (2M, m*d) period blocks of node values and differences
+plus its shifted norms; screen_gaps_sq turns one block Gram product into
+the squared gaps of every function pair at every shift, and
+confirmed_minima recomputes with the shift_gaps formula only the shifts
+within SCREEN_TOL of the screened minimum.  Every minimum, minimizing
+shift and tie order is therefore bitwise shift_gaps'.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -191,6 +200,13 @@ def _admissible_shifts(grid: Grid) -> range:
     return range(-k_max, k_max + 1)
 
 
+def _shift_gap(u: GridFunction, v: GridFunction, k: int):
+    """||u - shift_periods(v, k)||_H1, computed on the raw node arrays."""
+    h = u.grid.h
+    diff = u.values - _shifted(v.values, k * u.grid.nodes_per_period)
+    return np.sqrt(_kinetic_sq(diff, h) + _l2_sq(diff, h))
+
+
 def shift_gaps(u: GridFunction, v: GridFunction) -> Array:
     """||u - shift_periods(v, k)||_H1 for every admissible whole-period shift k.
 
@@ -198,15 +214,162 @@ def shift_gaps(u: GridFunction, v: GridFunction) -> Array:
     k = j - k_max.  Works on the raw node arrays with the same shift rule
     and quadrature as shift_periods and h1_norm, so every entry is bitwise
     the value those two would give, without building per-shift objects.
+    This is the exact reference that confirmed_minima recomputes.
     """
-    h = u.grid.h
-    m = u.grid.nodes_per_period
-    shifts = _admissible_shifts(u.grid)
-    gaps = np.empty(len(shifts))
-    for j, k in enumerate(shifts):
-        diff = u.values - _shifted(v.values, k * m)
-        gaps[j] = np.sqrt(_kinetic_sq(diff, h) + _l2_sq(diff, h))
-    return gaps
+    return np.array([_shift_gap(u, v, k) for k in _admissible_shifts(u.grid)])
+
+
+# Screen margin as a fraction of the largest squared H1 norm of a shifted
+# argument.  Both the screen and the exact gap sum O(n) terms no larger
+# than that scale, so each is within a few n * 1e-16 of it; 1e-10 covers
+# twice that with room to spare on any practical grid.  The margin must
+# not shrink with the screened minimum: exact ties at gap 0 (duplicates,
+# shifted copies) are screened to rounding noise of either sign.
+SCREEN_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class ShiftBlocks:
+    """Functions on one grid in the period-block form screen_gaps_sq reads.
+
+    blocks[e, b] holds the m forward differences over sqrt(h), then the m
+    node values times sqrt(h), of period block b of function e (nodes
+    bm .. bm + m - 1; node n - 1 is zero), so one Gram product of blocks
+    gives the H1 inner product of every block pair.  norm_sq[e, j] is
+    ||shift_periods(f_e, k)||_H1^2 at the j-th admissible shift.  nodes[e]
+    are the values at the period nodes 0, m, ..., n - 1; first[e] and
+    last[e] those at nodes 1 and n - 2.  They correct the one node that
+    _shifted re-pins.
+    """
+
+    functions: tuple
+    blocks: Array  # (E, 2M, 2, m d)
+    norm_sq: Array  # (E, 4M + 1)
+    nodes: Array  # (E, 2M + 1, d)
+    first: Array  # (E, d)
+    last: Array  # (E, d)
+
+    @property
+    def grid(self) -> Grid:
+        return self.functions[0].grid
+
+
+def shift_blocks(functions: Sequence[GridFunction]) -> ShiftBlocks:
+    """ShiftBlocks of one or more functions on a common grid."""
+    grid = functions[0].grid
+    if any(f.grid != grid for f in functions):
+        raise ValueError("functions live on different grids")
+    h, m = grid.h, grid.nodes_per_period
+    nb = (grid.n - 1) // m  # period blocks, = k_max
+    blocks = np.empty((len(functions), nb, 2, m * functions[0].d))
+    for b, f in zip(blocks, functions):
+        b[:, 0] = np.diff(f.values, axis=0).reshape(nb, -1)
+        b[:, 1] = f.values[:-1].reshape(nb, -1)
+    blocks[:, :, 0] /= np.sqrt(h)
+    blocks[:, :, 1] *= np.sqrt(h)
+    # head[:, j]: squared H1 norm of blocks 0..j-1
+    head = np.zeros((len(functions), nb + 1))
+    np.cumsum(np.einsum("ebcw,ebcw->eb", blocks, blocks), axis=1, out=head[:, 1:])
+    total, inner = head[:, -1:], head[:, 1:-1]
+    # nodes jm - 1, jm, jm + 1 around every inner period node jm
+    near = np.arange(1, nb)[:, None] * m + [-1, 0, 1]
+    before, node, after = np.stack([f.values[near] for f in functions]).transpose(2, 0, 1, 3)
+
+    def sq(x: Array) -> Array:
+        return np.einsum("ejd,ejd->ej", x, x)
+
+    # k = 2M - j, 0 < j < 2M, keeps blocks < j and re-pins node jm, so the
+    # last cell runs from v_(jm-1) to 0
+    kept_head = inner + (sq(before) - sq(node - before)) / h
+    # k = -j keeps blocks >= j and re-pins node jm, so that node drops out
+    # and the first cell runs from 0 to v_(jm+1)
+    kept_tail = total - inner - h * sq(node) + (sq(after) - sq(after - node)) / h
+    zero = np.zeros_like(total)  # k = +-2M shifts every node off the grid
+    ends = np.stack([f.values[[1, -2]] for f in functions])
+    return ShiftBlocks(
+        functions=tuple(functions),
+        blocks=blocks,
+        norm_sq=np.concatenate([zero, kept_tail[:, ::-1], total, kept_head[:, ::-1], zero], 1),
+        nodes=np.stack([f.values[::m] for f in functions]),
+        first=ends[:, 0],
+        last=ends[:, 1],
+    )
+
+
+def _repin(last: Array, first: Array, nodes: Array) -> Array:
+    """Kinetic cross-term correction of the re-pinned node, per pair and shift.
+
+    The block product treats shift(v, k) as if the node _shifted re-pins
+    kept its value: node n - 1 (value v_((2M-k)m)) for k > 0, node 0
+    (value v_(-km)) for k < 0.  Re-pinning changes one difference, which
+    adds u_(n-2) . v_((2M-k)m), or u_1 . v_(-km), to sum du . dv.
+    """
+    at_last = np.einsum("id,jtd->ijt", last, nodes)
+    at_first = np.einsum("id,jtd->ijt", first, nodes)
+    zero = np.zeros(at_last.shape[:2] + (1,))
+    return np.concatenate([at_first[..., :0:-1], zero, at_last[..., -2::-1]], axis=2)
+
+
+def screen_gaps_sq(a: ShiftBlocks, b: ShiftBlocks) -> tuple[Array, Array]:
+    """Screened squared shift gaps of every pair, both argument orders.
+
+    Returns (fwd, rev), each of shape (len(a), len(b), 4M + 1): fwd[i, j]
+    approximates shift_gaps(a_i, b_j) ** 2 and rev[i, j] approximates
+    shift_gaps(b_j, a_i) ** 2, to rounding of order n * 1e-16 times
+    the shifted norms (see SCREEN_TOL).  One batched Gram product of the
+    period blocks gives every cross term: the sum of the block Gram's k-th
+    diagonal is <a_i, shift(b_j, k)> before re-pinning, and its (-k)-th
+    is <b_j, shift(a_i, k)>.
+    """
+    if a.grid != b.grid:
+        raise ValueError("functions live on different grids")
+    ea, nb = a.blocks.shape[:2]
+    eb = b.blocks.shape[0]
+    h = a.grid.h
+    # einsum rather than a BLAS product: at these sizes it costs about a
+    # millisecond, and it leaves the BLAS work buffer untouched (about
+    # 0.8 MB of resident memory in a process that never factors a matrix)
+    gram = np.einsum("ipw,jqw->ijpq", a.blocks.reshape(ea, nb, -1), b.blocks.reshape(eb, nb, -1))
+    # diagonal sums: diag[..., k + 2M] = sum_p gram[..., p, p - k]
+    p, q = np.indices((nb, nb))
+    select = np.zeros((nb, nb, 2 * nb + 1))
+    select[p, q, p - q + nb] = 1.0
+    diag = np.einsum("ijpq,pqk->ijk", gram, select)
+    fwd = diag + _repin(a.last, a.first, b.nodes) / h
+    rev = diag[..., ::-1] + _repin(b.last, b.first, a.nodes).transpose(1, 0, 2) / h
+    norm_a, norm_b = a.norm_sq[:, nb], b.norm_sq[:, nb]
+    return (
+        norm_a[:, None, None] + b.norm_sq[None] - 2.0 * fwd,
+        norm_b[None, :, None] + a.norm_sq[:, None] - 2.0 * rev,
+    )
+
+
+def confirmed_minima(
+    sq: Array, margin: Array | float, exact: Callable[[tuple, tuple], float]
+) -> tuple[Array, Array]:
+    """Exact minima behind a screen, per group.
+
+    The leading margin.ndim axes of sq index groups and the others their
+    candidates.  exact(group, candidate) is called, in C order, for every
+    candidate whose screened value lies within the group's margin of the
+    group's screened minimum (for every candidate of a group whose screen
+    is not finite).  Returns each group's smallest exact value and the
+    flat index of its first candidate to attain it, which is the first
+    exact minimizer when the margin covers the screen's rounding.
+    """
+    margin = np.asarray(margin, dtype=float)
+    shape = sq.shape[margin.ndim :]
+    flat = sq.reshape(margin.shape + (-1,))
+    low = flat.min(axis=-1)
+    keep = (flat <= (low + margin)[..., None]) | ~np.isfinite(low)[..., None]
+    best = np.full(margin.shape, np.inf)
+    at = np.zeros(margin.shape, dtype=int)
+    for idx in np.argwhere(keep):
+        group, c = tuple(idx[:-1]), int(idx[-1])
+        gap = exact(group, np.unravel_index(c, shape))
+        if gap < best[group]:
+            best[group], at[group] = gap, c
+    return best, at
 
 
 def renormalize_translation(u: GridFunction) -> tuple[GridFunction, int]:

@@ -9,9 +9,15 @@ eps_distinct from every stored entry under that metric.
 multibump_guess glues shifted library entries into a multibump initial
 condition when their numerical supports are cleanly separated; ps_split
 goes the other way, cutting a trajectory into bump windows at valleys of
-the node norm and matching each piece against the library.  Both the
-metric and the matching read their per-shift H1 gaps from one kernel,
-grids.shift_gaps.
+the node norm and matching each piece against the library.  The metric,
+the library's nearest-entry query, its distance matrix and the matching
+all go through one kernel: screened by one batched product, confirmed by
+shift_gaps (grids.screen_gaps_sq and grids.confirmed_minima).  One
+product covers every entry and every shift, and only the shifts the
+screen cannot tell apart are recomputed exactly, so every distance,
+matched entry, shift and tie order is bitwise the per-shift loop's.
+The library derives its cached ShiftBlocks from its entries on use, so
+entries appended to lib.entries directly are covered as well.
 
 search_distinct runs a deterministic three-phase schedule: single-loop
 guesses with varied crossing height and winding sense, pairwise sums of
@@ -31,12 +37,17 @@ import numpy as np
 from .action import segment_clearance
 from .errors import InfeasibleGuess, OverlappingBumps
 from .grids import (
+    SCREEN_TOL,
     Grid,
     GridFunction,
+    ShiftBlocks,
     _admissible_shifts,
+    _shift_gap,
+    confirmed_minima,
     from_values,
     h1_norm,
-    shift_gaps,
+    screen_gaps_sq,
+    shift_blocks,
     shift_periods,
 )
 from .potential import PotentialSpec, check_hypotheses
@@ -51,6 +62,31 @@ from .solve import (
 Array = np.ndarray
 
 
+def _nearest(u: GridFunction, blocks: ShiftBlocks, both_orders: bool) -> tuple[float, int, int]:
+    """First exact minimum of the shift gaps of u against every function of blocks.
+
+    Candidates run in (function, argument order, shift) order: gaps of u
+    against shift(f, k), then, with both_orders, of f against shift(u, k).
+    Returns (gap, function index, shift index); the gap is bitwise the
+    minimum of the shift_gaps arrays, and the indices are those of its
+    first occurrence.
+    """
+    ub = shift_blocks([u])
+    fwd, rev = screen_gaps_sq(ub, blocks)
+    sq = np.stack([fwd[0], rev[0]], axis=1) if both_orders else fwd[0][:, None]
+    shifts = _admissible_shifts(u.grid)
+
+    def exact(_, cand):
+        e, order, j = cand
+        f = blocks.functions[e]
+        return _shift_gap(u, f, shifts[j]) if order == 0 else _shift_gap(f, u, shifts[j])
+
+    margin = SCREEN_TOL * (ub.norm_sq.max() + blocks.norm_sq.max())
+    gap, at = confirmed_minima(sq, margin, exact)
+    e, _, j = np.unravel_index(int(at), sq.shape)
+    return float(gap), int(e), int(j)
+
+
 def geometric_distance(u: GridFunction, v: GridFunction) -> float:
     """Shift-quotient pseudo-metric.
 
@@ -61,7 +97,7 @@ def geometric_distance(u: GridFunction, v: GridFunction) -> float:
     """
     if u.grid != v.grid:
         raise ValueError("functions live on different grids")
-    return float(min(shift_gaps(u, v).min(), shift_gaps(v, u).min()))
+    return _nearest(u, shift_blocks([v]), both_orders=True)[0]
 
 
 def is_distinct(u: GridFunction, v: GridFunction, eps_distinct: float = 0.1) -> bool:
@@ -89,18 +125,30 @@ class SolutionLibrary:
         self.eps_distinct = float(eps_distinct)
         self.entries: list[LibraryEntry] = []
         self.log: list[dict] = []
+        self._blocks: Optional[ShiftBlocks] = None
 
     def __len__(self) -> int:
         return len(self.entries)
 
+    def entry_blocks(self) -> ShiftBlocks:
+        """ShiftBlocks of the entries' trajectories, in entry order (entries must exist).
+
+        Derived from self.entries on use: the cached blocks are kept while
+        they belong to the same trajectory objects and rebuilt otherwise, so
+        changing self.entries directly (as a manifest loader does) is safe.
+        """
+        trajs = tuple(e.trajectory for e in self.entries)
+        cached = self._blocks.functions if self._blocks is not None else ()
+        if len(cached) != len(trajs) or any(a is not b for a, b in zip(cached, trajs)):
+            self._blocks = shift_blocks(trajs)
+        return self._blocks
+
     def min_distance_to(self, u: GridFunction) -> tuple[float, int]:
-        """Smallest distance to a stored entry and its index; (inf, -1) when empty."""
-        best, best_i = np.inf, -1
-        for i, e in enumerate(self.entries):
-            d = geometric_distance(u, e.trajectory)
-            if d < best:
-                best, best_i = d, i
-        return float(best), best_i
+        """Smallest distance to a stored entry and its first index; (inf, -1) when empty."""
+        if not self.entries:
+            return np.inf, -1
+        d, i, _ = _nearest(u, self.entry_blocks(), both_orders=True)
+        return d, i
 
     def try_insert_entry(self, entry: LibraryEntry, context: Optional[dict] = None) -> bool:
         d, i = self.min_distance_to(entry.trajectory)
@@ -124,14 +172,25 @@ class SolutionLibrary:
         return True
 
     def distance_matrix(self) -> Array:
-        m = len(self.entries)
-        out = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i + 1, m):
-                d = geometric_distance(
-                    self.entries[i].trajectory, self.entries[j].trajectory
-                )
-                out[i, j] = out[j, i] = d
+        """geometric_distance of every entry pair, from one screen of all pairs."""
+        n = len(self.entries)
+        out = np.zeros((n, n))
+        if n < 2:
+            return out
+        blocks = self.entry_blocks()
+        fwd, rev = screen_gaps_sq(blocks, blocks)
+        iu, ju = np.triu_indices(n, 1)
+        shifts = _admissible_shifts(blocks.grid)
+
+        def exact(pair, cand):
+            order, j = cand
+            f, g = blocks.functions[iu[pair]], blocks.functions[ju[pair]]
+            return _shift_gap(f, g, shifts[j]) if order == 0 else _shift_gap(g, f, shifts[j])
+
+        top = blocks.norm_sq.max(axis=1)
+        sq = np.stack([fwd[iu, ju], rev[iu, ju]], axis=1)
+        out[iu, ju], _ = confirmed_minima(sq, SCREEN_TOL * (top[iu] + top[ju]), exact)
+        out[ju, iu] = out[iu, ju]
         return out
 
 
@@ -253,6 +312,7 @@ def ps_split(u: GridFunction, library: SolutionLibrary) -> BumpDecomposition:
         raise ValueError("library is empty")
     grid = u.grid
     shifts = _admissible_shifts(grid)
+    blocks = library.entry_blocks()
     norms = np.sqrt(np.sum(u.values * u.values, axis=1))
     cores = _runs(norms >= _DELTA_BUMP)
     if not cores:
@@ -287,12 +347,8 @@ def ps_split(u: GridFunction, library: SolutionLibrary) -> BumpDecomposition:
             piece_vals[hi - ramp + 1 : hi + 1] *= w[::-1, None]
         piece = from_values(grid, piece_vals)
         # first minimizing shift per entry, earliest entry on ties
-        m_dist, m_idx, m_shift = np.inf, -1, 0
-        for e_idx, entry in enumerate(library.entries):
-            gaps = shift_gaps(piece, entry.trajectory)
-            j = int(np.argmin(gaps))
-            if gaps[j] < m_dist:
-                m_dist, m_idx, m_shift = float(gaps[j]), e_idx, shifts[j]
+        m_dist, m_idx, j = _nearest(piece, blocks, both_orders=False)
+        m_shift = shifts[j]
         recon += shift_periods(library.entries[m_idx].trajectory, m_shift).values
         bumps.append(
             Bump(

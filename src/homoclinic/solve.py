@@ -52,9 +52,9 @@ from .action import (
     ResidualReport,
     StencilPoint,
     grad_norm,
-    ode_residual,
     segment_clearance,
     sphere_action_bound,
+    stencil_residual,
 )
 from .errors import (
     ConvergedToZero,
@@ -678,7 +678,7 @@ def _wrap_candidate(
         trajectory=u,
         action=float(p.value),
         grad_norm=float(grad_norm(grid, kernel.gradient(p))),
-        residual=ode_residual(u, pot),
+        residual=stencil_residual(kernel, grid, p),
         clearance=float(p.clearance),
         crossing=_detect_crossing(u, pot),
         iterations=iters,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homoclinic import (
     Grid,
@@ -20,6 +22,7 @@ from homoclinic import (
     search_distinct,
     shift_gaps,
     shift_periods,
+    zero_function,
 )
 
 
@@ -86,6 +89,149 @@ def _old_best_match(piece, library):
             if d < best[0]:
                 best = (d, i, k)
     return best[1], best[2], float(best[0])
+
+
+def _old_min_distance(u, library):
+    best, best_i = np.inf, -1
+    for i, e in enumerate(library.entries):
+        d = _old_distance(u, e.trajectory)
+        if d < best:
+            best, best_i = d, i
+    return float(best), best_i
+
+
+def _old_distance_matrix(library):
+    n = len(library.entries)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = _old_distance(library.entries[i].trajectory, library.entries[j].trajectory)
+            out[i, j] = out[j, i] = d
+    return out
+
+
+def assert_matches_the_loops(u, lib):
+    """Every screened answer is == the per-shift loop's, ties included."""
+    assert lib.min_distance_to(u) == _old_min_distance(u, lib)
+    for e in lib.entries:
+        assert geometric_distance(u, e.trajectory) == _old_distance(u, e.trajectory)
+    assert np.array_equal(lib.distance_matrix(), _old_distance_matrix(lib))
+    for b in ps_split(u, lib).bumps:
+        assert (b.matched_index, b.shift, b.distance) == _old_best_match(b.function, lib)
+
+
+SCREEN_GRID = Grid(period=1.0, nodes_per_period=10, half_periods=4)
+KINDS = ("smooth", "rough", "zero", "duplicate", "shifted")
+
+
+def _draw(kind, rng, drawn):
+    """One function of the given kind; duplicates and shifts copy an earlier one."""
+    g = SCREEN_GRID
+    if kind in ("duplicate", "shifted") and drawn:
+        base = drawn[int(rng.integers(len(drawn)))]
+        k = int(rng.integers(-3, 4)) if kind == "shifted" else 0
+        return GridFunction(g, shift_periods(base, k).values)
+    if kind == "zero":
+        return GridFunction(g, np.zeros((g.n, 2)))
+    if kind == "rough":
+        # node noise up to both pinned ends: the re-pinned node is never 0
+        return from_values(g, 0.3 * rng.standard_normal((g.n, 2)))
+    return random_smooth_function(g, 2, rng)
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=5),
+    query=st.sampled_from(KINDS + ("glued",)),
+)
+@settings(max_examples=25, deadline=None)
+def test_screen_matches_the_per_shift_loops(seed, kinds, query):
+    rng = np.random.default_rng(seed)
+    drawn = []
+    for kind in kinds:
+        drawn.append(_draw(kind, rng, drawn))
+    lib = SolutionLibrary(eps_distinct=-1.0)
+    for f in drawn:
+        lib.try_insert_entry(entry(f))
+    if query == "glued":
+        a, b = (drawn[int(i)] for i in rng.integers(len(drawn), size=2))
+        u = from_values(SCREEN_GRID, shift_periods(a, -2).values + shift_periods(b, 2).values)
+    else:
+        u = _draw(query, rng, drawn)
+    assert_matches_the_loops(u, lib)
+
+
+def _compact_bump(grid, rng):
+    """Random values on the middle two periods, zero elsewhere: shifts lose nothing."""
+    vals = np.zeros((grid.n, 2))
+    lo = grid.center_index - grid.nodes_per_period
+    width = 2 * grid.nodes_per_period
+    vals[lo : lo + width] = rng.uniform(0.1, 1.0, (width, 2))
+    return GridFunction(grid, vals)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_exact_ties_at_zero_keep_the_first_entry(seed):
+    # a query equal to a shift of entry 0 is at exact gap 0 from entry 0
+    # and from its shifted copies (entries 1, 2), and, shifted out of the
+    # domain, from the zero entry 3.  Those screen to rounding noise of
+    # either sign, or to exactly 0: only a margin on the norms' scale
+    # confirms every tie, so entry 0 and its first shift win, as in the loop
+    g = SCREEN_GRID
+    f = _compact_bump(g, np.random.default_rng(seed))
+    lib = SolutionLibrary(eps_distinct=-1.0)
+    for e in (f, shift_periods(f, 1), shift_periods(f, -1), zero_function(g, 2)):
+        lib.entries.append(entry(e))
+    for k in (-1, 0, 1):
+        u = shift_periods(f, k)
+        assert lib.min_distance_to(u) == (0.0, 0)
+        dec = ps_split(u, lib)
+        assert [(b.matched_index, b.shift, b.distance) for b in dec.bumps] == [(0, k, 0.0)]
+    rough = _draw("rough", np.random.default_rng(seed), [])
+    lib.entries[:3] = [entry(rough)]
+    assert lib.min_distance_to(rough) == (0.0, 0)
+    assert np.array_equal(lib.distance_matrix(), _old_distance_matrix(lib))
+
+
+def test_library_filled_by_append_matches_try_insert():
+    # the screen's cache follows lib.entries however it is filled
+    g = SCREEN_GRID
+    rng = np.random.default_rng(7)
+    drawn = []
+    for kind in ("smooth", "rough", "shifted", "zero", "smooth", "duplicate", "smooth"):
+        drawn.append(_draw(kind, rng, drawn))
+    queries = [_draw(kind, rng, drawn) for kind in ("smooth", "shifted", "duplicate")]
+    inserted = SolutionLibrary(eps_distinct=-1.0)
+    appended = SolutionLibrary(eps_distinct=-1.0)
+
+    def same_answers():
+        assert np.array_equal(appended.distance_matrix(), inserted.distance_matrix())
+        assert np.array_equal(appended.distance_matrix(), _old_distance_matrix(appended))
+        for u in queries:
+            assert appended.min_distance_to(u) == inserted.min_distance_to(u)
+            split_a, split_i = ps_split(u, appended), ps_split(u, inserted)
+            assert [(b.matched_index, b.shift, b.distance) for b in split_a.bumps] == [
+                (b.matched_index, b.shift, b.distance) for b in split_i.bumps
+            ]
+            assert_matches_the_loops(u, appended)
+
+    for f in drawn[:3]:
+        inserted.try_insert_entry(entry(f))
+        appended.entries.append(entry(f))
+    same_answers()
+    for f in drawn[3:]:  # appended after the cache was built
+        inserted.try_insert_entry(entry(f))
+        appended.entries.append(entry(f))
+    same_answers()
+    # a replaced or removed entry rebuilds the cache
+    appended.entries[1] = entry(drawn[0])
+    appended.entries.pop()
+    rebuilt = SolutionLibrary()
+    rebuilt.entries.extend(appended.entries)
+    for u in queries:
+        assert appended.min_distance_to(u) == rebuilt.min_distance_to(u)
+        assert appended.min_distance_to(u) == _old_min_distance(u, appended)
+    assert np.array_equal(appended.distance_matrix(), _old_distance_matrix(appended))
 
 
 @pytest.mark.parametrize("m", [10, 40, 160])
