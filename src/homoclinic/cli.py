@@ -21,6 +21,7 @@ not enough) solutions.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -375,8 +376,11 @@ def cmd_diagnose(cfg: RunConfig, trajectory_path: str) -> int:
             % (s, wb.lhs, wb.rhs, "ok" if wb.passed else "VIOLATED")
         )
     lib = _load_library(cfg.out_dir, cfg.grid, (trajectory_path, u))
-    if lib is None or len(lib.entries) == 0:
+    if lib is None:
         print("no library manifest in %s; skipping bump decomposition" % cfg.out_dir)
+        return 0
+    if not lib.entries:
+        print("library manifest in %s has no entries; skipping bump decomposition" % cfg.out_dir)
         return 0
     dec = ps_split(u, lib)
     print("bump decomposition: %d bumps, residual %.4e" % (len(dec.bumps), dec.residual_norm))
@@ -426,6 +430,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
+    # imported modules live until exit: move them out of the collector's
+    # generations so gen-2 passes and shutdown never rescan them
+    gc.freeze()
     args = _build_parser().parse_args(argv)
     try:
         doc = read_config_doc(args.config) if args.config else {}

@@ -453,10 +453,12 @@ def write_trajectory_csv(path, u: GridFunction) -> None:
     """Write one row per node with header t,u1,...,ud at full precision, CRLF line ends."""
     header = ",".join(["t"] + ["u%d" % (a + 1) for a in range(u.d)])
     data = np.column_stack([u.grid.times, u.values])
+    row = ",".join([CSV_FLOAT_FORMAT] * data.shape[1])
+    # one % over every cell, about twice as fast as np.savetxt's per-row loop;
+    # the header holds no %, so it is the template's first line
+    text = "\r\n".join([header] + [row] * data.shape[0]) + "\r\n"
     with open(path, "w", newline="") as f:
-        np.savetxt(
-            f, data, fmt=CSV_FLOAT_FORMAT, delimiter=",", newline="\r\n", header=header, comments=""
-        )
+        f.write(text % tuple(data.ravel().tolist()))
 
 
 def read_trajectory_csv(path, grid: Grid) -> GridFunction:

@@ -1,5 +1,6 @@
 """Command line contract: exit codes, determinism, artifact layout."""
 
+import gc
 import json
 import os
 
@@ -195,9 +196,23 @@ def test_diagnose_missing_file_is_exit_1(tmp_path):
     assert main(["diagnose", "--out", str(tmp_path), str(tmp_path / "no.csv")]) == 1
 
 
-def test_diagnose_solution_self_match(tmp_path, capsys):
-    out = str(tmp_path / "lib")
+@pytest.fixture(scope="module")
+def search_dir(tmp_path_factory):
+    """A default search library; tests only read it."""
+    out = str(tmp_path_factory.mktemp("search") / "lib")
     assert main(["search", "--out", out]) == 0
+    return out
+
+
+def test_main_freezes_the_import_heap():
+    gc.unfreeze()
+    assert gc.get_freeze_count() == 0
+    assert main(["check"]) == 0
+    assert gc.get_freeze_count() > 0
+
+
+def test_diagnose_solution_self_match(search_dir, capsys):
+    out = search_dir
     entry = os.path.join(out, "entry_000.csv")
     assert main(["diagnose", "--out", out, entry]) == 0
     text = capsys.readouterr().out
@@ -205,11 +220,24 @@ def test_diagnose_solution_self_match(tmp_path, capsys):
     assert "entry_000" in text
 
 
-def test_diagnose_without_library(tmp_path):
+def test_diagnose_without_library(tmp_path, capsys):
     out = str(tmp_path / "solo")
     assert main(["solve", "--out", out]) == 0
     csv = os.path.join(out, "solution.csv")
-    assert main(["diagnose", "--out", str(tmp_path / "elsewhere"), csv]) == 0
+    elsewhere = str(tmp_path / "elsewhere")
+    assert main(["diagnose", "--out", elsewhere, csv]) == 0
+    assert "no library manifest in %s;" % elsewhere in capsys.readouterr().out
+
+
+def test_back_to_back_diagnose_prints_the_same(search_dir, capsys):
+    # the second run starts with the first run's objects frozen
+    entry = os.path.join(search_dir, "entry_002.csv")
+    texts = []
+    for _ in range(2):
+        assert main(["diagnose", "--out", search_dir, entry]) == 0
+        texts.append(capsys.readouterr().out)
+    assert "bump decomposition" in texts[0]
+    assert texts[0] == texts[1]
 
 
 def _diagnose_with_manifest(tmp_path, manifest_text):
@@ -218,6 +246,12 @@ def _diagnose_with_manifest(tmp_path, manifest_text):
     write_trajectory_csv(csv, zero_function(grid, 2))
     (tmp_path / "manifest.json").write_text(manifest_text)
     return main(["diagnose", "--out", str(tmp_path), csv])
+
+
+def test_diagnose_empty_manifest_says_so(tmp_path, capsys):
+    assert _diagnose_with_manifest(tmp_path, "[]") == 0
+    out = capsys.readouterr().out
+    assert "library manifest in %s has no entries; skipping bump decomposition" % tmp_path in out
 
 
 def test_diagnose_invalid_manifest_json_is_exit_1(tmp_path, capsys):
@@ -445,6 +479,8 @@ def _without_timing(report):
 
 
 def test_search_jobs_2_matches_jobs_1(tmp_path):
+    # the workers fork from a process whose heap main has just frozen
+    gc.unfreeze()
     reports, files = [], []
     for jobs in ("1", "2"):
         out = str(tmp_path / ("jobs" + jobs))
@@ -455,6 +491,7 @@ def test_search_jobs_2_matches_jobs_1(tmp_path):
     files[0].pop("report.json")
     files[1].pop("report.json")
     assert files[0] == files[1]
+    assert gc.get_freeze_count() > 0
 
 
 @pytest.mark.parametrize("command", ["solve", "search", "refine"])

@@ -5,7 +5,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from homoclinic import (
@@ -290,3 +290,47 @@ def test_csv_writer_matches_csv_module(tmp_path):
     path = tmp_path / "u.csv"
     write_trajectory_csv(path, u)
     assert path.read_bytes() == ref.getvalue().encode()
+
+
+def _savetxt_reference(u):
+    """The writer as np.savetxt spells it, one formatted row at a time."""
+    header = ",".join(["t"] + ["u%d" % (a + 1) for a in range(u.d)])
+    out = io.StringIO(newline="")
+    data = np.column_stack([u.grid.times, u.values])
+    np.savetxt(out, data, fmt="%.17g", delimiter=",", newline="\r\n", header=header, comments="")
+    return out.getvalue().encode()
+
+
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+_HUGE = float(np.finfo(float).max)
+
+CSV_CELLS = st.one_of(
+    st.just(-0.0),
+    st.floats(-_SMALLEST_NORMAL, _SMALLEST_NORMAL, exclude_min=True, exclude_max=True),
+    st.sampled_from([1e308, -1e308, _HUGE, -_HUGE]),
+    st.integers(-(2**53), 2**53).map(float),
+    st.tuples(st.integers(-(10**6), 10**6), st.floats(0.0, 1.0, exclude_max=True)).map(sum),
+    st.integers(-(10**9), 10**9).map(lambda k: k / 1000.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@pytest.mark.parametrize("m", [8, 40, 160])
+@pytest.mark.parametrize("d", [2, 3])
+@given(cells=st.lists(CSV_CELLS, min_size=1, max_size=50), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_csv_writer_matches_savetxt(tmp_path, d, m, cells, seed):
+    # every drawn cell lands in the interior at least once; the rest repeat them
+    g = Grid(period=1.0, nodes_per_period=m, half_periods=2)
+    rng = np.random.default_rng(seed)
+    pool = np.array(cells)
+    flat = rng.choice(pool, size=(g.n - 2) * d)
+    flat[: len(pool)] = pool
+    vals = np.zeros((g.n, d))
+    vals[1:-1] = flat.reshape(g.n - 2, d)
+    u = GridFunction(g, vals)
+    path = tmp_path / "u.csv"
+    write_trajectory_csv(path, u)
+    assert path.read_bytes() == _savetxt_reference(u)
+    back = read_trajectory_csv(path, g)
+    assert back.values.tobytes() == u.values.tobytes()
