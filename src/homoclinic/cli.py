@@ -9,7 +9,9 @@ refine share one pipeline, _reported: it runs that table as the gate
 (exit 2 before the output directory exists), builds the report header
 (command, config, hypotheses, timing.checks), lets the command add its
 own fields and its timing key, and writes report.json at its one write
-site.
+site.  diagnose reads CSVs through grids.TrajectoryCache in
+<out>/.trajectory-cache; each library load leaves it holding exactly the
+manifest's entries.
 
 All outputs are deterministic for a fixed config and seed; wall-clock
 timings are the only exception and live under "timing" keys (the report's
@@ -55,8 +57,7 @@ from .errors import (
 )
 from .grids import (
     Grid,
-    GridFunction,
-    read_trajectory_csv,
+    TrajectoryCache,
     sobolev_bound_check,
     write_trajectory_csv,
 )
@@ -292,20 +293,11 @@ def cmd_refine(cfg: RunConfig) -> int:
 _MANIFEST_FIELDS = ("trajectory_csv_path", "action", "grad_norm", "clearance")
 
 
-def _same_file(a: str, b: str) -> bool:
-    try:
-        return os.path.samefile(a, b)
-    except OSError:
-        return False
-
-
-def _load_library(
-    out_dir: str, grid: Grid, known: tuple[str, GridFunction]
-) -> Optional[SolutionLibrary]:
+def _load_library(out_dir: str, grid: Grid, cache: TrajectoryCache) -> Optional[SolutionLibrary]:
     """The library of out_dir's manifest.json, or None without one.
 
-    known is a (path, trajectory) pair already read on this grid; an
-    entry whose CSV is that same file reuses it instead of reading it again.
+    Entries are read through cache; once all are read, the cache keeps
+    exactly the entries of this manifest.
     """
     path = os.path.join(out_dir, "manifest.json")
     if not os.path.exists(path):
@@ -318,6 +310,7 @@ def _load_library(
     if not isinstance(manifest, list):
         raise TrajectoryFormatError("%s: top level must be a list of entries" % path)
     lib = SolutionLibrary()
+    keep = set()
     for i, item in enumerate(manifest):
         if not isinstance(item, dict):
             raise TrajectoryFormatError("%s: entry %d is not an object" % (path, i))
@@ -328,11 +321,8 @@ def _load_library(
             raise TrajectoryFormatError(
                 "%s: entry %d trajectory_csv_path is not a string" % (path, i)
             )
-        csv_path = os.path.join(out_dir, item["trajectory_csv_path"])
-        if _same_file(csv_path, known[0]):
-            u = known[1]
-        else:
-            u = read_trajectory_csv(csv_path, grid)
+        digest, u = cache.read(os.path.join(out_dir, item["trajectory_csv_path"]), grid)
+        keep.add(digest)
         lib.entries.append(
             LibraryEntry(
                 trajectory=u,
@@ -342,11 +332,13 @@ def _load_library(
                 schedule_item=item.get("schedule_item"),
             )
         )
+    cache.commit(keep)
     return lib
 
 
 def cmd_diagnose(cfg: RunConfig, trajectory_path: str) -> int:
-    u = read_trajectory_csv(trajectory_path, cfg.grid)
+    cache = TrajectoryCache(os.path.join(cfg.out_dir, ".trajectory-cache"))
+    _, u = cache.read(trajectory_path, cfg.grid)
     pot = cfg.potential
     try:
         ae = eval_action(u, pot)
@@ -375,7 +367,7 @@ def cmd_diagnose(cfg: RunConfig, trajectory_path: str) -> int:
             "window bound at s=%+.3f: |u(s)| = %.4e <= %.4e %s"
             % (s, wb.lhs, wb.rhs, "ok" if wb.passed else "VIOLATED")
         )
-    lib = _load_library(cfg.out_dir, cfg.grid, (trajectory_path, u))
+    lib = _load_library(cfg.out_dir, cfg.grid, cache)
     if lib is None:
         print("no library manifest in %s; skipping bump decomposition" % cfg.out_dir)
         return 0

@@ -33,6 +33,9 @@ shift and tie order is therefore bitwise shift_gaps'.
 
 from __future__ import annotations
 
+import hashlib
+import io
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -461,35 +464,140 @@ def write_trajectory_csv(path, u: GridFunction) -> None:
         f.write(text % tuple(data.ravel().tolist()))
 
 
-def read_trajectory_csv(path, grid: Grid) -> GridFunction:
-    """Read a trajectory written by write_trajectory_csv onto a known grid.
-
-    Validates header shape, row count and node times; boundary rows must
-    be zero.
-    """
-    with open(path) as f:
-        header = f.readline()
-        body = f.readlines()
-    if not header:
+def _header_width(line: str) -> int:
+    """d of a trajectory header line t,u1,...,ud (as readline returns it)."""
+    if not line:
         raise TrajectoryFormatError("empty trajectory file")
-    header = header.rstrip("\n").split(",")
+    header = line.rstrip("\n").split(",")
     d = len(header) - 1
     if d < 1 or header != ["t"] + ["u%d" % (a + 1) for a in range(d)]:
         raise TrajectoryFormatError("header must be t,u1,...,ud")
-    if len(body) != grid.n:
-        raise TrajectoryFormatError(
-            "expected %d rows for this grid, found %d" % (grid.n, len(body))
-        )
+    return d
+
+
+def _check_rows(rows: int, grid: Grid) -> None:
+    if rows != grid.n:
+        raise TrajectoryFormatError("expected %d rows for this grid, found %d" % (grid.n, rows))
+
+
+def _parse_trajectory(f, grid: Grid) -> Array:
+    """The (n, 1 + d) cells of the trajectory CSV open as text in f.
+
+    Checks the header, the row count and that every row holds 1 + d numbers.
+    """
+    header = f.readline()
+    body = f.readlines()
+    d = _header_width(header)
+    _check_rows(len(body), grid)
     try:
         data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
         raise TrajectoryFormatError("non-numeric value in trajectory: %s" % exc)
     if data.shape[1] != d + 1:
         raise TrajectoryFormatError("ragged rows in trajectory file")
+    return data
+
+
+def _trajectory(data: Array, grid: Grid) -> GridFunction:
+    """The trajectory of parsed cells on grid, after the checks that read the cells.
+
+    Row count (loadtxt skips blank lines), node times, zero boundary rows
+    and finite values.  Every read runs these, from text or from the cache.
+    """
+    _check_rows(len(data), grid)
     t = data[:, 0]
-    if np.max(np.abs(t - grid.times)) > 1e-9 * max(1.0, grid.half_length):
+    # written so that a NaN time fails the check
+    if not np.all(np.abs(t - grid.times) <= 1e-9 * max(1.0, grid.half_length)):
         raise TrajectoryFormatError("node times do not match the configured grid")
     vals = data[:, 1:]
     if np.any(vals[0] != 0.0) or np.any(vals[-1] != 0.0):
         raise TrajectoryFormatError("boundary rows must be zero")
+    if not np.all(np.isfinite(vals)):
+        raise TrajectoryFormatError("non-finite value in trajectory")
     return GridFunction(grid, vals)
+
+
+def read_trajectory_csv(path, grid: Grid) -> GridFunction:
+    """Read a trajectory written by write_trajectory_csv onto a known grid.
+
+    Validates header shape, row count and node times; boundary rows must
+    be zero and every value finite.
+    """
+    with open(path) as f:
+        data = _parse_trajectory(f, grid)
+    return _trajectory(data, grid)
+
+
+# what a cache file can raise: unreadable or blocked (OSError), damaged
+# (ValueError), empty (EOFError)
+_CACHE_ERRORS = (OSError, ValueError, EOFError)
+
+
+class TrajectoryCache:
+    """Parsed trajectory CSVs, kept as .npy files named by the sha256 of the CSV bytes.
+
+    read(path, grid) gives what read_trajectory_csv gives, and raises the
+    same errors.  On a hit only the text parse is skipped: the header, row
+    count, node time, boundary and finite checks all run again, because
+    they depend on the grid.  Equal bytes give equal digests, so an entry
+    is never stale.  The cache is never a source of errors: a missing,
+    blocked, read-only or damaged directory or file counts as a miss.
+    Parsed arrays are stored only by commit, which also deletes every file
+    it is not told to keep.
+    """
+
+    def __init__(self, directory: str):
+        self.directory = directory
+        self._read = {}  # (digest, grid) -> trajectory read in this process
+        self._unstored = {}  # digest -> cells parsed from text, not yet stored
+
+    def _path(self, digest: str) -> str:
+        return os.path.join(self.directory, digest + ".npy")
+
+    def read(self, path, grid: Grid) -> tuple[str, GridFunction]:
+        """(sha256 of the file bytes, trajectory) of one trajectory CSV.
+
+        The digest names the cache file; pass the digests of the entries to
+        keep to commit.
+        """
+        with open(path, "rb") as f:
+            raw = f.read()
+        digest = hashlib.sha256(raw).hexdigest()
+        u = self._read.get((digest, grid))
+        if u is None:
+            u = self._read[digest, grid] = _trajectory(self._cells(digest, raw, grid), grid)
+        return digest, u
+
+    def _cells(self, digest: str, raw: bytes, grid: Grid) -> Array:
+        # the same text semantics as open(path): locale encoding, universal newlines
+        text = io.TextIOWrapper(io.BytesIO(raw))
+        try:
+            data = np.load(self._path(digest), allow_pickle=False)
+        except _CACHE_ERRORS:
+            data = None
+        if data is not None:
+            d = _header_width(text.readline())
+            if data.dtype == np.float64 and data.ndim == 2 and data.shape[1] == d + 1:
+                return data
+            text.seek(0)  # a damaged entry: parse again
+        data = self._unstored[digest] = _parse_trajectory(text, grid)
+        return data
+
+    def commit(self, keep: set) -> None:
+        """Store the arrays parsed here whose digest is in keep; delete every other file."""
+        try:
+            new = keep.intersection(self._unstored)
+            if new:
+                os.makedirs(self.directory, exist_ok=True)
+            for digest in new:
+                tmp = os.path.join(self.directory, "%s.%d.tmp" % (digest, os.getpid()))
+                with open(tmp, "wb") as f:
+                    np.save(f, self._unstored[digest])
+                os.replace(tmp, self._path(digest))
+            names = {digest + ".npy" for digest in keep}
+            for name in os.listdir(self.directory):
+                if name not in names:
+                    os.remove(os.path.join(self.directory, name))
+        except _CACHE_ERRORS:
+            pass
+        self._unstored.clear()

@@ -1,15 +1,23 @@
 """Command line contract: exit codes, determinism, artifact layout."""
 
 import gc
+import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from homoclinic.cli import main
 from homoclinic.config import parse_config
-from homoclinic.grids import from_values, write_trajectory_csv, zero_function
+from homoclinic.grids import (
+    from_values,
+    read_trajectory_csv,
+    shift_periods,
+    write_trajectory_csv,
+    zero_function,
+)
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -198,7 +206,7 @@ def test_diagnose_missing_file_is_exit_1(tmp_path):
 
 @pytest.fixture(scope="module")
 def search_dir(tmp_path_factory):
-    """A default search library; tests only read it."""
+    """A default search library; diagnose may add its parse cache, nothing else writes."""
     out = str(tmp_path_factory.mktemp("search") / "lib")
     assert main(["search", "--out", out]) == 0
     return out
@@ -259,6 +267,151 @@ def test_diagnose_invalid_manifest_json_is_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "manifest.json is not valid JSON" in err
     assert "Traceback" not in err
+
+
+def _library_copy(search_dir, tmp_path):
+    lib = str(tmp_path / "lib")
+    shutil.copytree(search_dir, lib, ignore=shutil.ignore_patterns(".trajectory-cache"))
+    return lib
+
+
+def _diagnose_text(capsys, lib, csv):
+    assert main(["diagnose", "--out", lib, csv]) == 0
+    return capsys.readouterr().out
+
+
+def _cache_files(lib):
+    return sorted(os.listdir(os.path.join(lib, ".trajectory-cache")))
+
+
+def _digest_names(paths):
+    digests = set()
+    for path in paths:
+        with open(path, "rb") as fh:
+            digests.add(hashlib.sha256(fh.read()).hexdigest() + ".npy")
+    return sorted(digests)
+
+
+def test_diagnose_prints_the_same_cold_warm_and_blocked(search_dir, tmp_path, capsys):
+    lib = _library_copy(search_dir, tmp_path)
+    cache = os.path.join(lib, ".trajectory-cache")
+    grid = parse_config({}).grid
+    u = read_trajectory_csv(os.path.join(lib, "entry_000.csv"), grid)
+    glued = str(tmp_path / "glued.csv")
+    two_bumps = shift_periods(u, -3).values + shift_periods(u, 3).values
+    write_trajectory_csv(glued, from_values(grid, two_bumps))
+    manifest = json.loads(open(os.path.join(lib, "manifest.json")).read())
+    targets = [os.path.join(lib, item["trajectory_csv_path"]) for item in manifest] + [glued]
+    assert len(targets) >= 3
+    for csv in targets:
+        shutil.rmtree(cache, ignore_errors=True)
+        cold = _diagnose_text(capsys, lib, csv)
+        warm = _diagnose_text(capsys, lib, csv)
+        shutil.rmtree(cache)
+        with open(cache, "w") as fh:  # a regular file blocks the directory, even for root
+            fh.write("blocked\n")
+        blocked = _diagnose_text(capsys, lib, csv)
+        os.remove(cache)
+        assert "bump decomposition" in cold
+        assert cold == warm == blocked
+
+
+def test_warm_diagnose_parses_no_text(search_dir, tmp_path, capsys, monkeypatch):
+    lib = _library_copy(search_dir, tmp_path)
+    entry = os.path.join(lib, "entry_001.csv")
+    cold = _diagnose_text(capsys, lib, entry)
+    calls = []
+    loadtxt = np.loadtxt
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    assert _diagnose_text(capsys, lib, entry) == cold
+    assert calls == []
+
+
+def test_rewritten_entry_is_not_a_stale_hit(search_dir, tmp_path, capsys):
+    lib = _library_copy(search_dir, tmp_path)
+    entry = os.path.join(lib, "entry_000.csv")
+    _diagnose_text(capsys, lib, entry)  # caches every entry
+    grid = parse_config({}).grid
+    other = read_trajectory_csv(os.path.join(lib, "entry_001.csv"), grid)
+    write_trajectory_csv(entry, shift_periods(other, 1))
+    warm = _diagnose_text(capsys, lib, entry)
+    shutil.rmtree(os.path.join(lib, ".trajectory-cache"))
+    assert warm == _diagnose_text(capsys, lib, entry)
+    assert "matched entry_000 shifted by +0 periods, distance 0.0000e+00" in warm
+
+
+def test_cache_keeps_one_file_per_distinct_entry(search_dir, tmp_path, capsys):
+    lib = _library_copy(search_dir, tmp_path)
+    manifest = json.loads(open(os.path.join(lib, "manifest.json")).read())
+    # a second entry with the bytes of the first, under another name
+    shutil.copy(os.path.join(lib, "entry_000.csv"), os.path.join(lib, "copy.csv"))
+    manifest.append(dict(manifest[0], id="copy", trajectory_csv_path="copy.csv"))
+    with open(os.path.join(lib, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh)
+    os.makedirs(os.path.join(lib, ".trajectory-cache"))
+    stale = os.path.join(lib, ".trajectory-cache", "0" * 64 + ".npy")
+    with open(stale, "wb") as fh:
+        fh.write(b"left by an older library")
+    shifted = str(tmp_path / "not_an_entry.csv")
+    grid = parse_config({}).grid
+    u = read_trajectory_csv(os.path.join(lib, "entry_000.csv"), grid)
+    write_trajectory_csv(shifted, shift_periods(u, 2))
+    _diagnose_text(capsys, lib, shifted)
+    paths = [os.path.join(lib, item["trajectory_csv_path"]) for item in manifest]
+    assert len(_digest_names(paths)) == len(manifest) - 1
+    assert _cache_files(lib) == _digest_names(paths)
+
+
+def test_truncated_cache_file_is_parsed_and_rewritten(search_dir, tmp_path, capsys):
+    lib = _library_copy(search_dir, tmp_path)
+    entry = os.path.join(lib, "entry_002.csv")
+    cold = _diagnose_text(capsys, lib, entry)
+    (name,) = _digest_names([entry])
+    cached = os.path.join(lib, ".trajectory-cache", name)
+    with open(cached, "rb") as fh:
+        whole = fh.read()
+    for cut in (0, 40, len(whole) - 8):
+        with open(cached, "wb") as fh:
+            fh.write(whole[:cut])
+        assert _diagnose_text(capsys, lib, entry) == cold
+        with open(cached, "rb") as fh:
+            assert fh.read() == whole
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["target", "entry"])
+def test_diagnose_non_finite_value_is_exit_1(search_dir, tmp_path, capsys, cell, where):
+    lib = _library_copy(search_dir, tmp_path)
+    path = os.path.join(lib, "entry_001.csv")
+    with open(path, newline="") as fh:
+        rows = fh.read().split("\r\n")
+    cells = rows[200].split(",")
+    cells[1] = cell
+    rows[200] = ",".join(cells)
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join(rows))
+    target = path if where == "target" else os.path.join(lib, "entry_000.csv")
+    assert main(["diagnose", "--out", lib, target]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: non-finite value in trajectory\n"
+
+
+def test_diagnose_nan_time_is_exit_1(tmp_path, capsys):
+    grid = parse_config({}).grid
+    csv = str(tmp_path / "nan_time.csv")
+    write_trajectory_csv(csv, zero_function(grid, 2))
+    with open(csv, newline="") as fh:
+        rows = fh.read().split("\r\n")
+    rows[100] = "nan" + rows[100][rows[100].index(","):]
+    with open(csv, "w", newline="") as fh:
+        fh.write("\r\n".join(rows))
+    assert main(["diagnose", "--out", str(tmp_path), csv]) == 1
+    assert capsys.readouterr().err == "error: node times do not match the configured grid\n"
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import os
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from homoclinic import (
     write_trajectory_csv,
     zero_function,
 )
+from homoclinic.grids import TrajectoryCache
 
 SMALL = Grid(period=1.0, nodes_per_period=10, half_periods=4)
 
@@ -267,16 +269,86 @@ GARBAGE = [
     (_edit(1, "%.17g,0,1e-300" % SMALL.times[0]), "boundary rows must be zero"),
     (_edit(-1, "%.17g,0.25,0" % SMALL.times[-1]), "boundary rows must be zero"),
     (_shift_times, "node times do not match"),
+    (_edit(9, "nan,0.5,0.5"), "node times do not match"),
+    (_edit(9, "%.17g,nan,0.5" % SMALL.times[8]), "non-finite value"),
+    (_edit(9, "%.17g,0.5,inf" % SMALL.times[8]), "non-finite value"),
+    (_edit(9, "%.17g,-inf,0.5" % SMALL.times[8]), "non-finite value"),
+    # np.loadtxt skips a blank line, so the parsed array is one row short
+    (_edit(9, ""), "expected %d rows for this grid, found %d" % (SMALL.n, SMALL.n - 1)),
 ]
 
 
 def test_csv_rejects_garbage(tmp_path):
+    # a cache read fails the same way: nothing invalid is stored
+    cache = TrajectoryCache(str(tmp_path / "cache"))
     path = tmp_path / "bad.csv"
     for make, message in GARBAGE:
         lines = make(_valid_csv_lines())
         path.write_bytes("".join(row + "\r\n" for row in lines).encode())
         with pytest.raises(TrajectoryFormatError, match=message):
             read_trajectory_csv(path, SMALL)
+        with pytest.raises(TrajectoryFormatError, match=message):
+            cache.read(path, SMALL)
+
+
+def _stored(tmp_path, u):
+    """A CSV of u read once through a cache that then stored it, and the cache directory."""
+    path = tmp_path / "u.csv"
+    write_trajectory_csv(path, u)
+    directory = str(tmp_path / "cache")
+    cache = TrajectoryCache(directory)
+    digest, v = cache.read(path, u.grid)
+    cache.commit({digest})
+    assert v.values.tobytes() == u.values.tobytes()
+    assert os.listdir(directory) == [digest + ".npy"]
+    return path, directory
+
+
+def test_cache_hit_reads_the_same_trajectory(tmp_path, monkeypatch):
+    u = random_smooth_function(SMALL, 3, np.random.default_rng(3))
+    path, directory = _stored(tmp_path, u)
+    monkeypatch.setattr(np, "loadtxt", None)  # a hit parses no text
+    _, v = TrajectoryCache(directory).read(path, SMALL)
+    assert v.values.tobytes() == u.values.tobytes()
+
+
+def test_cache_file_of_another_shape_is_parsed_again(tmp_path):
+    u = random_smooth_function(SMALL, 2, np.random.default_rng(2))
+    path, directory = _stored(tmp_path, u)
+    (name,) = os.listdir(directory)
+    wrongs = (np.zeros((SMALL.n, 2)), np.zeros((SMALL.n, 3), dtype=np.float32), np.zeros(SMALL.n))
+    for wrong in wrongs:
+        np.save(os.path.join(directory, name), wrong)
+        cache = TrajectoryCache(directory)
+        digest, v = cache.read(path, SMALL)
+        assert v.values.tobytes() == u.values.tobytes()
+        cache.commit({digest})
+        back = np.load(os.path.join(directory, name))
+        assert back.shape == (SMALL.n, 3) and back.dtype == np.float64
+
+
+def test_cache_hit_on_another_grid_fails_like_a_parse(tmp_path, monkeypatch):
+    u = random_smooth_function(SMALL, 2, np.random.default_rng(0))
+    path, directory = _stored(tmp_path, u)
+    for m in (8, 20):
+        other = Grid(period=1.0, nodes_per_period=m, half_periods=4)
+        with pytest.raises(TrajectoryFormatError) as parsed:
+            read_trajectory_csv(path, other)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "loadtxt", None)  # so the cached read must be a hit
+            with pytest.raises(TrajectoryFormatError) as cached:
+                TrajectoryCache(directory).read(path, other)
+        assert str(cached.value) == str(parsed.value)
+        assert str(cached.value).startswith("expected %d rows for this grid" % other.n)
+
+
+def test_cache_commit_keeps_only_what_it_is_told(tmp_path):
+    u = random_smooth_function(SMALL, 2, np.random.default_rng(1))
+    path, directory = _stored(tmp_path, u)
+    cache = TrajectoryCache(directory)
+    cache.read(path, SMALL)
+    cache.commit(set())
+    assert os.listdir(directory) == []
 
 
 def test_csv_writer_matches_csv_module(tmp_path):
