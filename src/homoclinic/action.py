@@ -17,7 +17,7 @@ gradient rows are zeroed.
 Feasibility is a segment test: the polyline through the nodes must keep
 distance delta_seg = 1e-3 |q| from the singular point, so a trajectory
 cannot tunnel through q between nodes.  Gradient norms are reported as
-||g||_2 / sqrt(h), a mesh-independent proxy flagged in every report.
+||g||_2 / sqrt(h), a mesh-independent proxy; GRAD_NORM_CONVENTION names it.
 
 ActionKernel is the one implementation of this stencil.  It is built once
 per (potential, grid) and evaluates a trajectory in a single pass over the

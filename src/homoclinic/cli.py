@@ -341,11 +341,17 @@ def cmd_diagnose(cfg: RunConfig, trajectory_path: str) -> int:
     _, u = cache.read(trajectory_path, cfg.grid)
     pot = cfg.potential
     try:
-        ae = eval_action(u, pot)
+        # finite values can still overflow these sums; the check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            ae = eval_action(u, pot)
+            gn = grad_norm(u.grid, ae.gradient)
+            res = ode_residual(u, pot)
     except SingularityProximity as exc:
         raise TrajectoryFormatError("%s: %s" % (trajectory_path, exc)) from exc
-    gn = grad_norm(u.grid, ae.gradient)
-    res = ode_residual(u, pot)
+    if not all(map(math.isfinite, (ae.value, gn, ae.min_seg_dist, res.sup_residual))):
+        raise TrajectoryFormatError(
+            "%s: values too large: the action or its residual overflows" % trajectory_path
+        )
     print("trajectory: %s" % trajectory_path)
     print("action          %.8f" % ae.value)
     print("grad norm       %.3e" % gn)

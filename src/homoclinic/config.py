@@ -85,7 +85,9 @@ class RunConfig:
         }
 
 
-# admissible ranges of the guess parameters a schedule item may set: (test, message)
+# the guess parameters a schedule item (phase1 or backfill) may set, with their
+# types and admissible ranges: (test, message)
+_ITEM_TYPES = {"k0": float, "orientation": int, "center": float, "width": float}
 _ITEM_RANGES = {
     "width": (lambda x: x > 0.0, "must be positive"),
     "orientation": (lambda x: x in (1, -1), "must be 1 or -1"),
@@ -181,21 +183,23 @@ def _parse_grid(block: dict, period: float) -> Grid:
         raise ConfigError("grid: %s" % exc) from exc
 
 
+def _parse_fields(block: dict, types: dict, ranges: dict, where: str) -> dict:
+    """The fields of block, each converted by its type in types, then range checked."""
+    _check_keys(block, types, where)
+    out = {}
+    for key, value in block.items():
+        at = "%s.%s" % (where, key)
+        out[key] = _as_int(value, at) if types[key] in (int, "int") else _as_float(value, at)
+        if key in ranges:
+            ok, msg = ranges[key]
+            _require(ok(out[key]), at, msg)
+    return out
+
+
 def _parse_solver(block: dict) -> SolverConfig:
     # field types come from SolverConfig itself
     types = {f.name: f.type for f in fields(SolverConfig)}
-    _check_keys(block, types, "solver")
-    kwargs = {}
-    for key, value in block.items():
-        where = "solver.%s" % key
-        if types[key] in (int, "int"):
-            kwargs[key] = _as_int(value, where)
-        else:
-            kwargs[key] = _as_float(value, where)
-        if key in _SOLVER_RANGES:
-            ok, msg = _SOLVER_RANGES[key]
-            _require(ok(kwargs[key]), where, msg)
-    solver = SolverConfig(**kwargs)
+    solver = SolverConfig(**_parse_fields(block, types, _SOLVER_RANGES, "solver"))
     _check_k0(solver.k0, solver.k_min, "solver.k0")
     return solver
 
@@ -209,10 +213,6 @@ def _parse_search(block: dict, k_min: float) -> SearchConfig:
     schedule = block.get("schedule")
     if schedule is not None:
         _check_keys(schedule, {"phase1", "separations", "backfill"}, "search.schedule")
-        item_keys = {
-            "phase1": {"k0", "orientation", "center", "width"},
-            "backfill": {"k0", "orientation", "center", "width"},
-        }
         for key, value in schedule.items():
             label = "search.schedule.%s" % key
             _require(isinstance(value, list), label, "expected an array")
@@ -221,16 +221,7 @@ def _parse_search(block: dict, k_min: float) -> SearchConfig:
                 continue
             for item in value:
                 _require(isinstance(item, dict), label, "items must be objects")
-                _check_keys(item, item_keys[key], label)
-                for field, x in item.items():
-                    where = "%s.%s" % (label, field)
-                    if field == "orientation":
-                        item[field] = _as_int(x, where)
-                    else:
-                        item[field] = _as_float(x, where)
-                    if field in _ITEM_RANGES:
-                        ok, msg = _ITEM_RANGES[field]
-                        _require(ok(item[field]), where, msg)
+                item.update(_parse_fields(item, _ITEM_TYPES, _ITEM_RANGES, label))
                 if "k0" in item:
                     _check_k0(item["k0"], k_min, "%s.k0" % label)
     return SearchConfig(targets=targets, eps_distinct=eps, schedule=schedule)

@@ -54,10 +54,6 @@ class NoSolutionFound(HomoclinicError):
     """Every restart of the solve pipeline failed to produce a candidate."""
 
 
-class OverlappingBumps(HomoclinicError):
-    """Shifted library entries overlap, so their sum is not a valid guess."""
-
-
 class TrajectoryFormatError(HomoclinicError):
     """A trajectory CSV does not parse or does not match the expected grid."""
 

@@ -483,10 +483,14 @@ def _check_rows(rows: int, grid: Grid) -> None:
 def _parse_trajectory(f, grid: Grid) -> Array:
     """The (n, 1 + d) cells of the trajectory CSV open as text in f.
 
-    Checks the header, the row count and that every row holds 1 + d numbers.
+    Checks that the text decodes, the header, the row count and that every
+    row holds 1 + d numbers.
     """
-    header = f.readline()
-    body = f.readlines()
+    try:
+        header = f.readline()
+        body = f.readlines()
+    except UnicodeDecodeError as exc:
+        raise TrajectoryFormatError("undecodable byte in trajectory: %s" % exc)
     d = _header_width(header)
     _check_rows(len(body), grid)
     try:

@@ -6,14 +6,14 @@ over all admissible integer-period shifts of either argument.  A
 SolutionLibrary accepts a candidate only when it is farther than
 eps_distinct from every stored entry under that metric.
 
-multibump_guess glues shifted library entries into a multibump initial
-condition when their numerical supports are cleanly separated; ps_split
-goes the other way, cutting a trajectory into bump windows at valleys of
-the node norm and matching each piece against the library.  The metric,
-the library's nearest-entry query, its distance matrix and the matching
-all go through one kernel: screened by one batched product, confirmed by
-shift_gaps (grids.screen_gaps_sq and grids.confirmed_minima).  One
-product covers every entry and every shift, and only the shifts the
+_glued_sum glues shifted library entries into a multibump initial
+condition (search phase 2); ps_split goes the other way, cutting a
+trajectory into bump windows at valleys of the node norm and matching
+each piece against the library.  The metric, the library's nearest-entry
+query, its distance matrix and the matching all go through one kernel:
+screened by one batched product, confirmed by shift_gaps
+(grids.screen_gaps_sq and grids.confirmed_minima).  One product
+covers every entry and every shift, and only the shifts the
 screen cannot tell apart are recomputed exactly, so every distance,
 matched entry, shift and tie order is bitwise the per-shift loop's.
 The library derives its cached ShiftBlocks from its entries on use, so
@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .action import segment_clearance
-from .errors import InfeasibleGuess, OverlappingBumps
+from .errors import InfeasibleGuess
 from .grids import (
     SCREEN_TOL,
     Grid,
@@ -98,10 +98,6 @@ def geometric_distance(u: GridFunction, v: GridFunction) -> float:
     if u.grid != v.grid:
         raise ValueError("functions live on different grids")
     return _nearest(u, shift_blocks([v]), both_orders=True)[0]
-
-
-def is_distinct(u: GridFunction, v: GridFunction, eps_distinct: float = 0.1) -> bool:
-    return geometric_distance(u, v) > eps_distinct
 
 
 @dataclass
@@ -192,55 +188,6 @@ class SolutionLibrary:
         out[iu, ju], _ = confirmed_minima(sq, SCREEN_TOL * (top[iu] + top[ju]), exact)
         out[ju, iu] = out[iu, ju]
         return out
-
-
-def _support_interval(values: Array, threshold: float) -> Optional[tuple[int, int]]:
-    norms = np.sqrt(np.sum(values * values, axis=1))
-    idx = np.nonzero(norms > threshold)[0]
-    if len(idx) == 0:
-        return None
-    return int(idx[0]), int(idx[-1])
-
-
-_SUPPORT_THRESHOLD = 1e-6  # node norm above which a node is in the numerical support
-
-
-def multibump_guess(
-    entries: Sequence[GridFunction], shifts: Sequence[int], pot: PotentialSpec
-) -> GridFunction:
-    """Sum of shifted entries with cleanly separated supports.
-
-    The numerical support of each shifted entry (node norms above
-    _SUPPORT_THRESHOLD) must be disjoint from the others with at least two
-    coefficient periods of slack, otherwise OverlappingBumps is raised; a
-    sum whose segment clearance dips below delta_seg raises
-    InfeasibleGuess.  Entries with fat tails fail the support test by
-    design: gluing those goes through direct sums plus descent instead.
-    """
-    if len(entries) != len(shifts):
-        raise ValueError("entries and shifts must have equal length")
-    if len(entries) == 0:
-        raise ValueError("need at least one entry")
-    grid = entries[0].grid
-    for e in entries[1:]:
-        if e.grid != grid:
-            raise ValueError("entries live on different grids")
-    min_gap_nodes = 2 * grid.nodes_per_period
-    shifted = [shift_periods(e, int(k)) for e, k in zip(entries, shifts)]
-    intervals = []
-    for s in shifted:
-        iv = _support_interval(s.values, _SUPPORT_THRESHOLD)
-        if iv is None:
-            raise ValueError("an entry has empty numerical support")
-        intervals.append(iv)
-    order = sorted(range(len(intervals)), key=lambda i: intervals[i][0])
-    for a, b in zip(order[:-1], order[1:]):
-        gap = intervals[b][0] - intervals[a][1]
-        if gap < min_gap_nodes:
-            raise OverlappingBumps(
-                "supports separated by %d nodes, need %d" % (gap, min_gap_nodes)
-            )
-    return _glued_sum(shifted, pot)
 
 
 def _glued_sum(shifted: Sequence[GridFunction], pot: PotentialSpec) -> GridFunction:

@@ -180,17 +180,16 @@ class StrongForceWitness:
     """Witness functions for the singular barrier and the decay at infinity.
 
     U blows up at q and dominates W near q, U_inf grows without bound and
-    dominates W outside |u| >= R0.  Gradients may be omitted, in which case
-    the probes fall back to central differences (the witnesses are assumed
-    continuously differentiable where the bounds are checked).
+    dominates W outside |u| >= R0.  check_H3 and check_H4 test the bounds
+    through the closed-form gradients grad_U and grad_U_inf.
     """
 
     U: Callable
     r: float
     U_inf: Callable
     R0: float
-    grad_U: Optional[Callable] = None
-    grad_U_inf: Optional[Callable] = None
+    grad_U: Callable
+    grad_U_inf: Callable
 
 
 WITNESS_RADIUS = 0.1  # shell radius of the near-q witness; needs |q| > 0.2
@@ -325,20 +324,6 @@ def _unit_sphere(rng: np.random.Generator, n: int, d: int) -> Array:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _witness_grad(fn, grad_fn, pts, step_scale):
-    if grad_fn is not None:
-        return np.asarray(grad_fn(pts), dtype=float)
-    # central differences, one coordinate at a time
-    pts = np.asarray(pts, dtype=float)
-    out = np.empty_like(pts)
-    for a in range(pts.shape[-1]):
-        e = np.zeros(pts.shape[-1])
-        e[a] = 1.0
-        hs = step_scale
-        out[..., a] = (fn(pts + hs * e) - fn(pts - hs * e)) / (2.0 * hs)
-    return out
-
-
 @dataclass(frozen=True)
 class BarrierReport:
     min_margin: float
@@ -361,7 +346,7 @@ def check_H3(spec: SingularPotentialSpec, witness: StrongForceWitness) -> Barrie
         dirs = _unit_sphere(rng, _PER_SHELL, spec.dimension)
         pts = spec.q + rho * dirs
         w = eval_W(spec, pts)
-        gu = _witness_grad(witness.U, witness.grad_U, pts, 1e-6 * rho)
+        gu = witness.grad_U(pts)
         m = -w - np.sum(gu * gu, axis=-1)
         margin = min(margin, float(m.min()))
     report = BarrierReport(min_margin=margin, n_samples=_SHELLS * _PER_SHELL, radius=r)
@@ -395,7 +380,7 @@ def check_H4(spec: SingularPotentialSpec, witness: StrongForceWitness) -> FarFie
     for rho in np.geomspace(R0, 64.0 * R0, _SHELLS):
         pts = rho * dirs
         w = eval_W(spec, pts)
-        gu = _witness_grad(witness.U_inf, witness.grad_U_inf, pts, 1e-6 * rho)
+        gu = witness.grad_U_inf(pts)
         m = -w - np.sum(gu * gu, axis=-1)
         margin = min(margin, float(m.min()))
         cur_abs = np.abs(np.asarray(witness.U_inf(pts), dtype=float))

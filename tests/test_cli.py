@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -586,6 +587,30 @@ def test_diagnose_node_at_q_is_exit_1(tmp_path, capsys):
     assert err.startswith("error: %s: " % csv)
     assert "guard ball around q" in err
     assert "Traceback" not in err
+
+
+def test_diagnose_undecodable_byte_is_exit_1(tmp_path, capsys):
+    csv = tmp_path / "binary.csv"
+    csv.write_bytes(b"t,u1,u2\r\n\xff\r\n")
+    assert main(["diagnose", "--out", str(tmp_path), str(csv)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: undecodable byte in trajectory: ")
+    assert "Traceback" not in err
+
+
+def test_diagnose_overflowing_action_is_exit_1(tmp_path, capsys):
+    # every value is finite, but the action and its gradient overflow
+    grid = parse_config({}).grid
+    vals = np.zeros((grid.n, 2))
+    vals[grid.center_index] = (1e200, 0.0)
+    csv = str(tmp_path / "huge.csv")
+    write_trajectory_csv(csv, from_values(grid, vals))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["diagnose", "--out", str(tmp_path), csv]) == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err == "error: %s: values too large: the action or its residual overflows\n" % csv
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

@@ -275,6 +275,8 @@ GARBAGE = [
     (_edit(9, "%.17g,-inf,0.5" % SMALL.times[8]), "non-finite value"),
     # np.loadtxt skips a blank line, so the parsed array is one row short
     (_edit(9, ""), "expected %d rows for this grid, found %d" % (SMALL.n, SMALL.n - 1)),
+    # the byte 0xff, not valid UTF-8 (written through surrogateescape)
+    (lambda lines: ["t,u1,u2", "\udcff"], "undecodable byte in trajectory"),
 ]
 
 
@@ -284,7 +286,7 @@ def test_csv_rejects_garbage(tmp_path):
     path = tmp_path / "bad.csv"
     for make, message in GARBAGE:
         lines = make(_valid_csv_lines())
-        path.write_bytes("".join(row + "\r\n" for row in lines).encode())
+        path.write_bytes("".join(row + "\r\n" for row in lines).encode("utf-8", "surrogateescape"))
         with pytest.raises(TrajectoryFormatError, match=message):
             read_trajectory_csv(path, SMALL)
         with pytest.raises(TrajectoryFormatError, match=message):

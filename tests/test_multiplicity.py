@@ -10,13 +10,10 @@ from homoclinic import (
     GridFunction,
     InfeasibleGuess,
     LibraryEntry,
-    OverlappingBumps,
     SolutionLibrary,
     from_values,
     geometric_distance,
     h1_norm,
-    is_distinct,
-    multibump_guess,
     ps_split,
     random_smooth_function,
     search_distinct,
@@ -24,6 +21,7 @@ from homoclinic import (
     shift_periods,
     zero_function,
 )
+from homoclinic.multiplicity import _glued_sum
 
 
 def entry(u, action=1.0):
@@ -274,9 +272,9 @@ def test_is_distinct_thresholds():
     g = SMALL
     u = narrow_bump(g, g.center_index)
     v = narrow_bump(g, g.center_index, amp=0.7)
-    assert not is_distinct(u, shift_periods(u, 2))
-    assert is_distinct(u, v, eps_distinct=0.1)
-    assert not is_distinct(u, v, eps_distinct=1e9)
+    assert not geometric_distance(u, shift_periods(u, 2)) > 0.1
+    assert geometric_distance(u, v) > 0.1
+    assert not geometric_distance(u, v) > 1e9
 
 
 def test_library_rejects_shifted_duplicates():
@@ -319,18 +317,8 @@ def test_multibump_guess_glues_separated_bumps(pot):
     for off, w in ((-2, 0.25), (-1, 0.5), (0, 1.0), (1, 0.5), (2, 0.25)):
         vals[g.center_index + off, 1] = w
     u = GridFunction(g, vals)
-    glued = multibump_guess([u, u], [-3, 3], pot)
+    glued = _glued_sum([shift_periods(u, -3), shift_periods(u, 3)], pot)
     assert h1_norm(glued) == pytest.approx(np.sqrt(2.0) * h1_norm(u), rel=1e-12)
-
-
-def test_multibump_guess_rejects_overlap(pot):
-    g = Grid(period=1.0, nodes_per_period=10, half_periods=8)
-    vals = np.zeros((g.n, 2))
-    for off, w in ((-2, 0.25), (-1, 0.5), (0, 1.0), (1, 0.5), (2, 0.25)):
-        vals[g.center_index + off, 1] = w
-    u = GridFunction(g, vals)
-    with pytest.raises(OverlappingBumps):
-        multibump_guess([u, u], [-1, 1], pot)
 
 
 def test_multibump_guess_rejects_singular_sum(pot):
@@ -340,7 +328,7 @@ def test_multibump_guess_rejects_singular_sum(pot):
     vals[g.center_index, 0] = 4.0
     u = GridFunction(g, vals)
     with pytest.raises(InfeasibleGuess):
-        multibump_guess([u, u], [-3, 3], pot)
+        _glued_sum([shift_periods(u, -3), shift_periods(u, 3)], pot)
 
 
 def test_ps_split_requires_entries(solved):

@@ -18,7 +18,6 @@ from homoclinic import (
     grad_norm,
     initial_guess_bump,
     minimize_over_E,
-    multibump_guess,
     polish_to_critical,
     search_distinct,
     shift_periods,
@@ -112,7 +111,7 @@ def test_descent_of_unwound_guess_collapses(pot, grid, cfg):
 
 def test_polish_on_glued_pair(pot, grid, cfg, solved):
     # direct sum: the real solution's tails overlap, which is exactly the
-    # regime the Newton polish is for (multibump_guess would refuse it)
+    # regime the Newton polish is for
     v = solved.trajectory
     pair = GridFunction(
         grid, shift_periods(v, -3).values + shift_periods(v, 3).values
