@@ -16,8 +16,8 @@ manifest's entries.
 All outputs are deterministic for a fixed config and seed; wall-clock
 timings are the only exception and live under "timing" keys (the report's
 own, and one per search-log record) so consumers can strip them.  Exit
-codes: 0 success, 1 config or IO error, 2 hypothesis violation, 3 no (or
-not enough) solutions.
+codes: 0 success, 1 config, usage or IO error, 2 hypothesis violation,
+3 no (or not enough) solutions.
 """
 
 from __future__ import annotations
@@ -220,7 +220,6 @@ def cmd_search(cfg: RunConfig, jobs: int = 1) -> int:
             cfg.solver,
             targets=cfg.search.targets,
             eps_distinct=cfg.search.eps_distinct,
-            schedule=cfg.search.schedule,
             jobs=jobs,
         )
         dist = lib.distance_matrix()
@@ -297,7 +296,8 @@ def _load_library(out_dir: str, grid: Grid, cache: TrajectoryCache) -> Optional[
     """The library of out_dir's manifest.json, or None without one.
 
     Entries are read through cache; once all are read, the cache keeps
-    exactly the entries of this manifest.
+    exactly the entries of this manifest.  An entry whose H1 norm
+    overflows is a TrajectoryFormatError naming its CSV.
     """
     path = os.path.join(out_dir, "manifest.json")
     if not os.path.exists(path):
@@ -311,6 +311,7 @@ def _load_library(out_dir: str, grid: Grid, cache: TrajectoryCache) -> Optional[
         raise TrajectoryFormatError("%s: top level must be a list of entries" % path)
     lib = SolutionLibrary()
     keep = set()
+    csvs = []
     for i, item in enumerate(manifest):
         if not isinstance(item, dict):
             raise TrajectoryFormatError("%s: entry %d is not an object" % (path, i))
@@ -321,7 +322,8 @@ def _load_library(out_dir: str, grid: Grid, cache: TrajectoryCache) -> Optional[
             raise TrajectoryFormatError(
                 "%s: entry %d trajectory_csv_path is not a string" % (path, i)
             )
-        digest, u = cache.read(os.path.join(out_dir, item["trajectory_csv_path"]), grid)
+        csvs.append(os.path.join(out_dir, item["trajectory_csv_path"]))
+        digest, u = cache.read(csvs[-1], grid)
         keep.add(digest)
         lib.entries.append(
             LibraryEntry(
@@ -333,6 +335,15 @@ def _load_library(out_dir: str, grid: Grid, cache: TrajectoryCache) -> Optional[
             )
         )
     cache.commit(keep)
+    if lib.entries:
+        # finite values can still overflow the squared norms that ps_split
+        # screens with; the blocks stay cached for it
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(lib.entry_blocks().norm_sq).all(axis=1)
+        if not finite.all():
+            raise TrajectoryFormatError(
+                "%s: values too large: the H1 norm overflows" % csvs[int(np.argmin(finite))]
+            )
     return lib
 
 
@@ -412,7 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", help="JSON run configuration")
         p.add_argument("--out", metavar="DIR", help="output directory")
-        p.add_argument("--seed", type=int, metavar="U64", help="override the config seed")
         if name == "search":
             p.add_argument(
                 "--jobs",
@@ -431,10 +441,14 @@ def main(argv: Optional[list] = None) -> int:
     # imported modules live until exit: move them out of the collector's
     # generations so gen-2 passes and shutdown never rescan them
     gc.freeze()
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of a hypothesis violation here
+        return 1 if exc.code else 0
     try:
         doc = read_config_doc(args.config) if args.config else {}
-        cfg = parse_config(doc, seed_override=args.seed)
+        cfg = parse_config(doc)
         out_dir = args.out or doc.get("out_dir") or os.environ.get("HOMOCLINIC_OUT") or "."
         cfg = replace(cfg, out_dir=out_dir)
         if args.command == "check":

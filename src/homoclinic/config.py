@@ -32,7 +32,6 @@ from .solve import SolverConfig
 class SearchConfig:
     targets: int = 3
     eps_distinct: float = 0.1
-    schedule: Optional[dict] = None
 
 
 @dataclass
@@ -68,13 +67,11 @@ class RunConfig:
             "grid": {
                 "m": int(self.grid.nodes_per_period),
                 "M": int(self.grid.half_periods),
-                "T": float(self.grid.period),
             },
             "solver": solver,
             "search": {
                 "targets": int(self.search.targets),
                 "eps_distinct": float(self.search.eps_distinct),
-                "schedule": self.search.schedule,
             },
             "refine": {
                 "m_coarse": self.refine.m_coarse,
@@ -85,18 +82,11 @@ class RunConfig:
         }
 
 
-# the guess parameters a schedule item (phase1 or backfill) may set, with their
-# types and admissible ranges: (test, message)
-_ITEM_TYPES = {"k0": float, "orientation": int, "center": float, "width": float}
-_ITEM_RANGES = {
-    "width": (lambda x: x > 0.0, "must be positive"),
-    "orientation": (lambda x: x in (1, -1), "must be 1 or -1"),
-}
-
-# admissible ranges of the solver fields; k0 is checked against k_min separately
+# admissible ranges of the solver fields, (test, message); k0 is checked
+# against k_min separately
 _SOLVER_RANGES = {
-    "bump_width": _ITEM_RANGES["width"],
-    "orientation": _ITEM_RANGES["orientation"],
+    "bump_width": (lambda x: x > 0.0, "must be positive"),
+    "orientation": (lambda x: x in (1, -1), "must be 1 or -1"),
     "grad_tol": (lambda x: x >= 0.0, "must be nonnegative"),
     "eps_k": (lambda x: x > 0.0, "must be positive"),
     "max_iters": (lambda x: x >= 0, "must be nonnegative"),
@@ -126,10 +116,6 @@ def _as_float(value, where: str) -> float:
         x = math.inf
     _require(math.isfinite(x), where, "expected a finite number")
     return x
-
-
-def _check_k0(k0: float, k_min: float, where: str):
-    _require(k0 >= k_min, where, "must be at least 1 + solver.eps_k = %r" % k_min)
 
 
 def _check_keys(block: dict, allowed, where: str):
@@ -167,64 +153,39 @@ def _parse_potential(block: dict) -> PotentialSpec:
 
 
 def _parse_grid(block: dict, period: float) -> Grid:
-    _check_keys(block, {"m", "M", "T"}, "grid")
+    _check_keys(block, {"m", "M"}, "grid")
     m = _as_int(block.get("m", 40), "grid.m")
     big_m = _as_int(block.get("M", 8), "grid.M")
-    if "T" in block:
-        t = _as_float(block["T"], "grid.T")
-        _require(
-            t == period,
-            "grid.T",
-            "must equal potential.period (%r != %r)" % (t, period),
-        )
     try:
         return Grid(period=period, nodes_per_period=m, half_periods=big_m)
     except ValueError as exc:
         raise ConfigError("grid: %s" % exc) from exc
 
 
-def _parse_fields(block: dict, types: dict, ranges: dict, where: str) -> dict:
-    """The fields of block, each converted by its type in types, then range checked."""
-    _check_keys(block, types, where)
-    out = {}
-    for key, value in block.items():
-        at = "%s.%s" % (where, key)
-        out[key] = _as_int(value, at) if types[key] in (int, "int") else _as_float(value, at)
-        if key in ranges:
-            ok, msg = ranges[key]
-            _require(ok(out[key]), at, msg)
-    return out
-
-
 def _parse_solver(block: dict) -> SolverConfig:
     # field types come from SolverConfig itself
     types = {f.name: f.type for f in fields(SolverConfig)}
-    solver = SolverConfig(**_parse_fields(block, types, _SOLVER_RANGES, "solver"))
-    _check_k0(solver.k0, solver.k_min, "solver.k0")
+    _check_keys(block, types, "solver")
+    out = {}
+    for key, value in block.items():
+        at = "solver.%s" % key
+        out[key] = _as_int(value, at) if types[key] in (int, "int") else _as_float(value, at)
+        if key in _SOLVER_RANGES:
+            ok, msg = _SOLVER_RANGES[key]
+            _require(ok(out[key]), at, msg)
+    solver = SolverConfig(**out)
+    k_min = solver.k_min
+    _require(solver.k0 >= k_min, "solver.k0", "must be at least 1 + solver.eps_k = %r" % k_min)
     return solver
 
 
-def _parse_search(block: dict, k_min: float) -> SearchConfig:
-    _check_keys(block, {"targets", "eps_distinct", "schedule"}, "search")
+def _parse_search(block: dict) -> SearchConfig:
+    _check_keys(block, {"targets", "eps_distinct"}, "search")
     targets = _as_int(block.get("targets", 3), "search.targets")
     _require(targets >= 0, "search.targets", "must be nonnegative")
     eps = _as_float(block.get("eps_distinct", 0.1), "search.eps_distinct")
     _require(eps > 0, "search.eps_distinct", "must be positive")
-    schedule = block.get("schedule")
-    if schedule is not None:
-        _check_keys(schedule, {"phase1", "separations", "backfill"}, "search.schedule")
-        for key, value in schedule.items():
-            label = "search.schedule.%s" % key
-            _require(isinstance(value, list), label, "expected an array")
-            if key == "separations":
-                schedule[key] = [_as_int(x, label) for x in value]
-                continue
-            for item in value:
-                _require(isinstance(item, dict), label, "items must be objects")
-                item.update(_parse_fields(item, _ITEM_TYPES, _ITEM_RANGES, label))
-                if "k0" in item:
-                    _check_k0(item["k0"], k_min, "%s.k0" % label)
-    return SearchConfig(targets=targets, eps_distinct=eps, schedule=schedule)
+    return SearchConfig(targets=targets, eps_distinct=eps)
 
 
 def _parse_refine(block: dict, grid: Grid) -> RefineConfig:
@@ -244,7 +205,7 @@ def _parse_refine(block: dict, grid: Grid) -> RefineConfig:
     return RefineConfig(**out)
 
 
-def parse_config(doc: dict, seed_override: Optional[int] = None) -> RunConfig:
+def parse_config(doc: dict) -> RunConfig:
     """Resolve a JSON document to a RunConfig or raise ConfigError."""
     _check_keys(
         doc,
@@ -252,12 +213,10 @@ def parse_config(doc: dict, seed_override: Optional[int] = None) -> RunConfig:
         "config",
     )
     seed = _as_int(doc.get("seed", 0), "seed")
-    if seed_override is not None:
-        seed = seed_override
     potential = _parse_potential(doc.get("potential", {}))
     grid = _parse_grid(doc.get("grid", {}), potential.period)
     solver = _parse_solver(doc.get("solver", {}))
-    search = _parse_search(doc.get("search", {}), solver.k_min)
+    search = _parse_search(doc.get("search", {}))
     refine = _parse_refine(doc.get("refine", {}), grid)
     out_dir = doc.get("out_dir", ".")
     _require(isinstance(out_dir, str), "out_dir", "expected a string")

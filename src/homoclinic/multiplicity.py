@@ -373,7 +373,6 @@ def search_distinct(
     cfg: Optional[SolverConfig] = None,
     targets: int = 3,
     eps_distinct: float = 0.1,
-    schedule: Optional[dict] = None,
     jobs: int = 1,
 ) -> SolutionLibrary:
     """Deterministic multi-solution search.
@@ -393,8 +392,6 @@ def search_distinct(
     check_hypotheses(pot)
 
     sched = _default_schedule(grid, cfg)
-    if schedule:
-        sched.update(schedule)
     lib = SolutionLibrary(eps_distinct=eps_distinct)
 
     phase1 = [dict(item, phase=1) for item in sched["phase1"]]

@@ -68,8 +68,8 @@ def test_malformed_config_is_exit_1(tmp_path, capsys):
 
 
 def test_unknown_key_is_exit_1(tmp_path, capsys):
-    # a removed solver field is a config error, never silently ignored
-    gone = (
+    # a removed field is a config error, never silently ignored
+    solver_gone = (
         ("grad_tolerance", 1e-6),
         ("precondition", False),
         ("renormalize_every", 0),
@@ -84,10 +84,14 @@ def test_unknown_key_is_exit_1(tmp_path, capsys):
         ("transverse", 0.5),
         ("seed", 0),
     )
-    for key, value in gone:
-        cfg = write_config(tmp_path, {"solver": {key: value}})
+    gone = [("solver", key, value) for key, value in solver_gone] + [
+        ("search", "schedule", {"phase1": [{"k0": 1.5}]}),
+        ("grid", "T", 1.0),
+    ]
+    for block, key, value in gone:
+        cfg = write_config(tmp_path, {block: {key: value}})
         assert main(["check", "--config", cfg]) == 1
-        assert "config error: solver.%s: unknown field" % key in capsys.readouterr().err
+        assert "config error: %s.%s: unknown field" % (block, key) in capsys.readouterr().err
 
 
 def test_solve_writes_artifacts(tmp_path):
@@ -140,10 +144,24 @@ def test_out_dir_flag_beats_env(tmp_path, monkeypatch):
     assert not os.path.exists(str(tmp_path / "ignored"))
 
 
-def test_seed_override_is_echoed(tmp_path):
-    out = str(tmp_path / "run")
-    assert main(["solve", "--out", out, "--seed", "9"]) == 0
-    assert load_report(out)["config"]["seed"] == 9
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--bogus"], ["search", "--jobs", "x"], [], ["diagnose"], ["solve", "--seed", "3"]],
+    ids=["unknown-flag", "bad-jobs", "no-command", "no-trajectory", "removed-seed"],
+)
+def test_usage_error_is_exit_1(capsys, argv):
+    # argparse's own code 2 would read as a hypothesis violation
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: homoclinic")
+    assert "error: " in err
+
+
+def test_help_is_exit_0(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: homoclinic")
+    assert "default configuration:" in out
 
 
 def test_search_writes_library(tmp_path):
@@ -168,31 +186,11 @@ def test_search_zero_targets(tmp_path):
 
 
 def test_search_under_target_is_exit_3(tmp_path):
-    out = str(tmp_path / "lib99")
-    cfg = write_config(
-        tmp_path,
-        {
-            "search": {
-                "targets": 4,
-                "schedule": {
-                    "phase1": [{"k0": 1.5, "orientation": 1}],
-                    "separations": [],
-                    "backfill": [],
-                },
-            }
-        },
-    )
+    # the built-in schedule runs out at nine entries
+    out = str(tmp_path / "lib10")
+    cfg = write_config(tmp_path, {"search": {"targets": 10}})
     assert main(["search", "--config", cfg, "--out", out]) == 3
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
-    assert 1 <= len(manifest) < 4
-
-
-def test_search_rejects_bad_schedule(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        {"search": {"schedule": {"phase1": [[1.5, 1]]}}},
-    )
-    assert main(["search", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert len(json.load(open(os.path.join(out, "manifest.json")))) == 9
 
 
 def test_refine_equal_levels_is_exit_1(tmp_path, capsys):
@@ -465,22 +463,6 @@ def test_solver_range_is_exit_1(tmp_path, capsys, field, value):
     assert not os.path.exists(str(tmp_path / "run"))
 
 
-@pytest.mark.parametrize(
-    "phase,item,field",
-    [
-        ("phase1", {"k0": 0.5}, "k0"),
-        ("backfill", {"center": 0.0, "width": -1.0}, "width"),
-        ("phase1", {"orientation": 2}, "orientation"),
-    ],
-)
-def test_schedule_item_range_is_exit_1(tmp_path, capsys, phase, item, field):
-    cfg = write_config(tmp_path, {"search": {"schedule": {phase: [item]}}})
-    assert main(["search", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
-    err = capsys.readouterr().err
-    assert "config error: search.schedule.%s.%s: " % (phase, field) in err
-    assert "Traceback" not in err
-
-
 @pytest.mark.parametrize("field,value", [("m_coarse", 4), ("m_fine", -2)])
 def test_refine_level_range_is_exit_1(tmp_path, capsys, field, value):
     cfg = write_config(tmp_path, {"refine": {field: value}})
@@ -555,14 +537,6 @@ def test_search_large_eps_k_clamps_builtin_items(tmp_path, capsys):
         ({"solver": {"bump_width": float("inf")}}, "solver.bump_width"),
         ({"solver": {"grad_tol": float("nan")}}, "solver.grad_tol"),
         ({"solver": {"eps_k": float("inf")}}, "solver.eps_k"),
-        (
-            {"search": {"schedule": {"phase1": [{"center": float("nan")}]}}},
-            "search.schedule.phase1.center",
-        ),
-        (
-            {"search": {"schedule": {"phase1": [{"k0": float("inf")}]}}},
-            "search.schedule.phase1.k0",
-        ),
         ({"search": {"eps_distinct": float("inf")}}, "search.eps_distinct"),
     ],
 )
@@ -611,6 +585,23 @@ def test_diagnose_overflowing_action_is_exit_1(tmp_path, capsys):
     assert caught == []
     err = capsys.readouterr().err
     assert err == "error: %s: values too large: the action or its residual overflows\n" % csv
+
+
+def test_diagnose_overflowing_library_entry_is_exit_1(search_dir, tmp_path, capsys):
+    # a finite entry whose H1 norm overflows is refused before the matching
+    lib = str(tmp_path / "lib")
+    shutil.copytree(search_dir, lib)
+    grid = parse_config({}).grid
+    entry = os.path.join(lib, "entry_002.csv")
+    vals = read_trajectory_csv(entry, grid).values.copy()
+    vals[grid.center_index] = (1e200, 0.0)
+    write_trajectory_csv(entry, from_values(grid, vals))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["diagnose", "--out", lib, os.path.join(lib, "entry_000.csv")]) == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err == "error: %s: values too large: the H1 norm overflows\n" % entry
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -697,26 +688,19 @@ def test_refine_unreachable_tolerance_is_exit_3(tmp_path):
     [
         ("solve", {"solver": {"k0": 1e200}}),  # finite guess, overflowing action
         ("solve", {"solver": {"k0": 1e308}}),  # the guess itself overflows
-        ("search", {"search": {"schedule": {"phase1": [{"k0": 1e308}, {"k0": 1.5}]}}}),
     ],
 )
 def test_huge_k0_fails_the_attempt_not_the_run(tmp_path, capsys, command, doc):
-    # the overflowing item fails like an infeasible guess and the schedule goes on
+    # the overflowing item fails like an infeasible guess and the restarts go on
     out = str(tmp_path / "run")
     cfg = write_config(tmp_path, doc)
     assert main([command, "--config", cfg, "--out", out]) == 0
     err = capsys.readouterr().err
     assert "Traceback" not in err and "Warning" not in err
-    rep = load_report(out)
-    if command == "solve":
-        assert rep["candidate"]["schedule_item"]["k0"] == 2.5  # the third restart item
-    else:
-        first = rep["library"]["log"][0]
-        assert first["outcome"] == "failed"
-        assert first["error"] == "InfeasibleGuess: guess with k0 1e+308 is not finite"
+    # the third restart item
+    assert load_report(out)["candidate"]["schedule_item"]["k0"] == 2.5
 
 
-_ONE_ITEM = {"phase1": [{"k0": 1.5, "orientation": 1}], "separations": [], "backfill": []}
 _TOL0 = {"solver": {"grad_tol": 0.0, "max_iters": 50}}
 
 
@@ -728,7 +712,7 @@ _TOL0 = {"solver": {"grad_tol": 0.0, "max_iters": 50}}
         ("search", {"search": {"targets": 1}}, 0, {"library", "targets", "targets_met"}, "search"),
         (
             "search",
-            {"search": {"targets": 2, "schedule": _ONE_ITEM}},
+            {"search": {"targets": 10}},
             3,
             {"library", "targets", "targets_met"},
             "search",
