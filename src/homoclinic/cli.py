@@ -68,7 +68,7 @@ from .multiplicity import (
     search_distinct,
 )
 from .potential import run_hypotheses
-from .solve import solve_homoclinic
+from .solve import load_linalg, solve_homoclinic
 
 
 def _jsonable(obj):
@@ -438,14 +438,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    # imported modules live until exit: move them out of the collector's
-    # generations so gen-2 passes and shutdown never rescan them
-    gc.freeze()
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a usage error, the code of a hypothesis violation here
         return 1 if exc.code else 0
+    if args.command in ("solve", "search", "refine"):
+        # the commands that factor load LAPACK now, so set-up pays for it
+        # and the freeze below covers its heap; check and diagnose never do
+        load_linalg()
+    # imported modules live until exit: move them out of the collector's
+    # generations so gen-2 passes and shutdown never rescan them
+    gc.freeze()
     try:
         doc = read_config_doc(args.config) if args.config else {}
         cfg = parse_config(doc)

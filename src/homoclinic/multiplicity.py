@@ -347,14 +347,20 @@ def _record(lib: SolutionLibrary, item: dict, outcome, phase: int) -> None:
     """Log a failed attempt, or offer its candidate to the library.
 
     outcome is what run_attempt returned.  Every record carries the
-    attempt's wall time under "timing", the only field of the log that is
-    not deterministic.
+    schedule phase and the attempt's wall time under "timing", the only
+    field of the log that is not deterministic.
     """
     cand, error, seconds = outcome
     timing = {"seconds": seconds}
     if cand is None:
         lib.log.append(
-            {"outcome": "failed", "schedule_item": item, "error": error, "timing": timing}
+            {
+                "outcome": "failed",
+                "phase": phase,
+                "schedule_item": item,
+                "error": error,
+                "timing": timing,
+            }
         )
         return
     entry = LibraryEntry(

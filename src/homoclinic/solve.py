@@ -35,6 +35,10 @@ terms computed when that trial was valued; the candidate's certificate is
 read from the stage's kernel at its last accepted point.  run_attempt runs
 every attempt of solve_homoclinic and of the search, turning any
 HomoclinicError into an error text so the caller moves on to its next item.
+
+This is the one module that uses scipy, and it imports scipy.linalg on the
+first factorization (load_linalg), not at module load: importing the
+package, and the commands that never factor, do not load LAPACK.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded, get_lapack_funcs, solve_banded
+from numpy.linalg import LinAlgError
 
 from .action import (
     ActionKernel,
@@ -74,6 +78,18 @@ _ARMIJO_C1 = 1e-4  # sufficient-decrease constant of both Armijo loops
 _BACKTRACK = 0.5  # step shrink factor per rejected trial
 _MAX_BACKTRACKS = 60  # trials per Armijo step before the loop stalls
 _ZERO_TOL = 1e-4  # sup norm below which an iterate has collapsed onto 0
+
+
+def load_linalg():
+    """scipy.linalg, imported on first use rather than at module load."""
+    import scipy.linalg
+
+    return scipy.linalg
+
+
+def solve_banded(l_and_u, ab, b):
+    """scipy.linalg.solve_banded: the banded Newton solve."""
+    return load_linalg().solve_banded(l_and_u, ab, b)
 
 
 @dataclass
@@ -138,8 +154,10 @@ class H1Preconditioner:
     trapezoid mass h I; the factorization is computed once per grid.  With
     a pinned node the system loses that node's row and column, which cuts
     the coupling across it, and apply() returns exactly zero there.
-    apply() calls LAPACK's banded solve directly, without scipy's wrapper
-    overhead, and keeps that wrapper's finiteness check.
+    The factorization is scipy's cholesky_banded, which load_linalg
+    imports when the first preconditioner is built; apply() calls LAPACK's
+    pbtrs directly, without scipy's wrapper overhead, and keeps that
+    wrapper's finiteness check.
     """
 
     def __init__(self, grid: Grid, pinned: Optional[int] = None):
@@ -153,8 +171,9 @@ class H1Preconditioner:
         ab[1, :] = 2.0 / h + h
         if pinned is not None and pinned - 1 < n_int:
             ab[0, pinned - 1] = 0.0  # no coupling between the pinned node's neighbours
-        self._cb = cholesky_banded(ab, lower=False)
-        self._pbtrs = get_lapack_funcs("pbtrs", (self._cb,))
+        linalg = load_linalg()
+        self._cb = linalg.cholesky_banded(ab, lower=False)
+        self._pbtrs = linalg.get_lapack_funcs("pbtrs", (self._cb,))
 
     def apply(self, g: Array) -> Array:
         j = self._pinned

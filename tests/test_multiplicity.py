@@ -400,7 +400,8 @@ def test_search_log_times_every_attempt(pot, grid, cfg, library9):
 
 # the built-in schedule at m=40: six phase-1 items (k0 2.0 and 1.2 repeat
 # 1.5), glues of pairs (0, 0) and (0, 1) at separations 6, 5 and 4, then
-# backfill items until the ninth entry; a failed record carries no phase
+# backfill items until the ninth entry; every record, a failed one too,
+# carries its phase
 _LIBRARY9_SCHEDULE = [
     (1, "inserted", {"k0": 1.5, "orientation": 1, "phase": 1}),
     (1, "inserted", {"k0": 1.5, "orientation": -1, "phase": 1}),
@@ -415,7 +416,7 @@ _LIBRARY9_SCHEDULE = [
     (2, "inserted", {"phase": 2, "separation": 4, "pair": [0, 0]}),
     (2, "inserted", {"phase": 2, "separation": 4, "pair": [0, 1]}),
     (3, "duplicate", {"center": 0.0, "width": 2.0, "phase": 3, "k0": 1.35}),
-    (None, "failed", {"center": 0.25, "width": 2.0, "phase": 3, "k0": 1.35}),
+    (3, "failed", {"center": 0.25, "width": 2.0, "phase": 3, "k0": 1.35}),
     (3, "inserted", {"center": 0.5, "width": 2.0, "phase": 3, "k0": 1.35}),
 ]
 
