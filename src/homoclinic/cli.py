@@ -5,12 +5,14 @@ Subcommands: check (hypothesis table), solve (one candidate), search
 (inspect a trajectory CSV against a config and an existing library).
 
 check prints the rows of potential.run_hypotheses.  solve, search and
-refine share one pipeline, _reported: it runs that table as the gate
-(exit 2 before the output directory exists), builds the report header
+refine share one pipeline, _reported: it runs that table once as the
+command's gate (exit 2 before the output directory exists; the library
+solvers do not check the hypotheses), builds the report header
 (command, config, hypotheses, timing.checks), lets the command add its
 own fields and its timing key, and writes report.json at its one write
 site.  diagnose reads CSVs through grids.TrajectoryCache in
-<out>/.trajectory-cache; each library load leaves it holding exactly the
+<out>/.trajectory-cache, and refuses a CSV whose dimension is not the
+potential's; each library load leaves the cache holding exactly the
 manifest's entries.
 
 All outputs are deterministic for a fixed config and seed; wall-clock
@@ -48,7 +50,6 @@ from .config import (
 )
 from .errors import (
     ConfigError,
-    HypothesisViolation,
     MaxItersExceeded,
     NoSolutionFound,
     SingularityProximity,
@@ -56,7 +57,7 @@ from .errors import (
     WindowOutOfDomain,
 )
 from .grids import (
-    Grid,
+    GridFunction,
     TrajectoryCache,
     sobolev_bound_check,
     write_trajectory_csv,
@@ -124,7 +125,7 @@ def _reported(cfg: RunConfig, command: str, timing_key: str, body) -> int:
     timing[timing_key] next to timing["checks"], and writes report.json.
     """
     t0 = time.perf_counter()
-    rows = list(run_hypotheses(cfg.potential))
+    rows = run_hypotheses(cfg.potential)
     if any(report is None for _, _, report, _ in rows):
         _print_check_table(rows)
         print("hypothesis checks failed", file=sys.stderr)
@@ -145,7 +146,7 @@ def _reported(cfg: RunConfig, command: str, timing_key: str, body) -> int:
 
 
 def cmd_check(cfg: RunConfig) -> int:
-    rows = list(run_hypotheses(cfg.potential))
+    rows = run_hypotheses(cfg.potential)
     _print_check_table(rows)
     return 2 if any(report is None for _, _, report, _ in rows) else 0
 
@@ -292,13 +293,27 @@ def cmd_refine(cfg: RunConfig) -> int:
 _MANIFEST_FIELDS = ("trajectory_csv_path", "action", "grad_norm", "clearance")
 
 
-def _load_library(out_dir: str, grid: Grid, cache: TrajectoryCache) -> Optional[SolutionLibrary]:
-    """The library of out_dir's manifest.json, or None without one.
+def _read_trajectory(cache: TrajectoryCache, path: str, cfg: RunConfig) -> tuple[str, GridFunction]:
+    """cache.read on cfg's grid; a coordinate count other than the
+    potential's dimension is a TrajectoryFormatError naming the CSV."""
+    digest, u = cache.read(path, cfg.grid)
+    if u.d != cfg.potential.dimension:
+        raise TrajectoryFormatError(
+            "%s: trajectory dimension %d differs from the potential's dimension %d"
+            % (path, u.d, cfg.potential.dimension)
+        )
+    return digest, u
+
+
+def _load_library(cfg: RunConfig, cache: TrajectoryCache) -> Optional[SolutionLibrary]:
+    """The library of cfg.out_dir's manifest.json, or None without one.
 
     Entries are read through cache; once all are read, the cache keeps
     exactly the entries of this manifest.  An entry whose H1 norm
-    overflows is a TrajectoryFormatError naming its CSV.
+    overflows, or of the wrong dimension, is a TrajectoryFormatError
+    naming its CSV.
     """
+    out_dir = cfg.out_dir
     path = os.path.join(out_dir, "manifest.json")
     if not os.path.exists(path):
         return None
@@ -323,7 +338,7 @@ def _load_library(out_dir: str, grid: Grid, cache: TrajectoryCache) -> Optional[
                 "%s: entry %d trajectory_csv_path is not a string" % (path, i)
             )
         csvs.append(os.path.join(out_dir, item["trajectory_csv_path"]))
-        digest, u = cache.read(csvs[-1], grid)
+        digest, u = _read_trajectory(cache, csvs[-1], cfg)
         keep.add(digest)
         lib.entries.append(
             LibraryEntry(
@@ -349,7 +364,7 @@ def _load_library(out_dir: str, grid: Grid, cache: TrajectoryCache) -> Optional[
 
 def cmd_diagnose(cfg: RunConfig, trajectory_path: str) -> int:
     cache = TrajectoryCache(os.path.join(cfg.out_dir, ".trajectory-cache"))
-    _, u = cache.read(trajectory_path, cfg.grid)
+    _, u = _read_trajectory(cache, trajectory_path, cfg)
     pot = cfg.potential
     try:
         # finite values can still overflow these sums; the check below reports it
@@ -384,7 +399,7 @@ def cmd_diagnose(cfg: RunConfig, trajectory_path: str) -> int:
             "window bound at s=%+.3f: |u(s)| = %.4e <= %.4e %s"
             % (s, wb.lhs, wb.rhs, "ok" if wb.passed else "VIOLATED")
         )
-    lib = _load_library(cfg.out_dir, cfg.grid, cache)
+    lib = _load_library(cfg, cache)
     if lib is None:
         print("no library manifest in %s; skipping bump decomposition" % cfg.out_dir)
         return 0
@@ -470,9 +485,6 @@ def main(argv: Optional[list] = None) -> int:
     except (TrajectoryFormatError, WindowOutOfDomain, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except HypothesisViolation as exc:
-        print("hypothesis violation: %s" % exc, file=sys.stderr)
-        return 2
     except (NoSolutionFound, MaxItersExceeded) as exc:
         print("no solution: %s" % exc, file=sys.stderr)
         return 3

@@ -29,7 +29,7 @@ _record turns its outcome into one library log record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,7 +50,7 @@ from .grids import (
     shift_blocks,
     shift_periods,
 )
-from .potential import PotentialSpec, check_hypotheses
+from .potential import PotentialSpec
 from .solve import (
     HomoclinicCandidate,
     SolverConfig,
@@ -221,7 +221,6 @@ def _runs(mask: Array) -> list[tuple[int, int]]:
 @dataclass
 class Bump:
     window: tuple[int, int]
-    territory: tuple[int, int]
     function: GridFunction
     matched_index: int
     shift: int
@@ -232,7 +231,6 @@ class Bump:
 class BumpDecomposition:
     bumps: list[Bump]
     residual_norm: float
-    cut_indices: list[int] = field(default_factory=list)
 
 
 _DELTA_BUMP = 0.05  # node norm of a bump core
@@ -300,7 +298,6 @@ def ps_split(u: GridFunction, library: SolutionLibrary) -> BumpDecomposition:
         bumps.append(
             Bump(
                 window=(ws, we),
-                territory=(lo, hi),
                 function=piece,
                 matched_index=m_idx,
                 shift=m_shift,
@@ -308,7 +305,7 @@ def ps_split(u: GridFunction, library: SolutionLibrary) -> BumpDecomposition:
             )
         )
     residual = h1_norm(from_values(grid, u.values - recon))
-    return BumpDecomposition(bumps=bumps, residual_norm=float(residual), cut_indices=cuts)
+    return BumpDecomposition(bumps=bumps, residual_norm=float(residual))
 
 
 def _default_schedule(grid: Grid, cfg: SolverConfig) -> dict:
@@ -392,11 +389,11 @@ def search_distinct(
     polishes each sum by Newton alone, so the two bumps keep their
     positions.  Phase 3 backfills with shifted and reshaped single-loop
     guesses.  Stops as soon as the library holds `targets` entries.
+    Like solve_homoclinic it does not check the hypotheses; the caller
+    runs potential.run_hypotheses when it wants the gate.
     """
     if cfg is None:
         cfg = SolverConfig()
-    check_hypotheses(pot)
-
     sched = _default_schedule(grid, cfg)
     lib = SolutionLibrary(eps_distinct=eps_distinct)
 

@@ -19,14 +19,15 @@ check_H3, check_H4, check_W_negativity) rather than at construction time so
 that a deliberately broken spec can still be built and then diagnosed.
 Their sample counts, step and seeds are module constants.  The table
 _HYPOTHESES lists the probes in gate order, each row with its own margin
-text.  run_hypotheses is its one runner: the `check` command prints its
-rows, the CLI gate reports them, check_hypotheses raises the first failure.
+text.  run_hypotheses is its one runner and the one gate: the `check`
+command prints its rows and the CLI runs it once before solve, search and
+refine.  The solvers themselves do not check the hypotheses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -184,7 +185,6 @@ class StrongForceWitness:
     through the closed-form gradients grad_U and grad_U_inf.
     """
 
-    U: Callable
     r: float
     U_inf: Callable
     R0: float
@@ -204,12 +204,6 @@ def default_witness(spec: SingularPotentialSpec) -> StrongForceWitness:
     """
     q = spec.q
     alpha = spec.alpha
-
-    def u_near(x):
-        s = _dist_to_q(spec, x)
-        if alpha == 2.0:
-            return np.log(s)
-        return s ** (1.0 - alpha / 2.0)
 
     def grad_u_near(x):
         d = x - q
@@ -236,7 +230,6 @@ def default_witness(spec: SingularPotentialSpec) -> StrongForceWitness:
         return c_inf * beta * (r ** (beta - 2.0))[..., None] * x
 
     return StrongForceWitness(
-        U=u_near,
         r=WITNESS_RADIUS,
         U_inf=u_far,
         R0=4.0 * spec.q_norm,
@@ -477,31 +470,27 @@ _HYPOTHESES = (
 _WITNESS_CHECKS = ("H3", "H4")  # skipped for custom wells, which have no witness
 
 
-def run_hypotheses(pot: PotentialSpec) -> Iterator[tuple[str, str, Optional[object], str]]:
-    """Run the table rows that apply to pot, in gate order, one row per step.
+def run_hypotheses(pot: PotentialSpec) -> list[tuple[str, str, Optional[object], str]]:
+    """Run every table row that applies to pot, in gate order.
 
-    Yields (name, description, report, detail): a passing row has its
-    report and margin text, a failing one report None and the violation
-    message.  Rows run lazily, so a consumer that stops early skips the rest.
+    Returns (name, description, report, detail) rows: a passing row has
+    its report and margin text, a failing one report None and the
+    violation message.  This is the whole gate: the solvers do not run it,
+    so a library caller who wants it calls this first.
     """
     builtin = pot.well.form == "example"
     witness = default_witness(pot.well) if builtin else None
+    rows = []
     for name, description, check, margin in _HYPOTHESES:
         if not builtin and name in _WITNESS_CHECKS:
             continue
         try:
             report = check(pot, witness)
         except HypothesisViolation as exc:
-            yield name, description, None, str(exc)
+            rows.append((name, description, None, str(exc)))
         else:
-            yield name, description, report, margin(report)
-
-
-def check_hypotheses(pot: PotentialSpec) -> None:
-    """The solver's gate: raise HypothesisViolation at the first failing row."""
-    for _, _, report, detail in run_hypotheses(pot):
-        if report is None:
-            raise HypothesisViolation(detail)
+            rows.append((name, description, report, margin(report)))
+    return rows
 
 
 def example_potential(

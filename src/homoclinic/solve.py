@@ -68,7 +68,7 @@ from .errors import (
     NoSolutionFound,
 )
 from .grids import Grid, GridFunction, from_values, renormalize_translation
-from .potential import PotentialSpec, check_hypotheses, eval_hessW
+from .potential import PotentialSpec, eval_hessW
 
 Array = np.ndarray
 
@@ -788,18 +788,18 @@ def solve_homoclinic(
     grid: Grid,
     cfg: Optional[SolverConfig] = None,
 ) -> HomoclinicCandidate:
-    """Full pipeline: hypothesis gate, constrained stage, release.
+    """Full pipeline: constrained stage, release.
 
-    Retries over a small restart schedule of guess parameters, each item
-    through run_attempt; raises NoSolutionFound when every attempt fails.  The returned candidate
+    Does not check the hypotheses: a caller who wants the gate runs
+    potential.run_hypotheses first, as the CLI does.  Retries over a small
+    restart schedule of guess parameters, each item through run_attempt;
+    raises NoSolutionFound when every attempt fails.  The returned candidate
     carries the constrained-stage summary (infimum estimate d_h, final k,
     constraint-activity flag) and alpha_gap, the proven action gap on the
     unit H1 sphere from action.sphere_action_bound (None for custom wells).
     """
     if cfg is None:
         cfg = SolverConfig()
-    check_hypotheses(pot)
-
     failures = []
     for item in _restart_schedule(grid, cfg):
         cand, error, _ = run_attempt(single_loop_attempt, pot, grid, cfg, item)

@@ -604,6 +604,33 @@ def test_diagnose_overflowing_library_entry_is_exit_1(search_dir, tmp_path, caps
     assert err == "error: %s: values too large: the H1 norm overflows\n" % entry
 
 
+def _reshaped(values, d):
+    """values with d coordinates: cut down, or padded with zero columns."""
+    if d <= values.shape[1]:
+        return values[:, :d]
+    return np.column_stack([values, np.zeros((len(values), d - values.shape[1]))])
+
+
+@pytest.mark.parametrize(
+    "which,d",
+    [("target", 3), ("target", 1), ("entry", 3)],
+)
+def test_diagnose_dimension_mismatch_is_exit_1(search_dir, tmp_path, capsys, which, d):
+    # the potential is the default planar one; a 3- or 1-coordinate target or
+    # library entry is refused with both counts, not a broadcasting traceback
+    lib = _library_copy(search_dir, tmp_path)
+    grid = parse_config({}).grid
+    target = os.path.join(lib, "entry_000.csv")
+    bad = target if which == "target" else os.path.join(lib, "entry_002.csv")
+    vals = read_trajectory_csv(bad, grid).values
+    write_trajectory_csv(bad, from_values(grid, _reshaped(vals, d)))
+    assert main(["diagnose", "--out", lib, target]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: %s: trajectory dimension %d differs from the potential's dimension 2\n" % (bad, d)
+    )
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_search_jobs_below_one_is_exit_1(tmp_path, capsys, jobs):
     out = str(tmp_path / "lib")
@@ -672,6 +699,31 @@ def test_hypothesis_violation_is_exit_2(tmp_path, capsys, command):
     assert "FAIL" in captured.out
     assert "hypothesis checks failed" in captured.err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "command,doc",
+    [
+        ("solve", {}),
+        ("search", {"search": {"targets": 1}}),
+        ("refine", {"refine": {"m_coarse": 20}}),
+    ],
+)
+def test_one_hypothesis_gate_per_command(tmp_path, monkeypatch, command, doc):
+    # the table's lambdas look check_A up at call time, so this counts tables
+    from homoclinic import potential
+
+    calls = []
+    check_a = potential.check_A
+
+    def counted(spec):
+        calls.append(spec)
+        return check_a(spec)
+
+    monkeypatch.setattr(potential, "check_A", counted)
+    out = str(tmp_path / "run")
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", out]) == 0
+    assert len(calls) == 1
 
 
 def test_refine_unreachable_tolerance_is_exit_3(tmp_path):
