@@ -241,17 +241,13 @@ def cmd_search(cfg: RunConfig, jobs: int = 1) -> int:
 
 
 def cmd_refine(cfg: RunConfig) -> int:
-    m_coarse = cfg.refine.m_coarse or cfg.grid.nodes_per_period
-    m_fine = cfg.refine.m_fine or 2 * m_coarse
-    if m_fine == m_coarse:
-        raise ConfigError("refine: coarse and fine node counts are both %d" % m_coarse)
     # the ratio needs residuals evaluated well below the h^2 truncation
     # signal, so the study always runs at a tight gradient tolerance
     solver = replace(cfg.solver, grad_tol=min(cfg.solver.grad_tol, 1e-8))
 
     def body(report: dict) -> int:
         levels = {}
-        for label, m in (("coarse", m_coarse), ("fine", m_fine)):
+        for label, m in (("coarse", cfg.refine.coarse), ("fine", cfg.refine.fine)):
             grid = replace(cfg.grid, nodes_per_period=m)
             try:
                 cand = solve_homoclinic(cfg.potential, grid, solver)
@@ -283,7 +279,7 @@ def cmd_refine(cfg: RunConfig) -> int:
         }
         print(
             "refine m=%d -> m=%d: residual ratio %.3f (want [3.5, 4.5]), action drift %.3e (want <= 5e-2)"
-            % (m_coarse, m_fine, ratio, drift)
+            % (coarse["m"], fine["m"], ratio, drift)
         )
         return 0 if passed else 3
 

@@ -36,6 +36,11 @@ class SearchConfig:
 
 @dataclass
 class RefineConfig:
+    """The refine study's node counts: coarse and fine resolved, m_coarse
+    and m_fine as given (None when unset) for the echo."""
+
+    coarse: int
+    fine: int
     m_coarse: Optional[int] = None
     m_fine: Optional[int] = None
 
@@ -200,9 +205,11 @@ def _parse_refine(block: dict, grid: Grid) -> RefineConfig:
             except ValueError as exc:
                 raise ConfigError("refine.%s: %s" % (key, exc)) from exc
         out[key] = value
-    if out["m_coarse"] is not None and out["m_coarse"] == out["m_fine"]:
-        raise ConfigError("refine.m_fine: must differ from refine.m_coarse")
-    return RefineConfig(**out)
+    # the coarse level defaults to grid.m, the fine one to twice the coarse
+    coarse = out["m_coarse"] or grid.nodes_per_period
+    fine = out["m_fine"] or 2 * coarse
+    _require(fine > coarse, "refine.m_fine", "must exceed the coarse node count %d" % coarse)
+    return RefineConfig(coarse=coarse, fine=fine, **out)
 
 
 def parse_config(doc: dict) -> RunConfig:

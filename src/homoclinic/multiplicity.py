@@ -19,17 +19,20 @@ matched entry, shift and tie order is bitwise the per-shift loop's.
 The library derives its cached ShiftBlocks from its entries on use, so
 entries appended to lib.entries directly are covered as well.
 
-search_distinct runs a deterministic three-phase schedule: single-loop
-guesses with varied crossing height and winding sense, pairwise sums of
-found solutions at decreasing separations, and a backfill sweep over bump
-centers and widths.  Every attempt of every phase runs through
+The search schedule is written once, as the ordered attempt stream
+_attempts: single-loop guesses with varied crossing height and winding
+sense, pairwise sums of found solutions at decreasing separations, and a
+backfill sweep over bump centers and widths.  Every attempt runs through
 solve.run_attempt, the same runner as solve_homoclinic's restarts, and
-_record turns its outcome into one library log record.
+only when asked for.  search_distinct is one loop that takes the next
+attempt until the library holds its target, and _record turns each
+outcome into one library log record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -308,28 +311,6 @@ def ps_split(u: GridFunction, library: SolutionLibrary) -> BumpDecomposition:
     return BumpDecomposition(bumps=bumps, residual_norm=float(residual))
 
 
-def _default_schedule(grid: Grid, cfg: SolverConfig) -> dict:
-    """The built-in items; their crossing heights are clamped at k_min."""
-    t = grid.period
-    return {
-        "phase1": [
-            {"k0": max(k0, cfg.k_min), "orientation": o}
-            for k0 in (1.5, 2.0, 1.2)
-            for o in (1, -1)
-        ],
-        "separations": [6, 5, 4],
-        "backfill": [
-            {"center": c * t, "width": w}
-            for w in (2.0, 1.25)
-            for c in (0.0, 0.25, 0.5, 0.75)
-        ],
-    }
-
-
-def _phase1_worker(payload):
-    return run_attempt(single_loop_attempt, *payload)
-
-
 def _glue_pair(
     a: GridFunction, b: GridFunction, separation: int, pot: PotentialSpec, cfg, item
 ) -> HomoclinicCandidate:
@@ -370,6 +351,52 @@ def _record(lib: SolutionLibrary, item: dict, outcome, phase: int) -> None:
     lib.try_insert_entry(entry, context={"phase": phase, "timing": timing})
 
 
+def _attempts(pot: PotentialSpec, grid: Grid, cfg: SolverConfig, lib: SolutionLibrary, jobs: int):
+    """The built-in search schedule: (item, run_attempt outcome, phase) in
+    schedule order, each attempt run only when the caller asks for it.
+
+    Phase 1 solves single-loop guesses over crossing heights (clamped at
+    k_min) and winding senses; with jobs > 1 a pool of at most one worker
+    per item computes all six on the first request, yielded in schedule
+    order.  Phase 2 reads lib.entries once phase 1 is recorded and glues
+    pairs (0, 0) and (0, 1) at separations 6, 5 and 4, polished by Newton
+    alone so the two bumps keep their positions.  Phase 3 backfills with
+    single-loop guesses over bump centers and widths.
+    """
+    one_loop = partial(run_attempt, single_loop_attempt, pot, grid, cfg)
+    phase1 = [
+        {"k0": max(k0, cfg.k_min), "orientation": o, "phase": 1}
+        for k0 in (1.5, 2.0, 1.2)
+        for o in (1, -1)
+    ]
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(jobs, len(phase1))) as ex:
+            outcomes = list(ex.map(one_loop, phase1))
+    else:
+        outcomes = map(one_loop, phase1)  # lazy: one attempt per request
+    for item, outcome in zip(phase1, outcomes):
+        yield item, outcome, 1
+
+    # pair gluing converges with Newton polish alone: monotone action
+    # descent from a glued sum slides down the unwinding canyon opened by
+    # tail-core interaction, while the gradient-norm-monotone polish jumps
+    # straight to the nearby multibump critical point
+    pair_cfg = replace(cfg, polish_steps=max(40, cfg.polish_steps))
+    base = [e.trajectory for e in lib.entries]
+    for sep in (6, 5, 4):
+        for ia, ib in [(0, 0), (0, 1)][: len(base)]:
+            item = {"phase": 2, "separation": sep, "pair": [ia, ib]}
+            yield item, run_attempt(_glue_pair, base[ia], base[ib], sep, pot, pair_cfg, item), 2
+
+    k0 = max(1.35, cfg.k_min)
+    for width in (2.0, 1.25):
+        for c in (0.0, 0.25, 0.5, 0.75):
+            item = {"center": c * grid.period, "width": width, "phase": 3, "k0": k0}
+            yield item, one_loop(item), 3
+
+
 def search_distinct(
     pot: PotentialSpec,
     grid: Grid,
@@ -380,65 +407,16 @@ def search_distinct(
 ) -> SolutionLibrary:
     """Deterministic multi-solution search.
 
-    Phase 1 solves single-loop guesses over crossing heights and winding
-    senses (parallelizable with jobs > 1, at most one worker per item;
-    insertion order stays the schedule order, so results do not depend
-    on completion timing; with jobs == 1 no attempt runs once the target
-    is met).
-    Phase 2 glues pairs of found solutions at decreasing separations and
-    polishes each sum by Newton alone, so the two bumps keep their
-    positions.  Phase 3 backfills with shifted and reshaped single-loop
-    guesses.  Stops as soon as the library holds `targets` entries.
-    Like solve_homoclinic it does not check the hypotheses; the caller
-    runs potential.run_hypotheses when it wants the gate.
+    Records the attempts of _attempts, in schedule order, until the
+    library holds `targets` entries or the schedule runs out; no attempt
+    runs once the target is met.  Like solve_homoclinic it does not check
+    the hypotheses; the caller runs potential.run_hypotheses when it wants
+    the gate.
     """
     if cfg is None:
         cfg = SolverConfig()
-    sched = _default_schedule(grid, cfg)
     lib = SolutionLibrary(eps_distinct=eps_distinct)
-
-    phase1 = [dict(item, phase=1) for item in sched["phase1"]]
-    payloads = [(pot, grid, cfg, it) for it in phase1]
-    workers = min(jobs, len(payloads))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = iter(list(ex.map(_phase1_worker, payloads)))
-    else:
-        results = map(_phase1_worker, payloads)  # lazy: stops at the target
-    for item in phase1:
-        if len(lib) >= targets:
-            break
-        _record(lib, item, next(results), 1)
-    if len(lib) >= targets:
-        return lib
-
-    # pair gluing converges with Newton polish alone: monotone action
-    # descent from a glued sum slides down the unwinding canyon opened by
-    # tail-core interaction, while the gradient-norm-monotone polish jumps
-    # straight to the nearby multibump critical point
-    pair_cfg = replace(cfg, polish_steps=max(40, cfg.polish_steps))
-    base = [e.trajectory for e in lib.entries]
-    pairs = [(0, 0)]
-    if len(base) >= 2:
-        pairs.append((0, 1))
-    for sep in sched["separations"]:
-        if len(lib) >= targets or not base:
-            break
-        for ia, ib in pairs:
-            if len(lib) >= targets:
-                break
-            item = {"phase": 2, "separation": int(sep), "pair": [ia, ib]}
-            glued = run_attempt(_glue_pair, base[ia], base[ib], int(sep), pot, pair_cfg, item)
-            _record(lib, item, glued, 2)
-    if len(lib) >= targets:
-        return lib
-
-    for raw in sched["backfill"]:
-        if len(lib) >= targets:
-            break
-        item = dict(raw, phase=3)
-        item.setdefault("k0", max(1.35, cfg.k_min))
-        _record(lib, item, _phase1_worker((pot, grid, cfg, item)), 3)
+    stream = _attempts(pot, grid, cfg, lib, jobs)
+    while len(lib) < targets and (attempt := next(stream, None)) is not None:
+        _record(lib, *attempt)
     return lib

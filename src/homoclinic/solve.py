@@ -756,18 +756,7 @@ def single_loop_attempt(
     constraint = ConstraintE(node_index=snap_center(grid, center), k_min=cfg.k_min, k=k0)
     e_res = minimize_over_E(guess, constraint, pot, cfg)
     cand = _release(e_res.trajectory, pot, cfg)
-    cand.e_stage = {
-        key: getattr(e_res, key)
-        for key in (
-            "value",
-            "k",
-            "iterations",
-            "newton_steps",
-            "converged",
-            "constraint_active",
-            "grad_norm",
-        )
-    }
+    cand.e_stage = {k: v for k, v in vars(e_res).items() if k != "trajectory"}
     cand.schedule_item = dict(item)
     return cand
 

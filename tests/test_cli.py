@@ -199,6 +199,28 @@ def test_refine_equal_levels_is_exit_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "refine"])
+@pytest.mark.parametrize(
+    "levels",
+    [{"m_coarse": 80, "m_fine": 40}, {"m_fine": 40}, {"m_coarse": 60, "m_fine": 60}],
+    ids=["reversed", "equal-to-grid", "equal"],
+)
+def test_refine_fine_level_not_above_coarse_is_exit_1(tmp_path, capsys, command, levels):
+    # the config refuses the study before any solve or output directory
+    cfg = write_config(tmp_path, {"refine": levels})
+    out = str(tmp_path / "run")
+    assert main([command, "--config", cfg, "--out", out]) == 1
+    assert "config error: refine.m_fine: must exceed the coarse node count" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_refine_levels_resolve_once_and_echo_raw():
+    cfg = parse_config({"grid": {"m": 20}, "refine": {"m_fine": 50}})
+    assert (cfg.refine.coarse, cfg.refine.fine) == (20, 50)
+    assert cfg.echo()["refine"] == {"m_coarse": None, "m_fine": 50}
+    assert (parse_config({}).refine.coarse, parse_config({}).refine.fine) == (40, 80)
+
+
 def test_diagnose_missing_file_is_exit_1(tmp_path):
     assert main(["diagnose", "--out", str(tmp_path), str(tmp_path / "no.csv")]) == 1
 
@@ -661,6 +683,9 @@ def test_search_pool_capped_at_phase1_items(pot, grid, cfg, monkeypatch):
             return map(fn, payloads)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    # a target of 0 asks for no attempt, so no pool is built
+    assert len(search_distinct(pot, grid, cfg, targets=0, jobs=2)) == 0
+    assert sizes == []
     lib = search_distinct(pot, grid, cfg, targets=3, jobs=10**6)
     assert sizes == [6]
     assert len(lib) == 3

@@ -365,22 +365,31 @@ def test_ps_split_manufactured_pair(solved, library3):
     assert dec.residual_norm <= 1e-12
 
 
-def test_search_phase1_is_lazy(pot, grid, cfg, monkeypatch):
-    # with one worker, phase 1 stops attempting as soon as the target is met
+@pytest.mark.parametrize(
+    "targets,calls,glues,last_phase",
+    [(1, 1, 0, 1), (7, 6, 5, 2), (9, 9, 6, 3)],
+    ids=["targets1", "targets7", "targets9"],
+)
+def test_search_phase1_is_lazy(pot, grid, cfg, monkeypatch, targets, calls, glues, last_phase):
+    # with one worker, the attempt stream stops as soon as the target is
+    # met: in phase 1 (one single-loop call), after the fifth glue (no
+    # backfill record), or at the third backfill item
     import homoclinic.multiplicity as mult
 
-    calls = []
+    items = []
     real = mult.single_loop_attempt
 
     def counted(*args):
-        calls.append(args[3])
+        items.append(args[3])
         return real(*args)
 
     monkeypatch.setattr(mult, "single_loop_attempt", counted)
-    lib = search_distinct(pot, grid, cfg, targets=1)
-    assert len(lib) == 1
-    assert len(calls) == 1
-    assert [rec["outcome"] for rec in lib.log] == ["inserted"]
+    lib = search_distinct(pot, grid, cfg, targets=targets)
+    assert len(lib) == targets
+    assert len(items) == calls
+    assert [rec["phase"] for rec in lib.log].count(2) == glues
+    assert lib.log[-1]["phase"] == last_phase
+    assert lib.log[-1]["outcome"] == "inserted"
 
 
 def test_search_log_times_every_attempt(pot, grid, cfg, library9):
