@@ -50,8 +50,7 @@ from .config import (
 )
 from .errors import (
     ConfigError,
-    MaxItersExceeded,
-    NoSolutionFound,
+    HomoclinicError,
     SingularityProximity,
     TrajectoryFormatError,
     WindowOutOfDomain,
@@ -155,14 +154,14 @@ def cmd_solve(cfg: RunConfig) -> int:
     def body(report: dict) -> int:
         try:
             cand = solve_homoclinic(cfg.potential, cfg.grid, cfg.solver)
-        except NoSolutionFound as exc:
+        except HomoclinicError as exc:
             report["error"] = "%s: %s" % (type(exc).__name__, exc)
-            print("no solution found: %s" % exc, file=sys.stderr)
+            print("no solution found: %s" % report["error"], file=sys.stderr)
             return 3
         csv_name = "solution.csv"
         write_trajectory_csv(os.path.join(cfg.out_dir, csv_name), cand.trajectory)
         report["candidate"] = _candidate_summary(cand, csv_name)
-        e_iters = cand.e_stage["iterations"] if cand.e_stage else 0
+        e_iters = cand.e_stage["iterations"]
         polish = len(cand.history["polish_grad_norm"])
         print(
             "solution: action %.6f, grad norm %.3e, clearance %.4f, "
@@ -251,7 +250,7 @@ def cmd_refine(cfg: RunConfig) -> int:
             grid = replace(cfg.grid, nodes_per_period=m)
             try:
                 cand = solve_homoclinic(cfg.potential, grid, solver)
-            except NoSolutionFound as exc:
+            except HomoclinicError as exc:
                 report["error"] = "%s level (m=%d): %s: %s" % (label, m, type(exc).__name__, exc)
                 print(report["error"], file=sys.stderr)
                 return 3
@@ -481,9 +480,6 @@ def main(argv: Optional[list] = None) -> int:
     except (TrajectoryFormatError, WindowOutOfDomain, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except (NoSolutionFound, MaxItersExceeded) as exc:
-        print("no solution: %s" % exc, file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

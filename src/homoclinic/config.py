@@ -141,6 +141,15 @@ def _parse_potential(block: dict) -> PotentialSpec:
         raw = block["q"]
         _require(isinstance(raw, list) and len(raw) > 0, "potential.q", "expected a nonempty array")
         q = np.array([_as_float(x, "potential.q") for x in raw])
+        # the barrier check's innermost shell, 1e-4 times the witness radius
+        # from q, must stay outside the guard ball of radius 1e-9 |q|
+        # (math.hypot, unlike the numpy norm, does not overflow)
+        _require(
+            math.hypot(*q) < 1e4,
+            "potential.q",
+            "|q| must be below 1e4, where the guard ball around q reaches the "
+            "innermost strong-force shell",
+        )
     try:
         pot = example_potential(
             alpha=alpha, dimension=dim, a_base=a_base, a_amp=a_amp, period=period, q=q

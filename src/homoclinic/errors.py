@@ -47,11 +47,7 @@ class MaxItersExceeded(HomoclinicError):
 
 
 class ConvergedToZero(HomoclinicError):
-    """Descent collapsed onto the trivial equilibrium; re-seed and retry."""
-
-
-class NoSolutionFound(HomoclinicError):
-    """Every restart of the solve pipeline failed to produce a candidate."""
+    """Descent collapsed onto the trivial equilibrium: the attempt found no orbit."""
 
 
 class TrajectoryFormatError(HomoclinicError):

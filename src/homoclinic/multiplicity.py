@@ -23,7 +23,7 @@ The search schedule is written once, as the ordered attempt stream
 _attempts: single-loop guesses with varied crossing height and winding
 sense, pairwise sums of found solutions at decreasing separations, and a
 backfill sweep over bump centers and widths.  Every attempt runs through
-solve.run_attempt, the same runner as solve_homoclinic's restarts, and
+solve.run_attempt, which turns a failed attempt into an error text, and
 only when asked for.  search_distinct is one loop that takes the next
 attempt until the library holds its target, and _record turns each
 outcome into one library log record.

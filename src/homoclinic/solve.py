@@ -32,9 +32,10 @@ All value, clearance and gradient evaluations go through one
 action.ActionKernel per stage.  Each loop keeps the accepted trial's
 StencilPoint, so the next gradient reuses the offsets from q and the well
 terms computed when that trial was valued; the candidate's certificate is
-read from the stage's kernel at its last accepted point.  run_attempt runs
-every attempt of solve_homoclinic and of the search, turning any
-HomoclinicError into an error text so the caller moves on to its next item.
+read from the stage's kernel at its last accepted point.  solve_homoclinic
+is one attempt, whose error propagates; run_attempt runs every attempt of
+the search, turning any HomoclinicError into an error text so the search
+moves on to its next item.
 
 This is the one module that uses scipy, and it imports scipy.linalg on the
 first factorization (load_linalg), not at module load: importing the
@@ -65,7 +66,6 @@ from .errors import (
     HomoclinicError,
     InfeasibleGuess,
     MaxItersExceeded,
-    NoSolutionFound,
 )
 from .grids import Grid, GridFunction, from_values, renormalize_translation
 from .potential import PotentialSpec, eval_hessW
@@ -256,10 +256,12 @@ def initial_guess_bump(
         raise ValueError("width must be positive")
     idx = snap_center(grid, center)
     tau = grid.times - grid.times[idx]
-    sech = 1.0 / np.cosh(width * tau)
-    swing = np.tanh(width * tau) * sech
     p_hat = _transverse_unit(pot.q)
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge k0 overflows
+    # cosh overflows far from a steep profile's center, where sech is 0,
+    # and a huge k0 overflows the values
+    with np.errstate(over="ignore", invalid="ignore"):
+        sech = 1.0 / np.cosh(width * tau)
+        swing = np.tanh(width * tau) * sech
         vals = k0 * np.outer(sech, pot.q) + (
             orientation * transverse * pot.well.q_norm
         ) * np.outer(swing, p_hat)
@@ -714,23 +716,6 @@ def _wrap_candidate(
     return cand
 
 
-def _restart_schedule(grid: Grid, cfg: SolverConfig) -> list[dict]:
-    t_half = grid.period / 2.0
-    base = {
-        "k0": cfg.k0,
-        "center": cfg.bump_center,
-        "width": cfg.bump_width,
-        "orientation": cfg.orientation,
-    }
-    return [
-        base,
-        {**base, "orientation": -cfg.orientation},
-        {**base, "k0": min(2.5, cfg.k0 * 1.25), "width": cfg.bump_width * 0.75},
-        {**base, "center": cfg.bump_center + t_half},
-        {**base, "k0": max(1.0 + cfg.eps_k, cfg.k0 * 0.85), "width": cfg.bump_width * 1.5},
-    ]
-
-
 def single_loop_attempt(
     pot: PotentialSpec, grid: Grid, cfg: SolverConfig, item: dict
 ) -> HomoclinicCandidate:
@@ -763,7 +748,7 @@ def single_loop_attempt(
 
 def run_attempt(fn, *args) -> tuple[Optional[HomoclinicCandidate], str, float]:
     """fn(*args) as (candidate, "", seconds), or (None, error text, seconds)
-    when it raises a HomoclinicError."""
+    when it raises a HomoclinicError; the search's attempt runner."""
     t0 = time.perf_counter()
     try:
         cand, error = fn(*args), ""
@@ -777,25 +762,25 @@ def solve_homoclinic(
     grid: Grid,
     cfg: Optional[SolverConfig] = None,
 ) -> HomoclinicCandidate:
-    """Full pipeline: constrained stage, release.
+    """Full pipeline: one guess from cfg, constrained stage, release.
 
     Does not check the hypotheses: a caller who wants the gate runs
-    potential.run_hypotheses first, as the CLI does.  Retries over a small
-    restart schedule of guess parameters, each item through run_attempt;
-    raises NoSolutionFound when every attempt fails.  The returned candidate
-    carries the constrained-stage summary (infimum estimate d_h, final k,
+    potential.run_hypotheses first, as the CLI does.  Runs exactly one
+    single_loop_attempt, with the guess parameters of cfg as its schedule
+    item; the attempt's HomoclinicError (InfeasibleGuess, ConvergedToZero,
+    MaxItersExceeded, ...) propagates.  The returned candidate carries the
+    constrained-stage summary (infimum estimate d_h, final k,
     constraint-activity flag) and alpha_gap, the proven action gap on the
     unit H1 sphere from action.sphere_action_bound (None for custom wells).
     """
     if cfg is None:
         cfg = SolverConfig()
-    failures = []
-    for item in _restart_schedule(grid, cfg):
-        cand, error, _ = run_attempt(single_loop_attempt, pot, grid, cfg, item)
-        if cand is not None:
-            cand.alpha_gap = sphere_action_bound(pot)
-            return cand
-        failures.append(error)
-    raise NoSolutionFound(
-        "all %d attempts failed: %s" % (len(failures), "; ".join(failures))
-    )
+    item = {
+        "k0": cfg.k0,
+        "center": cfg.bump_center,
+        "width": cfg.bump_width,
+        "orientation": cfg.orientation,
+    }
+    cand = single_loop_attempt(pot, grid, cfg, item)
+    cand.alpha_gap = sphere_action_bound(pot)
+    return cand

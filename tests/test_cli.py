@@ -510,15 +510,30 @@ def test_small_q_is_config_error(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("q", [[10000, 0], [1e200, 0]])
+def test_huge_q_is_config_error(tmp_path, capsys, q):
+    # the barrier check's innermost shell would lie inside the guard ball
+    cfg = write_config(tmp_path, {"potential": {"q": q}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: potential.q: |q| must be below 1e4")
+
+
+def test_q_below_the_bound_passes_check(tmp_path):
+    cfg = write_config(tmp_path, {"potential": {"q": [9999, 0]}})
+    assert main(["check", "--config", cfg]) == 0
+
+
 def test_solve_summary_counts_polish(tmp_path, capsys):
     # no descent steps at all: the Newton polish does the whole job
     out = str(tmp_path / "run")
-    cfg = write_config(tmp_path, {"solver": {"max_iters": 0}})
+    cfg = write_config(tmp_path, {"potential": {"alpha": 3}, "solver": {"max_iters": 0}})
     assert main(["solve", "--config", cfg, "--out", out]) == 0
     line = capsys.readouterr().out.splitlines()[0]
-    assert "0 E-stage + 0 descent + " in line
-    polish = int(line.rsplit("+ ", 1)[1].split()[0])
-    assert polish > 0
+    assert "action 22.563663" in line
+    assert line.endswith("iterations 0 E-stage + 0 descent + 12 polish")
     assert load_report(out)["candidate"]["iterations"] == 0
 
 
@@ -530,7 +545,8 @@ def test_report_is_strict_json(tmp_path):
     assert main(["search", "--config", cfg, "--out", lib]) == 0
     assert load_report(lib)["library"]["log"][0]["nearest_distance"] is None
     run = str(tmp_path / "run")
-    cfg = write_config(tmp_path, {"solver": {"max_iters": 0}}, name="zero.json")
+    doc = {"potential": {"alpha": 3}, "solver": {"max_iters": 0}}
+    cfg = write_config(tmp_path, doc, name="zero.json")
     assert main(["solve", "--config", cfg, "--out", run]) == 0
     assert load_report(run)["candidate"]["e_stage"]["grad_norm"] is None
 
@@ -768,14 +784,51 @@ def test_refine_unreachable_tolerance_is_exit_3(tmp_path):
     ],
 )
 def test_huge_k0_fails_the_attempt_not_the_run(tmp_path, capsys, command, doc):
-    # the overflowing item fails like an infeasible guess and the restarts go on
+    # the overflowing guess fails like an infeasible one: exit 3, no traceback
     out = str(tmp_path / "run")
     cfg = write_config(tmp_path, doc)
-    assert main([command, "--config", cfg, "--out", out]) == 0
+    assert main([command, "--config", cfg, "--out", out]) == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err and "Warning" not in err
-    # the third restart item
-    assert load_report(out)["candidate"]["schedule_item"]["k0"] == 2.5
+    assert load_report(out)["error"].startswith("InfeasibleGuess: ")
+
+
+@pytest.mark.parametrize(
+    "doc,error",
+    [
+        ({"solver": {"bump_center": 0.25}}, "ConvergedToZero"),
+        ({"solver": {"max_iters": 0}}, "MaxItersExceeded"),
+        ({"solver": {"eps_k": 2, "k0": 1000}}, "InfeasibleGuess"),
+    ],
+)
+def test_solve_runs_one_attempt(tmp_path, capsys, monkeypatch, doc, error):
+    # one guess from the solver block; its own error is the run's error
+    from homoclinic import solve
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return attempt(*args)
+
+    attempt = solve.single_loop_attempt
+    monkeypatch.setattr(solve, "single_loop_attempt", counted)
+    out = str(tmp_path / "run")
+    assert main(["solve", "--config", write_config(tmp_path, doc), "--out", out]) == 3
+    assert len(calls) == 1
+    rep = load_report(out)
+    assert rep["error"].startswith(error + ": ")
+    err = capsys.readouterr().err
+    assert err == "no solution found: %s\n" % rep["error"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_steep_guess_solves_without_warning(tmp_path):
+    # cosh overflows far from a steep bump's center; sech is 0 there
+    out = str(tmp_path / "run")
+    doc = {"grid": {"M": 200}, "solver": {"bump_width": 4}}
+    assert main(["solve", "--config", write_config(tmp_path, doc), "--out", out]) == 0
+    assert load_report(out)["candidate"]["action"] == pytest.approx(27.308803, abs=1e-6)
 
 
 _TOL0 = {"solver": {"grad_tol": 0.0, "max_iters": 50}}
