@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import SingularityProximity
 from .grids import Grid, GridFunction, h1_norm, random_smooth_function, sup_norm
-from .potential import PotentialSpec, eval_a, eval_gradW, eval_W
+from .potential import PotentialSpec, eval_a
 
 Array = np.ndarray
 
@@ -98,7 +98,7 @@ class StencilPoint:
     dq: Array  # values - q
     s: Array  # |values - q| per node
     r2: Array  # |values|^2 per node
-    sa: Optional[Array]  # s ** -alpha, built-in well only
+    sa: Array  # s ** -alpha per node
     clearance: float = math.nan
     value: float = math.nan
 
@@ -111,7 +111,6 @@ class ActionKernel:
     makes it return None.
     evaluate() raises SingularityProximity for a node inside the eps_q
     guard ball and otherwise reports the clearance without judging it.
-    Custom wells are evaluated through their own w_fn / grad_fn.
     """
 
     def __init__(self, pot: PotentialSpec, grid: Grid):
@@ -121,7 +120,6 @@ class ActionKernel:
         self.a = eval_a(pot.coeff, grid.times)
         self.eps_q = pot.eps_q
         self.delta_seg = pot.delta_seg
-        self._builtin = pot.well.form == "example"
 
     def _nodes(self, values: Array, guard2: float) -> Optional[StencilPoint]:
         dq = values - self.q
@@ -129,13 +127,11 @@ class ActionKernel:
         if d2.min() < guard2:
             return None
         s = np.sqrt(d2)
-        sa = s ** (-self.well.alpha) if self._builtin else None
-        return StencilPoint(values, dq, s, _rowsum(values * values), sa)
+        return StencilPoint(values, dq, s, _rowsum(values * values), s ** (-self.well.alpha))
 
     def _value(self, p: StencilPoint) -> float:
         v = p.values
-        w = -p.r2 * p.sa if self._builtin else eval_W(self.well, v)
-        aw = self.a * w
+        aw = self.a * (-p.r2 * p.sa)
         potential = -self.h * (aw.sum() - 0.5 * (aw[0] + aw[-1]))
         diffs = v[1:] - v[:-1]
         kinetic = 0.5 * (diffs * diffs).sum() / self.h
@@ -165,8 +161,6 @@ class ActionKernel:
 
     def grad_w(self, p: StencilPoint) -> Array:
         """grad W at every node, from the point's stored offsets."""
-        if not self._builtin:
-            return eval_gradW(self.well, p.values)
         alpha = self.well.alpha
         # W = -|u|^2 s^-alpha, so grad = -2u s^-alpha + alpha |u|^2 s^-(alpha+2) (u-q)
         return -2.0 * p.values * p.sa[:, None] + (
@@ -365,10 +359,10 @@ def sphere_action_bound(pot: PotentialSpec) -> Optional[float]:
 
     On a pinned grid |u_i|^2 <= ||u'|| ||u|| <= h1_norm(u)^2 / 2 exactly in
     the quadrature of grids.py, so -W(u_i) >= |u_i|^2 (|q| + 1/sqrt(2))^-alpha
-    for the built-in well, and a(t) >= a_min = a_base - |a_amp|.  Custom
-    wells state no constant for W <= -c |u|^2, so they (and a_min <= 0) get None.
+    and a(t) >= a_min = a_base - |a_amp|.  A coefficient with a_min <= 0
+    gets None.
     """
     a_min = pot.coeff.a_base - abs(pot.coeff.a_amp)
-    if pot.well.form != "example" or a_min <= 0.0:
+    if a_min <= 0.0:
         return None
     return min(0.5, a_min * (pot.well.q_norm + math.sqrt(0.5)) ** (-pot.well.alpha))

@@ -8,9 +8,6 @@ and column).  The resolved configuration echoes back to an equivalent
 document via RunConfig.echo, and parsing that echo reproduces the same
 resolved configuration, which is what makes reports reproducible from the
 config they embed.
-
-The CLI always works with the built-in potential family; custom callables
-are a library-level feature and have no JSON spelling.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ The systems studied here have the form
 
 where a is positive and T-periodic and W is a well that vanishes
 quadratically at the origin and diverges to -infinity at a single point q
-(a strong-force singularity).  The built-in family is
+(a strong-force singularity).  The one well family here is
 
     W(u) = -|u|^2 * |u - q|^(-alpha),   alpha in [2, 4],
 
@@ -57,21 +57,11 @@ def eval_a(spec: CoefficientSpec, t):
 
 @dataclass
 class SingularPotentialSpec:
-    """A well W on R^d with a single strong-force singularity at q.
-
-    form "example" uses the built-in family above; form "custom" takes
-    evaluator callables.  Custom callables must accept arrays of points
-    with the coordinate dimension on the trailing axis and return values
-    with that axis contracted away.
-    """
+    """The built-in well -|u|^2 |u - q|^(-alpha) on R^d, singular at q."""
 
     dimension: int = 2
     q: Array = field(default_factory=lambda: np.array([2.0, 0.0]))
     alpha: float = 2.0
-    form: str = "example"
-    w_fn: Optional[Callable] = None
-    grad_fn: Optional[Callable] = None
-    hess_fn: Optional[Callable] = None
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float)
@@ -81,14 +71,8 @@ class SingularPotentialSpec:
             raise ValueError("q must be a point in R^dimension")
         if np.linalg.norm(self.q) == 0.0:
             raise ValueError("q must be distinct from the origin")
-        if self.form == "example":
-            if not (2.0 <= self.alpha <= 4.0):
-                raise ValueError("alpha must lie in [2, 4]")
-        elif self.form == "custom":
-            if self.w_fn is None or self.grad_fn is None:
-                raise ValueError("custom form needs w_fn and grad_fn")
-        else:
-            raise ValueError("form must be 'example' or 'custom'")
+        if not (2.0 <= self.alpha <= 4.0):
+            raise ValueError("alpha must lie in [2, 4]")
 
     @property
     def q_norm(self) -> float:
@@ -117,8 +101,6 @@ def eval_W(spec: SingularPotentialSpec, u):
     """Evaluate W at one point (d,) or a batch (..., d) of points."""
     u = np.asarray(u, dtype=float)
     s = _guard(spec, u)
-    if spec.form == "custom":
-        return np.asarray(spec.w_fn(u), dtype=float)
     r2 = np.sum(u * u, axis=-1)
     return -r2 * s ** (-spec.alpha)
 
@@ -127,8 +109,6 @@ def eval_gradW(spec: SingularPotentialSpec, u):
     """Evaluate grad W; same batching convention as eval_W."""
     u = np.asarray(u, dtype=float)
     s = _guard(spec, u)
-    if spec.form == "custom":
-        return np.asarray(spec.grad_fn(u), dtype=float)
     r2 = np.sum(u * u, axis=-1)
     sa = s ** (-spec.alpha)
     # W = -|u|^2 s^-alpha, so grad = -2u s^-alpha + alpha |u|^2 s^-(alpha+2) (u-q)
@@ -138,27 +118,9 @@ def eval_gradW(spec: SingularPotentialSpec, u):
 
 
 def eval_hessW(spec: SingularPotentialSpec, u):
-    """Evaluate the Hessian of W, batched like eval_W with shape (..., d, d).
-
-    Custom specs use hess_fn when given and otherwise central differences
-    of grad_fn with a scale-aware step.
-    """
+    """Evaluate the Hessian of W, batched like eval_W with shape (..., d, d)."""
     u = np.asarray(u, dtype=float)
     s = _guard(spec, u)
-    if spec.form == "custom":
-        if spec.hess_fn is not None:
-            return np.asarray(spec.hess_fn(u), dtype=float)
-        d = u.shape[-1]
-        step = 1e-6 * (1.0 + np.sqrt(np.sum(u * u, axis=-1, keepdims=True)))
-        cols = []
-        for c in range(d):
-            e = np.zeros(d)
-            e[c] = 1.0
-            gp = np.asarray(spec.grad_fn(u + step * e), dtype=float)
-            gm = np.asarray(spec.grad_fn(u - step * e), dtype=float)
-            cols.append((gp - gm) / (2.0 * step))
-        hess = np.stack(cols, axis=-1)
-        return 0.5 * (hess + np.swapaxes(hess, -1, -2))
     alpha = spec.alpha
     v = u - spec.q
     r2 = np.sum(u * u, axis=-1)
@@ -275,8 +237,9 @@ class PinchingReport:
 def check_H2(spec: SingularPotentialSpec) -> PinchingReport:
     """Finite-difference Hessian of W at the origin; all eigenvalues must be < 0.
 
-    The Hessian is always finite-differenced, even when a closed form is
-    known, so the probe exercises the same code path for every well.
+    The Hessian is finite-differenced although eval_hessW gives it in
+    closed form, because the `check` table prints these eigenvalues and
+    the difference quotients keep its bytes.
     Reports alpha0 = -eigen_min and alpha1 = -eigen_max (the quadratic
     pinching constants).
     """
@@ -467,23 +430,19 @@ _HYPOTHESES = (
     ("W<0", "W negative away from 0", lambda pot, wit: check_W_negativity(pot.well),
      lambda r: "max W %.3e" % r.max_w),
 )
-_WITNESS_CHECKS = ("H3", "H4")  # skipped for custom wells, which have no witness
 
 
 def run_hypotheses(pot: PotentialSpec) -> list[tuple[str, str, Optional[object], str]]:
-    """Run every table row that applies to pot, in gate order.
+    """Run every table row on pot, in gate order.
 
     Returns (name, description, report, detail) rows: a passing row has
     its report and margin text, a failing one report None and the
     violation message.  This is the whole gate: the solvers do not run it,
     so a library caller who wants it calls this first.
     """
-    builtin = pot.well.form == "example"
-    witness = default_witness(pot.well) if builtin else None
+    witness = default_witness(pot.well)
     rows = []
     for name, description, check, margin in _HYPOTHESES:
-        if not builtin and name in _WITNESS_CHECKS:
-            continue
         try:
             report = check(pot, witness)
         except HypothesisViolation as exc:

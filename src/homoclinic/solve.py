@@ -771,7 +771,7 @@ def solve_homoclinic(
     MaxItersExceeded, ...) propagates.  The returned candidate carries the
     constrained-stage summary (infimum estimate d_h, final k,
     constraint-activity flag) and alpha_gap, the proven action gap on the
-    unit H1 sphere from action.sphere_action_bound (None for custom wells).
+    unit H1 sphere from action.sphere_action_bound.
     """
     if cfg is None:
         cfg = SolverConfig()

@@ -9,8 +9,6 @@ from homoclinic import (
     GRAD_NORM_CONVENTION,
     Grid,
     GridFunction,
-    PotentialSpec,
-    SingularPotentialSpec,
     SingularityProximity,
     eval_a,
     eval_action,
@@ -281,12 +279,6 @@ def test_sphere_action_bound_below_sampled_minimum(alpha, m):
     assert 0.0 < bound <= probe.min_action
 
 
-def test_sphere_action_bound_none_for_custom_well():
-    # the built-in well through callables: same W, but no stated constant
-    well = SingularPotentialSpec(
-        q=POT.q,
-        form="custom",
-        w_fn=lambda u: eval_W(POT.well, u),
-        grad_fn=lambda u: eval_gradW(POT.well, u),
-    )
-    assert sphere_action_bound(PotentialSpec(coeff=POT.coeff, well=well)) is None
+def test_sphere_action_bound_none_at_zero_a_min():
+    # a(t) = 1 + cos(2 pi t) touches 0, so the bound a_min (...)^-alpha is void
+    assert sphere_action_bound(example_potential(a_base=1.0, a_amp=1.0)) is None

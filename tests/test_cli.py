@@ -733,13 +733,15 @@ def test_search_jobs_2_matches_jobs_1(tmp_path):
 
 @pytest.mark.parametrize("command", ["solve", "search", "refine"])
 def test_hypothesis_violation_is_exit_2(tmp_path, capsys, command):
-    cfg = write_config(tmp_path, {"potential": {"a_base": 1.0, "a_amp": 2.0}})
-    out = str(tmp_path / "run")
-    assert main([command, "--config", cfg, "--out", out]) == 2
-    captured = capsys.readouterr()
-    assert "FAIL" in captured.out
-    assert "hypothesis checks failed" in captured.err
-    assert not os.path.exists(out)
+    # a coefficient that changes sign (A) and a well with |q| < 1 (H3)
+    for doc in ({"potential": {"a_base": 1.0, "a_amp": 2.0}}, {"potential": {"q": [0.5, 0]}}):
+        cfg = write_config(tmp_path, doc)
+        out = str(tmp_path / "run")
+        assert main([command, "--config", cfg, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.out
+        assert "hypothesis checks failed" in captured.err
+        assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize(

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from homoclinic import (
-    CoefficientSpec,
     Grid,
     GridFunction,
-    PotentialSpec,
     SingularityProximity,
-    SingularPotentialSpec,
     eval_a,
     eval_action,
     eval_gradW,
@@ -71,31 +68,11 @@ def feasible_samples(pot, d, count=12, seed=0):
     return out
 
 
-def custom_potential():
-    # alpha = 3 well through the callables, so the kernel cannot use its
-    # built-in closed form
-    q = np.array([2.0, 0.0])
-
-    def w_fn(u):
-        u = np.asarray(u, dtype=float)
-        s = np.sqrt(np.sum((u - q) ** 2, axis=-1))
-        return -np.sum(u * u, axis=-1) * s**-3.0
-
-    def grad_fn(u):
-        u = np.asarray(u, dtype=float)
-        s = np.sqrt(np.sum((u - q) ** 2, axis=-1))
-        r2 = np.sum(u * u, axis=-1)
-        return -2.0 * u * (s**-3.0)[..., None] + (3.0 * r2 * s**-5.0)[..., None] * (u - q)
-
-    well = SingularPotentialSpec(dimension=2, q=q, form="custom", w_fn=w_fn, grad_fn=grad_fn)
-    return PotentialSpec(coeff=CoefficientSpec(), well=well)
-
-
 CASES = [
     pytest.param(example_potential(alpha=alpha, dimension=d), id="alpha%g-d%d" % (alpha, d))
     for alpha in (2.0, 3.0, 4.0)
     for d in (2, 3)
-] + [pytest.param(custom_potential(), id="custom")]
+]
 
 
 @pytest.mark.parametrize("pot", CASES)

@@ -136,23 +136,6 @@ def test_singularity_guard():
         eval_gradW(pot.well, pot.q + 1e-12)
 
 
-def test_custom_form_uses_callables():
-    # quadratic well with no singularity except a formal q far away
-    spec = SingularPotentialSpec(
-        dimension=2,
-        q=np.array([50.0, 0.0]),
-        alpha=2.0,
-        form="custom",
-        w_fn=lambda u: -np.sum(np.asarray(u) ** 2, axis=-1),
-        grad_fn=lambda u: -2.0 * np.asarray(u, dtype=float),
-    )
-    u = np.array([1.0, 2.0])
-    assert eval_W(spec, u) == pytest.approx(-5.0)
-    assert np.allclose(eval_gradW(spec, u), [-2.0, -4.0])
-    # no hess_fn: falls back to differences of grad_fn
-    assert np.allclose(eval_hessW(spec, u), -2.0 * np.eye(2), atol=1e-4)
-
-
 def test_check_A_rejects_sign_change():
     with pytest.raises(HypothesisViolation):
         check_A(CoefficientSpec(a_base=1.0, a_amp=2.0, period=1.0))
@@ -170,17 +153,14 @@ def test_check_A_accepts_default():
     assert rep.max_a == pytest.approx(3.0, abs=1e-4)
 
 
-def test_check_H2_rejects_positive_curvature():
-    spec = SingularPotentialSpec(
-        dimension=2,
-        q=np.array([2.0, 0.0]),
-        alpha=2.0,
-        form="custom",
-        w_fn=lambda u: np.sum(np.asarray(u) ** 2, axis=-1),
-        grad_fn=lambda u: 2.0 * np.asarray(u, dtype=float),
-    )
-    with pytest.raises(HypothesisViolation):
-        check_H2(spec)
+def test_check_H2_rejects_positive_curvature(monkeypatch):
+    # every well of the family has Hessian -2|q|^-alpha I at 0, so a convex
+    # fake stands in for W; check_H2 looks eval_W up at call time
+    from homoclinic import potential
+
+    monkeypatch.setattr(potential, "eval_W", lambda spec, u: np.sum(np.asarray(u) ** 2, axis=-1))
+    with pytest.raises(HypothesisViolation, match="nonnegative eigenvalue"):
+        check_H2(example_potential().well)
 
 
 def test_check_H2_dimension_three():
@@ -206,50 +186,29 @@ def test_check_H3_rejects_bad_radius(pot):
         check_H3(pot.well, w)
 
 
-def test_check_H3_rejects_inverse_distance_well():
+def test_check_H3_rejects_inverse_distance_well(monkeypatch):
     # -W ~ 1/s is too weak: every admissible witness gradient near q
-    # grows at least like 1/s, so |grad U|^2 ~ 1/s^2 wins
-    q = np.array([2.0, 0.0])
+    # grows at least like 1/s, so |grad U|^2 ~ 1/s^2 wins; no well of the
+    # family is that weak, so a fake W stands in (check_H3 looks eval_W up
+    # at call time)
+    from homoclinic import potential
 
-    def w_fn(u):
-        u = np.asarray(u, dtype=float)
-        return -1.0 / np.linalg.norm(u - q, axis=-1)
-
-    def grad_fn(u):
-        u = np.asarray(u, dtype=float)
-        v = u - q
-        s = np.linalg.norm(v, axis=-1)[..., None]
-        return v / s**3
-
-    weak = SingularPotentialSpec(
-        dimension=2, q=q, alpha=2.0, form="custom", w_fn=w_fn, grad_fn=grad_fn
+    well = example_potential().well
+    monkeypatch.setattr(
+        potential,
+        "eval_W",
+        lambda spec, u: -1.0 / np.linalg.norm(np.asarray(u) - spec.q, axis=-1),
     )
-    with pytest.raises(HypothesisViolation):
-        check_H3(weak, default_witness(weak))
+    with pytest.raises(HypothesisViolation, match="strong-force barrier fails"):
+        check_H3(well, default_witness(well))
 
 
 def test_check_H3_detects_weak_singularity():
-    # -W ~ 4/s near q is dominated by |grad ln s|^2 = 1/s^2, so the
-    # log witness cannot certify the barrier
-    q = np.array([2.0, 0.0])
-
-    def w_fn(u):
-        u = np.asarray(u, dtype=float)
-        s = np.linalg.norm(u - q, axis=-1)
-        return -np.sum(u * u, axis=-1) / s
-
-    def grad_fn(u):
-        u = np.asarray(u, dtype=float)
-        v = u - q
-        s = np.linalg.norm(v, axis=-1)[..., None]
-        r2 = np.sum(u * u, axis=-1)[..., None]
-        return -2.0 * u / s + r2 * v / s**3
-
-    weak = SingularPotentialSpec(
-        dimension=2, q=q, alpha=2.0, form="custom", w_fn=w_fn, grad_fn=grad_fn
-    )
-    with pytest.raises(HypothesisViolation):
-        check_H3(weak, default_witness(weak))
+    # with |q| < 1 the well -|u|^2 s^-2 ~ -|q|^2 / s^2 near q is dominated
+    # by |grad ln s|^2 = 1 / s^2, so the log witness cannot certify the barrier
+    well = example_potential(q=[0.5, 0.0]).well
+    with pytest.raises(HypothesisViolation, match="min margin -7.5"):
+        check_H3(well, default_witness(well))
 
 
 def test_check_H4_default_witness_passes(pot):
