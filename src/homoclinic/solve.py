@@ -15,14 +15,18 @@ node held fixed, so the pinned node only moves along the ray.  Once the
 projected gradient is small the stage finishes with damped Newton steps on
 the banded action Hessian, bordered by the ray constraint.
 
-The release is the same damped Newton without the ray constraint, with
-whole-period translation renormalization; polish_to_critical (the glue
-polish of multibump guesses) is that Newton alone.  Only when the release
-stalls above tolerance does monotone Armijo descent along the H1 direction
-restart from the constrained minimizer; it changes only the direction,
-never the accepted-value bookkeeping: action sequences stay monotone and
-iterates segment-feasible.  Both Armijo descents step through one
-backtracking line search, _armijo_step.
+The release is the same damped Newton without the ray constraint;
+polish_to_critical (the glue polish of multibump guesses) is that Newton
+alone.  Only when the release stalls above tolerance does monotone Armijo
+descent along the H1 direction restart from the constrained minimizer; it
+changes only the direction, never the accepted-value bookkeeping: action
+sequences stay monotone and iterates segment-feasible.  Both Armijo
+descents step through one backtracking line search, _armijo_step.
+
+a is T-periodic, so every orbit comes with its whole-period translates,
+and a solve only chooses the crossing phase: single_loop_attempt takes its
+guess center modulo the period, and no stage moves an iterate by whole
+periods.
 
 Every accepted iterate keeps segment clearance >= delta_seg; trial points
 that would violate it (or park a node inside the guard ball around q) are
@@ -67,12 +71,11 @@ from .errors import (
     InfeasibleGuess,
     MaxItersExceeded,
 )
-from .grids import Grid, GridFunction, from_values, renormalize_translation
+from .grids import Grid, GridFunction, from_values
 from .potential import PotentialSpec, eval_hessW
 
 Array = np.ndarray
 
-_RENORMALIZE_EVERY = 25  # accepted descent steps between whole-period shifts
 _STEP_CAP = 8.0  # longest step tried along the H1 direction
 _ARMIJO_C1 = 1e-4  # sufficient-decrease constant of both Armijo loops
 _BACKTRACK = 0.5  # step shrink factor per rejected trial
@@ -542,42 +545,6 @@ def _detect_crossing(u: GridFunction, pot: PotentialSpec) -> Optional[tuple[int,
     return int(best), float(along[best] / qn)
 
 
-def _renormalize(kernel: ActionKernel, grid: Grid, p: StencilPoint) -> StencilPoint:
-    """Whole-period shift toward the center; the same point when none applies."""
-    shifted, l = renormalize_translation(GridFunction(grid, p.values))
-    if l != 0:
-        res = kernel.trial(np.array(shifted.values, copy=True))
-        if res is not None:  # a shift that would break feasibility is skipped
-            return res
-    return p
-
-
-def _polish_rounds(
-    kernel: ActionKernel, grid: Grid, p: StencilPoint, cfg: SolverConfig
-) -> tuple[StencilPoint, float, list[float]]:
-    """Newton polish, then renormalize; polish again once if the shift moved it.
-
-    Returns (point, gradient norm, accepted norms of both rounds).  Raises
-    ConvergedToZero when the polish collapses onto the trivial solution.
-    """
-    gn = math.inf
-    norms = []
-    for _ in range(2):
-        p, _, gn, steps = _damped_newton(kernel, grid, p, cfg)
-        norms += steps
-        _check_collapse(p)
-        if gn > cfg.grad_tol:
-            break
-        before = p
-        p = _renormalize(kernel, grid, p)
-        if p is before:
-            break
-        gn = grad_norm(grid, kernel.gradient(p))
-        if gn <= cfg.grad_tol:
-            break
-    return p, gn, norms
-
-
 def descend_to_critical(
     u0: GridFunction,
     pot: PotentialSpec,
@@ -585,10 +552,10 @@ def descend_to_critical(
 ) -> HomoclinicCandidate:
     """Unconstrained monotone descent to a critical point.
 
-    Applies whole-period renormalization every _RENORMALIZE_EVERY accepted
-    steps (and once at the end), raises ConvergedToZero when the iterate
-    collapses below _ZERO_TOL in sup norm, and MaxItersExceeded when the
-    cap is reached; the best iterate rides along on the exception.
+    Finishes with one free Newton polish when the descent stops above
+    tolerance; raises ConvergedToZero when an iterate collapses below
+    _ZERO_TOL in sup norm, and MaxItersExceeded when the cap is reached;
+    the best iterate rides along on the exception.
     """
     grid = u0.grid
     kernel, p = _start(pot, grid, u0.values, "descent")
@@ -596,7 +563,6 @@ def descend_to_critical(
     alpha = 1.0
 
     history = {"polish_grad_norm": []}
-    since_renorm = 0
     iters = 0
     gn = math.inf
 
@@ -604,27 +570,17 @@ def descend_to_critical(
         g = kernel.gradient(p)
         gn = grad_norm(grid, g)
         if gn <= cfg.grad_tol:
-            before = p
-            p = _renormalize(kernel, grid, p)
-            if p is before:  # no shift happened, fully converged
-                break
-            g = kernel.gradient(p)
-            gn = grad_norm(grid, g)
-            if gn <= cfg.grad_tol:
-                break
+            break
         step = _armijo_step(kernel, p, g, pre.apply(g), alpha)
         if step is None:
             break
         p, _, alpha = step
         iters += 1
-        since_renorm += 1
         _check_collapse(p)
-        if since_renorm >= _RENORMALIZE_EVERY:
-            p = _renormalize(kernel, grid, p)
-            since_renorm = 0
 
     if gn > cfg.grad_tol and cfg.polish_steps > 0:
-        p, gn, history["polish_grad_norm"] = _polish_rounds(kernel, grid, p, cfg)
+        p, _, gn, history["polish_grad_norm"] = _damped_newton(kernel, grid, p, cfg)
+        _check_collapse(p)
     return _wrap_candidate(
         kernel, grid, p, pot, cfg, iters, history, gn,
         "gradient norm %(gn).3e above tolerance %(tol).3e after %(iters)d iterations",
@@ -634,14 +590,17 @@ def descend_to_critical(
 def _release(u0: GridFunction, pot: PotentialSpec, cfg: SolverConfig) -> HomoclinicCandidate:
     """Release the constraint: Newton polish first, Armijo descent if it stalls.
 
-    The candidate's history holds the accepted Newton norms in
+    The polish is one free damped Newton, raising ConvergedToZero when it
+    collapses; the iterate stays where the guess put its phase.  The
+    candidate's history holds the accepted Newton norms in
     "polish_grad_norm"; when Newton stalls above grad_tol,
     descend_to_critical starts over from u0, and the stalled norms go ahead
     of its own polish norms (on MaxItersExceeded, those of its best iterate).
     """
     grid = u0.grid
     kernel, p = _start(pot, grid, u0.values, "the release")
-    p, gn, polish = _polish_rounds(kernel, grid, p, cfg)
+    p, _, gn, polish = _damped_newton(kernel, grid, p, cfg)
+    _check_collapse(p)
     if gn <= cfg.grad_tol:
         history = {"polish_grad_norm": polish}
         return _wrap_candidate(kernel, grid, p, pot, cfg, 0, history, gn, _POLISH_STALL)
@@ -725,9 +684,12 @@ def single_loop_attempt(
     bordered Newton); the release is Newton polish, with Armijo descent
     from the constrained minimizer as the fallback when Newton stalls.
     Missing guess parameters (k0, center, width, orientation) fall back to
-    cfg; the candidate carries the constrained-stage summary and the item.
+    cfg.  The center is a crossing phase: a is periodic, so it is taken
+    modulo grid.period, and an off-period center solves the translate that
+    crosses in the central period.  The candidate carries the
+    constrained-stage summary and the item as given.
     """
-    center = float(item.get("center", cfg.bump_center))
+    center = float(item.get("center", cfg.bump_center)) % grid.period
     k0 = float(item.get("k0", cfg.k0))
     guess = initial_guess_bump(
         grid,

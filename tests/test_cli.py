@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from homoclinic import grids, solve
 from homoclinic.cli import main
 from homoclinic.config import parse_config
 from homoclinic.grids import (
@@ -119,6 +120,35 @@ def test_solve_rerun_identical_modulo_timing(tmp_path):
     first_rep.pop("timing")
     second_rep.pop("timing")
     assert first_rep == second_rep
+
+
+@pytest.mark.parametrize(
+    "command,doc",
+    [
+        ("solve", {"potential": {"alpha": 2}}),
+        ("solve", {"potential": {"alpha": 3}}),
+        ("solve", {"potential": {"alpha": 4}}),
+        ("refine", {}),
+        ("search", {"search": {"targets": 9}}),
+    ],
+    ids=["solve-alpha2", "solve-alpha3", "solve-alpha4", "refine", "search-targets9"],
+)
+def test_commands_never_shift_by_whole_periods(tmp_path, monkeypatch, command, doc):
+    # the crossing phase is chosen once, at the guess; no stage moves an
+    # iterate by whole periods afterwards
+    calls = []
+    shift = grids.renormalize_translation
+
+    def spy(u):
+        calls.append(1)
+        return shift(u)
+
+    monkeypatch.setattr(grids, "renormalize_translation", spy)
+    # also where solve would bind the name by import
+    monkeypatch.setattr(solve, "renormalize_translation", spy, raising=False)
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert calls == []
 
 
 def test_solve_unreachable_tolerance_is_exit_3(tmp_path):

@@ -211,10 +211,18 @@ def test_check_H3_detects_weak_singularity():
         check_H3(well, default_witness(well))
 
 
-def test_check_H4_default_witness_passes(pot):
-    rep = check_H4(pot.well, default_witness(pot.well))
+# measured margins; alpha=4 takes the witness's logarithmic far field
+@pytest.mark.parametrize(
+    "alpha,margin,growth",
+    [(2.0, 0.39487085, 1.27803164), (3.0, 1.80887410e-3, 0.21029123), (4.0, 2.80337061e-6, 0.13862944)],
+    ids=["2.0", "3.0", "4.0"],
+)
+def test_check_H4_default_witness_passes(alpha, margin, growth):
+    well = example_potential(alpha=alpha).well
+    rep = check_H4(well, default_witness(well))
     assert rep.min_margin >= 0.0
     assert rep.min_growth > 0.0
+    assert (rep.min_margin, rep.min_growth) == pytest.approx((margin, growth), rel=1e-6)
 
 
 def test_check_W_negativity(pot):

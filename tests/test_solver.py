@@ -100,6 +100,16 @@ def test_solver_deterministic(pot, grid, cfg, solved):
     assert again.action == solved.action
 
 
+@pytest.mark.parametrize("center,phase", [(3.0, 0.0), (-3.0, 0.0), (1.5, 0.5)])
+def test_off_period_center_solves_its_phase(pot, grid, cfg, solved, center, phase):
+    # a is periodic, so bump_center is a crossing phase: a center whole
+    # periods away solves, bit for bit, the orbit of its central phase
+    cand = solve_homoclinic(pot, grid, replace(cfg, bump_center=center))
+    base = solved if phase == 0.0 else solve_homoclinic(pot, grid, replace(cfg, bump_center=phase))
+    assert np.array_equal(cand.trajectory.values, base.trajectory.values)
+    assert cand.schedule_item["center"] == center
+
+
 def test_descent_of_unwound_guess_collapses(pot, grid, cfg):
     # a small loop that never crosses beyond q carries no topology; the
     # flow flattens it onto the trivial solution
