@@ -177,6 +177,27 @@ class ActionKernel:
         )
         return g
 
+    def hessian_blocks(self, p: StencilPoint) -> Array:
+        """Diagonal blocks (2/h) I - h a(t_i) Hess W(u_i) of the action
+        Hessian on the interior nodes, from the point's stored offsets; every
+        neighbour coupling is -(1/h) I."""
+        alpha = self.well.alpha
+        h = self.h
+        u, v = p.values[1:-1], p.dq[1:-1]
+        s2 = p.s[1:-1] ** 2
+        r2 = p.r2[1:-1]
+        sa2 = p.sa[1:-1] / s2
+        ha = h * self.a[1:-1]
+        # Hess W = (-2 s^-alpha + alpha |u|^2 s^-(alpha+2)) I
+        #   + 2 alpha s^-(alpha+2) (u v' + v u') - alpha (alpha+2) |u|^2 s^-(alpha+4) v v'
+        uv = u[:, :, None] * v[:, None, :]
+        blocks = (-2.0 * alpha * ha * sa2)[:, None, None] * (uv + uv.transpose(0, 2, 1)) + (
+            alpha * (alpha + 2.0) * ha * r2 * sa2 / s2
+        )[:, None, None] * (v[:, :, None] * v[:, None, :])
+        diag = np.arange(v.shape[1])
+        blocks[:, diag, diag] += (2.0 / h - ha * (alpha * r2 * sa2 - 2.0 * p.sa[1:-1]))[:, None]
+        return blocks
+
 
 def eval_action(u: GridFunction, pot: PotentialSpec) -> ActionEval:
     """Action value, Euclidean gradient and feasibility in one pass."""

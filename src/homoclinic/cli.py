@@ -68,7 +68,7 @@ from .multiplicity import (
     search_distinct,
 )
 from .potential import run_hypotheses
-from .solve import load_linalg, solve_homoclinic
+from .solve import solve_homoclinic
 
 
 def _jsonable(obj):
@@ -453,10 +453,11 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on a usage error, the code of a hypothesis violation here
         return 1 if exc.code else 0
-    if args.command in ("solve", "search", "refine"):
-        # the commands that factor load LAPACK now, so set-up pays for it
-        # and the freeze below covers its heap; check and diagnose never do
-        load_linalg()
+    if args.command != "diagnose":
+        # numpy loads numpy.random on first use, the hypothesis gate's first
+        # generator: the commands that run the gate import it now, so set-up
+        # pays for it and the freeze below covers its heap
+        import numpy.random  # noqa: F401
     # imported modules live until exit: move them out of the collector's
     # generations so gen-2 passes and shutdown never rescan them
     gc.freeze()

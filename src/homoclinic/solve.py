@@ -8,12 +8,14 @@ drops below tolerance.
 
 The constrained stage runs projected Armijo descent along the negative
 gradient mapped through the inverse of the discrete H1 operator
-(tridiagonal solve per component), which improves conditioning by roughly
-the square of the node count per unit time.  The component along q is
-solved with the full operator, the transverse components with the pinned
-node held fixed, so the pinned node only moves along the ray.  Once the
+(H1Preconditioner, its Green's function per component), which improves
+conditioning by roughly the square of the node count per unit time.  The
+component along q is solved with the full operator, the transverse
+components with the pinned node held fixed, so the pinned node only moves
+along the ray.  Once the
 projected gradient is small the stage finishes with damped Newton steps on
-the banded action Hessian, bordered by the ray constraint.
+the block-tridiagonal action Hessian (solve_banded, block cyclic
+reduction), bordered by the ray constraint.
 
 The release is the same damped Newton without the ray constraint;
 polish_to_critical (the glue polish of multibump guesses) is that Newton
@@ -34,16 +36,15 @@ rejected during backtracking, so the strong-force barrier is never crossed.
 
 All value, clearance and gradient evaluations go through one
 action.ActionKernel per stage.  Each loop keeps the accepted trial's
-StencilPoint, so the next gradient reuses the offsets from q and the well
-terms computed when that trial was valued; the candidate's certificate is
-read from the stage's kernel at its last accepted point.  solve_homoclinic
+StencilPoint, so the next gradient and Hessian reuse the offsets from q
+and the well terms computed when that trial was valued; the candidate's
+certificate is read from the stage's kernel at its last accepted point.  solve_homoclinic
 is one attempt, whose error propagates; run_attempt runs every attempt of
 the search, turning any HomoclinicError into an error text so the search
 moves on to its next item.
 
-This is the one module that uses scipy, and it imports scipy.linalg on the
-first factorization (load_linalg), not at module load: importing the
-package, and the commands that never factor, do not load LAPACK.
+The module needs numpy alone: both linear solves are numpy kernels, with
+no LAPACK factorization.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from .errors import (
     MaxItersExceeded,
 )
 from .grids import Grid, GridFunction, from_values
-from .potential import PotentialSpec, eval_hessW
+from .potential import PotentialSpec
 
 Array = np.ndarray
 
@@ -83,16 +84,102 @@ _MAX_BACKTRACKS = 60  # trials per Armijo step before the loop stalls
 _ZERO_TOL = 1e-4  # sup norm below which an iterate has collapsed onto 0
 
 
-def load_linalg():
-    """scipy.linalg, imported on first use rather than at module load."""
-    import scipy.linalg
-
-    return scipy.linalg
+# block-tridiagonal systems of at most this many nodes are solved densely
+_DENSE_NODES = 32
 
 
-def solve_banded(l_and_u, ab, b):
-    """scipy.linalg.solve_banded: the banded Newton solve."""
-    return load_linalg().solve_banded(l_and_u, ab, b)
+def _inv_blocks(a: Array) -> Array:
+    """Inverses of a stack of d x d blocks, 2 x 2 in closed form;
+    LinAlgError on an exactly singular block."""
+    if a.shape[-1] != 2:
+        return np.linalg.inv(a)
+    det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+    if not det.all():
+        raise LinAlgError("singular block")
+    inv = np.empty(a.shape)
+    inv[:, 0, 0] = a[:, 1, 1] / det
+    inv[:, 0, 1] = -a[:, 0, 1] / det
+    inv[:, 1, 0] = -a[:, 1, 0] / det
+    inv[:, 1, 1] = a[:, 0, 0] / det
+    return inv
+
+
+def _dense_solve(a: Array, u: Array, b: Array) -> Array:
+    """The block-tridiagonal system of _reduce, assembled and solved densely."""
+    n, d = a.shape[:2]
+    full = np.zeros((n, d, n, d))
+    i = np.arange(n)
+    full[i, :, i, :] = a
+    full[i[:-1], :, i[1:], :] = u
+    full[i[1:], :, i[:-1], :] = np.swapaxes(u, 1, 2)
+    return np.linalg.solve(full.reshape(n * d, n * d), b.reshape(n * d, -1)).reshape(b.shape)
+
+
+def _reduce(a: Array, u: Array, b: Array) -> Array:
+    """Symmetric block cyclic reduction, one level per call.
+
+    Row i reads u_(i-1)' x_(i-1) + a_i x_i + u_i x_(i+1) = b_i, with a of
+    shape (n, d, d), u of shape (n - 1, d, d) and b of shape (n, d, r).
+    The odd nodes are eliminated, the even ones solved by the next level,
+    and the odd ones recovered from them.
+    """
+    n = len(a)
+    if n <= _DENSE_NODES:
+        return _dense_solve(a, u, b)
+    n_even, n_odd = (n + 1) // 2, n // 2
+    inv = _inv_blocks(a[1::2])
+    # odd node k couples to even node k by left[k]' and to even node k + 1 by right[k]
+    left, right = u[0::2], u[1::2]
+    left_t = np.swapaxes(left, 1, 2)
+    p = left @ inv
+    q = np.swapaxes(right, 1, 2) @ inv[: n_even - 1]
+    a_even = a[0::2].copy()
+    a_even[:n_odd] -= p @ left_t
+    a_even[1:] -= q @ right
+    b_odd = b[1::2]
+    b_even = b[0::2].copy()
+    b_even[:n_odd] -= p @ b_odd
+    b_even[1:] -= q @ b_odd[: n_even - 1]
+    x_even = _reduce(a_even, -(p[: n_even - 1] @ right), b_even)
+    t = b_odd - left_t @ x_even[:n_odd]
+    t[: n_even - 1] -= right @ x_even[1:]
+    x = np.empty(b.shape)
+    x[0::2] = x_even
+    x[1::2] = inv @ t
+    return x
+
+
+def solve_banded(blocks: Array, coupling: float, b: Array) -> Array:
+    """Solve the symmetric block-tridiagonal Newton system.
+
+    blocks (n, d, d) are the diagonal blocks, every neighbour coupling is
+    coupling * I, and b (n, d, r) holds r right-hand sides; the solution
+    has b's shape.  Block cyclic reduction (Heller, SIAM J. Numer. Anal. 13
+    (1976)) halves the system per level down to _DENSE_NODES nodes, which
+    np.linalg.solve takes.  This first level is the one whose couplings
+    are all multiples of I.  An exactly singular pivot block or reduced
+    system raises LinAlgError, even where row pivoting would get past it.
+    """
+    n, d = blocks.shape[:2]
+    c = coupling
+    if n <= _DENSE_NODES:
+        return _dense_solve(blocks, np.broadcast_to(c * np.eye(d), (n - 1, d, d)), b)
+    n_even, n_odd = (n + 1) // 2, n // 2
+    inv = _inv_blocks(blocks[1::2])
+    w = inv @ b[1::2]
+    a_even = blocks[0::2].copy()
+    a_even[:n_odd] -= (c * c) * inv
+    a_even[1:] -= (c * c) * inv[: n_even - 1]
+    b_even = b[0::2].copy()
+    b_even[:n_odd] -= c * w
+    b_even[1:] -= c * w[: n_even - 1]
+    x_even = _reduce(a_even, (-c * c) * inv[: n_even - 1], b_even)
+    t = x_even[:n_odd].copy()
+    t[: n_even - 1] += x_even[1:]
+    x = np.empty(b.shape)
+    x[0::2] = x_even
+    x[1::2] = w - c * (inv @ t)
+    return x
 
 
 @dataclass
@@ -150,49 +237,76 @@ class HomoclinicCandidate:
     history: dict = field(repr=False, compare=False, default_factory=dict)
 
 
+# largest exponent lam * nodes of one chunk of the preconditioner's sums
+_SPAN = 40.0
+
+
 class H1Preconditioner:
-    """Solve (K + M) v = g per component on the interior nodes.
+    """Solve (K + M) v = g per component on the interior nodes, v = 0 at
+    both ends.
 
     K is the forward-difference stiffness (1/h) tridiag(-1, 2, -1), M the
-    trapezoid mass h I; the factorization is computed once per grid.  With
-    a pinned node the system loses that node's row and column, which cuts
-    the coupling across it, and apply() returns exactly zero there.
-    The factorization is scipy's cholesky_banded, which load_linalg
-    imports when the first preconditioner is built; apply() calls LAPACK's
-    pbtrs directly, without scipy's wrapper overhead, and keeps that
-    wrapper's finiteness check.
+    trapezoid mass h I.  The system has constant coefficients, so its
+    inverse is a separable Green's function: with cosh(lam) = 1 + h^2/2
+    and f_k = 1 - e^(-2 k lam), column k of the inverse is proportional to
+    e^(-|i-k| lam) f_min(i,k) f_(n-1-max(i,k)).  apply() is then
+    two exponentially weighted cumulative sums, one from each end, with no
+    factorization.  The sums restart every _SPAN / lam nodes and carry
+    across, so their weights stay below e^_SPAN on any box.  A pinned node j
+    also holds v_j = 0, which cuts the coupling across it (the row and
+    column of j drop out): a rank-one correction by column j of the
+    inverse, after which apply() returns exactly zero there.  g is (n,) or
+    (n, d) and must be finite.
     """
 
     def __init__(self, grid: Grid, pinned: Optional[int] = None):
-        n_int = grid.n - 2
+        n = grid.n
         h = grid.h
+        lam = math.acosh(1.0 + 0.5 * h * h)
+        k = np.arange(n)
+        f = -np.expm1(-2.0 * lam * k)
+        scale = h / (2.0 * math.sinh(lam) * -math.expm1(-2.0 * lam * (n - 1)))
+        self._decay = math.exp(-lam)
+        self._chunk = max(1, int(_SPAN / lam))
+        offset = lam * (k % self._chunk)
+        self._grow = f * np.exp(offset)
+        self._shrink = np.exp(-offset)
+        # v_i = scale (f_i B_i + f'_i (F_i - f_i g_i)) with f'_i = f_(n-1-i), F and
+        # B the sums from each end: shrink times the chunk-local sums of _sums
+        self._back = scale * f * self._shrink[::-1]
+        self._fore = scale * f[::-1] * self._shrink
+        self._fg = scale * f * f[::-1]
         self._pinned = pinned
         if pinned is not None:
-            n_int -= 1
-        ab = np.zeros((2, n_int))
-        ab[0, 1:] = -1.0 / h
-        ab[1, :] = 2.0 / h + h
-        if pinned is not None and pinned - 1 < n_int:
-            ab[0, pinned - 1] = 0.0  # no coupling between the pinned node's neighbours
-        linalg = load_linalg()
-        self._cb = linalg.cholesky_banded(ab, lower=False)
-        self._pbtrs = linalg.get_lapack_funcs("pbtrs", (self._cb,))
+            self._column = self._solve(np.eye(1, n, pinned)[0])
+
+    def _sums(self, v: Array) -> Array:
+        """Chunk-local sums R along the last axis: e^(-(i-s) lam) R_i is the
+        sum over k <= i of e^(-(i-k) lam) f_k v_k, s the start of i's chunk."""
+        n = v.shape[-1]
+        if self._chunk >= n:
+            return np.cumsum(self._grow * v, axis=-1)
+        out = np.empty(v.shape)
+        carry = 0.0
+        for s in range(0, n, self._chunk):
+            c = slice(s, s + self._chunk)
+            out[..., c] = np.cumsum(self._grow[c] * v[..., c], axis=-1) + self._decay * carry
+            carry = self._shrink[c][-1] * out[..., c][..., -1:]
+        return out
+
+    def _solve(self, v: Array) -> Array:
+        backward = self._sums(v[..., ::-1])[..., ::-1]
+        return self._back * backward + self._fore * self._sums(v) - self._fg * v
 
     def apply(self, g: Array) -> Array:
-        j = self._pinned
-        b = g[1:-1] if j is None else np.concatenate((g[1:j], g[j + 1 : -1]))
-        if not np.isfinite(b).all():
+        if not np.isfinite(g).all():
             raise ValueError("array must not contain infs or NaNs")
-        x, info = self._pbtrs(self._cb, b, lower=0)
-        if info != 0:
-            raise ValueError("illegal value in argument %d of pbtrs" % -info)
-        out = np.zeros(g.shape)
-        if j is None:
-            out[1:-1] = x
-        else:
-            out[1:j] = x[: j - 1]
-            out[j + 1 : -1] = x[j - 1 :]
-        return out
+        x = self._solve(np.ascontiguousarray(g.T))
+        j = self._pinned
+        if j is not None:
+            x -= (x[..., j : j + 1] / self._column[j]) * self._column
+            x[..., j] = 0.0
+        return np.ascontiguousarray(x.T)
 
 
 def ray_direction(
@@ -204,7 +318,7 @@ def ray_direction(
 ) -> tuple[Array, Array]:
     """H1 direction over E_h, split into its q_hat and q_hat-perp parts.
 
-    The component along q_hat is solved with the full factor, so the
+    The component along q_hat is solved with the full operator, so the
     pinned node moves freely along the ray; the transverse components are
     solved with that node pinned, so they vanish there exactly.  While k
     sits on its clamp and the gradient pushes it lower, the node cannot
@@ -338,28 +452,6 @@ def _armijo_step(
     return None
 
 
-def _jacobian_band(kernel: ActionKernel, p: StencilPoint) -> Array:
-    """Action Hessian on the interior nodes in solve_banded's (d, d) layout.
-
-    Unknowns are node-major (node 1 coordinates, node 2 coordinates, ...);
-    the diagonal blocks are (2/h) I - h a(t_i) Hess W(u_i) and the
-    neighbour couplings -1/h I.
-    """
-    h = kernel.h
-    n, d = p.values.shape
-    n_int = n - 2
-    blocks = (2.0 / h) * np.eye(d) - h * (
-        kernel.a[1:-1, None, None] * eval_hessW(kernel.well, p.values[1:-1])
-    )
-    ab = np.zeros((2 * d + 1, n_int * d))
-    for c in range(d):
-        for c2 in range(d):
-            ab[d + c - c2, c2::d] = blocks[:, c, c2]
-    ab[0, d:] = -1.0 / h
-    ab[2 * d, : n_int * d - d] = -1.0 / h
-    return ab
-
-
 # projected gradient norm at which the E-stage leaves Armijo for bordered Newton
 _NEWTON_HANDOFF = 1.0
 
@@ -407,12 +499,10 @@ def _damped_newton(
     without a ray.
     """
     q = kernel.q
-    d = q.shape[0]
     # orthonormal rows: first +-q/|q|, then a basis of its complement
     frame = np.linalg.svd((q / math.sqrt(float(q @ q)))[None, :])[2]
     # without a ray there are no constraint rows; node 1 only shapes the empty block
     j, k, k_min = ray if ray is not None else (1, None, None)
-    sl = slice((j - 1) * d, j * d)
 
     def measure(g: Array, k: Optional[float]) -> tuple[float, Array]:
         """Norm to drive down and constraint rows at node j."""
@@ -427,16 +517,16 @@ def _damped_newton(
     for _ in range(cfg.polish_steps):
         if gn <= cfg.grad_tol:
             break
-        rhs = np.zeros((g[1:-1].size, 1 + len(rows)))
-        rhs[:, 0] = g[1:-1].reshape(-1)
-        rhs[sl, 1:] = rows.T
+        rhs = np.zeros(g[1:-1].shape + (1 + len(rows),))
+        rhs[:, :, 0] = g[1:-1]
+        rhs[j - 1, :, 1:] = rows.T
         try:
-            y = solve_banded((d, d), _jacobian_band(kernel, p), rhs)
-            yj = rows @ y[sl]
+            y = solve_banded(kernel.hessian_blocks(p), -1.0 / kernel.h, rhs)
+            yj = rows @ y[j - 1]
             mu = np.linalg.solve(yj[:, 1:], -yj[:, 0])
         except LinAlgError:
             break
-        dvals = (y[:, 0] + y[:, 1:] @ mu).reshape(-1, d)
+        dvals = y[:, :, 0] + y[:, :, 1:] @ mu
         improved = False
         scale = 1.0
         for _ in range(8):

@@ -1,10 +1,13 @@
-"""scipy.linalg loads only where a matrix is factored.
+"""No command and no library call loads scipy.
 
-solve.py holds the package's only scipy import, made on first use.  The
-commands that factor (solve, search, refine) load it at CLI entry, before
-the config is read and before gc.freeze(); check, diagnose, --help and a
-bare package import never load it.  Each case runs in a fresh interpreter,
-since the test process itself has long since imported scipy.
+The package is numpy-only: the Newton solve and the H1 preconditioner are
+numpy kernels (solve.solve_banded, solve.H1Preconditioner).  The commands
+that run the hypothesis gate (check, solve, search, refine) import
+numpy.random at CLI entry, before the config is read and before
+gc.freeze(), since numpy loads it lazily on the gate's first generator;
+after that a solver command imports nothing more.  Each case runs in a
+fresh interpreter, since the test process itself imports scipy as an
+oracle.
 """
 
 import json
@@ -68,7 +71,31 @@ def test_commands_that_never_factor_leave_scipy_unloaded(small_library, call):
     assert _fresh(code, small_library) == []
 
 
-_FREEZE_ORDER = """
+# small configs, so every solver command runs to the end quickly
+_SOLVER_CONFIGS = {
+    "solve": {},
+    "search": {"search": {"targets": 2}},
+    "refine": {},
+}
+
+
+def _config(tmp_path, command):
+    cfg = tmp_path / ("%s.json" % command)
+    cfg.write_text(json.dumps(_SOLVER_CONFIGS[command]))
+    return str(cfg)
+
+
+@pytest.mark.parametrize("command", sorted(_SOLVER_CONFIGS))
+def test_solver_commands_leave_scipy_unloaded(tmp_path, command):
+    code = (
+        "import sys\nfrom homoclinic.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n" + _SCIPY_MODULES
+    )
+    out = str(tmp_path / "run")
+    assert _fresh(code, command, "--config", _config(tmp_path, command), "--out", out) == []
+
+
+_IMPORT_ORDER = """
 import gc, json, sys
 from homoclinic import cli
 
@@ -76,42 +103,57 @@ seen = {}
 freeze, read_doc = gc.freeze, cli.read_config_doc
 
 def recording_freeze():
-    seen["freeze"] = "scipy.linalg" in sys.modules
+    seen["freeze"] = "numpy.random" in sys.modules
     freeze()
 
 def recording_read(path):
-    seen["config"] = "scipy.linalg" in sys.modules
+    seen["config"] = sorted(sys.modules)
     return read_doc(path)
 
 gc.freeze, cli.read_config_doc = recording_freeze, recording_read
-seen["import"] = "scipy.linalg" in sys.modules
+seen["import"] = "numpy.random" in sys.modules
 seen["rc"] = cli.main(sys.argv[1:])
+seen["new_after_config"] = sorted(set(sys.modules) - set(seen.pop("config")))
 print(json.dumps(seen))
 """
 
 
-@pytest.mark.parametrize("command", ["solve", "search", "refine"])
-def test_solver_commands_load_linalg_before_config_and_freeze(tmp_path, command):
-    # a failing hypothesis gate ends the command right after set-up
-    cfg = tmp_path / "violation.json"
-    cfg.write_text(json.dumps({"potential": {"a_base": 1.0, "a_amp": 2.0}}))
+@pytest.mark.parametrize("command", sorted(_SOLVER_CONFIGS))
+def test_solver_commands_import_everything_before_config_and_freeze(tmp_path, command):
+    # numpy.random is the one module numpy loads on first use; a solver
+    # command imports it at entry and no module at all once the config is read
     out = str(tmp_path / "run")
-    seen = _fresh(_FREEZE_ORDER, command, "--config", str(cfg), "--out", out)
-    assert seen == {"import": False, "config": True, "freeze": True, "rc": 2}
+    seen = _fresh(_IMPORT_ORDER, command, "--config", _config(tmp_path, command), "--out", out)
+    assert seen == {"import": False, "freeze": True, "rc": 0, "new_after_config": []}
+
+
+_BLOCKED_SOLVE = """
+import json, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from homoclinic.cli import main
+rc = main(["solve", "--out", sys.argv[1]])
+with open(sys.argv[1] + "/report.json") as fh:
+    print(json.dumps([rc, json.load(fh)["candidate"]["action"]]))
+"""
+
+
+def test_solve_runs_with_scipy_blocked(tmp_path):
+    rc, action = _fresh(_BLOCKED_SOLVE, str(tmp_path / "run"))
+    assert rc == 0
+    assert abs(action - _DEFAULT_ACTION) <= 1e-8
 
 
 _LIBRARY_SOLVE = """
 import json, sys
 from homoclinic import Grid, SolverConfig, example_potential, solve_homoclinic
 
-before = "scipy.linalg" in sys.modules
 grid = Grid(period=1.0, nodes_per_period=40, half_periods=8)
 cand = solve_homoclinic(example_potential(), grid, SolverConfig())
-print(json.dumps([before, "scipy.linalg" in sys.modules, cand.action]))
+print(json.dumps([[m for m in sys.modules if m.split(".")[0] == "scipy"], cand.action]))
 """
 
 
-def test_library_api_loads_linalg_on_first_factorization():
-    before, after, action = _fresh(_LIBRARY_SOLVE)
-    assert (before, after) == (False, True)
+def test_library_api_leaves_scipy_unloaded():
+    loaded, action = _fresh(_LIBRARY_SOLVE)
+    assert loaded == []
     assert abs(action - _DEFAULT_ACTION) <= 1e-8

@@ -28,7 +28,6 @@ from homoclinic import (
 )
 from homoclinic import action, solve
 from homoclinic.solve import ray_direction
-from scipy.linalg import solve_banded
 
 
 def test_snap_center_clamps_to_interior(grid):
@@ -237,10 +236,9 @@ def test_newton_free_step_is_the_banded_solve(pot, grid, cfg):
     # at a loose tolerance the E-stage stops where the full step is accepted
     kernel, p, _ = _e_stage_point(pot, grid, replace(cfg, grad_tol=1e-3))
     g = kernel.gradient(p)
-    d = pot.q.shape[0]
     p1, k, gn, norms = solve._damped_newton(kernel, grid, p, replace(cfg, polish_steps=1))
-    step = solve_banded((d, d), solve._jacobian_band(kernel, p), g[1:-1].ravel())
-    assert np.array_equal(p1.values[1:-1], p.values[1:-1] - step.reshape(-1, d))
+    step = solve.solve_banded(kernel.hessian_blocks(p), -1.0 / grid.h, g[1:-1, :, None])
+    assert np.array_equal(p1.values[1:-1], p.values[1:-1] - step[:, :, 0])
     assert k is None
     assert norms == [gn] and gn < grad_norm(grid, g)
 
@@ -268,10 +266,11 @@ def test_newton_adds_the_ray_row_on_the_clamp(pot, grid, cfg, monkeypatch):
     # k_min = 1.3 lies above the item's free optimum: the gradient pushes k
     # into its clamp, so every E-stage Newton solve carries the ray row too
     columns = []
+    solve_banded = solve.solve_banded
 
-    def recording(l_and_u, ab, b):
-        columns.append(b.shape[1])
-        return solve_banded(l_and_u, ab, b)
+    def recording(blocks, coupling, b):
+        columns.append(b.shape[-1])
+        return solve_banded(blocks, coupling, b)
 
     monkeypatch.setattr(solve, "solve_banded", recording)
     clamp_cfg = replace(cfg, eps_k=0.3)
