@@ -20,9 +20,9 @@ The library derives its cached ShiftBlocks from its entries on use, so
 entries appended to lib.entries directly are covered as well.
 
 The search schedule is written once, as the ordered attempt stream
-_attempts: single-loop guesses with varied crossing height and winding
-sense, pairwise sums of found solutions at decreasing separations, and a
-backfill sweep over bump centers and widths.  Every attempt runs through
+_attempts: single-loop guesses at crossing phase 0 in both winding
+senses, pairwise sums of found solutions at decreasing separations, and
+one single-loop guess at crossing phase 1/2.  Every attempt runs through
 solve.run_attempt, which turns a failed attempt into an error text, and
 only when asked for.  search_distinct is one loop that takes the next
 attempt until the library holds its target, and _record turns each
@@ -355,20 +355,19 @@ def _attempts(pot: PotentialSpec, grid: Grid, cfg: SolverConfig, lib: SolutionLi
     """The built-in search schedule: (item, run_attempt outcome, phase) in
     schedule order, each attempt run only when the caller asks for it.
 
-    Phase 1 solves single-loop guesses over crossing heights (clamped at
-    k_min) and winding senses; with jobs > 1 a pool of at most one worker
-    per item computes all six on the first request, yielded in schedule
-    order.  Phase 2 reads lib.entries once phase 1 is recorded and glues
-    pairs (0, 0) and (0, 1) at separations 6, 5 and 4, polished by Newton
-    alone so the two bumps keep their positions.  Phase 3 backfills with
-    single-loop guesses over bump centers and widths.
+    The one-loop orbits sit at the two extremal phases of a(t), crossing
+    phase 0 and 1/2, so those are the only phases tried; other phases and
+    crossing heights re-find the same orbits.  Phase 1 solves single-loop
+    guesses at phase 0 and height 1.5 (clamped at k_min) in both winding
+    senses; with jobs > 1 a pool of at most one worker per item computes
+    both on the first request, yielded in schedule order.  Phase 2 reads
+    lib.entries once phase 1 is recorded and glues pairs (0, 0) and
+    (0, 1) at separations 6, 5 and 4, polished by Newton alone so the two
+    bumps keep their positions.  Phase 3 is one single-loop guess at
+    phase 1/2 and height 1.35 (clamped at k_min).
     """
     one_loop = partial(run_attempt, single_loop_attempt, pot, grid, cfg)
-    phase1 = [
-        {"k0": max(k0, cfg.k_min), "orientation": o, "phase": 1}
-        for k0 in (1.5, 2.0, 1.2)
-        for o in (1, -1)
-    ]
+    phase1 = [{"k0": max(1.5, cfg.k_min), "orientation": o, "phase": 1} for o in (1, -1)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -390,11 +389,8 @@ def _attempts(pot: PotentialSpec, grid: Grid, cfg: SolverConfig, lib: SolutionLi
             item = {"phase": 2, "separation": sep, "pair": [ia, ib]}
             yield item, run_attempt(_glue_pair, base[ia], base[ib], sep, pot, pair_cfg, item), 2
 
-    k0 = max(1.35, cfg.k_min)
-    for width in (2.0, 1.25):
-        for c in (0.0, 0.25, 0.5, 0.75):
-            item = {"center": c * grid.period, "width": width, "phase": 3, "k0": k0}
-            yield item, one_loop(item), 3
+    item = {"center": 0.5 * grid.period, "width": 2.0, "phase": 3, "k0": max(1.35, cfg.k_min)}
+    yield item, one_loop(item), 3
 
 
 def search_distinct(

@@ -46,7 +46,7 @@ def library3(pot, grid, cfg, fixture_seconds):
     return lib
 
 
-# the full default search at m=40: phase 1, six glues and the backfill
+# the full default search at m=40: phase 1, six glues and the phase-3 item
 @pytest.fixture(scope="session")
 def library9(pot, grid, cfg):
     return search_distinct(pot, grid, cfg, targets=9)

@@ -582,15 +582,19 @@ def test_report_is_strict_json(tmp_path):
 
 
 def test_search_large_eps_k_clamps_builtin_items(tmp_path, capsys):
-    # k_min = 1.3 is above the built-in phase-1 height 1.2: those items
-    # are raised to k_min instead of failing inside the guess
+    # k_min = 1.6 is above both built-in heights, 1.5 (phase 1) and 1.35
+    # (phase 3): every single-loop item is raised to k_min instead of
+    # failing inside the guess
     out = str(tmp_path / "run")
-    cfg = write_config(tmp_path, {"solver": {"eps_k": 0.3}, "search": {"targets": 9}})
+    doc = {"solver": {"eps_k": 0.6, "k0": 1.6}, "search": {"targets": 9}}
+    cfg = write_config(tmp_path, doc)
     assert main(["search", "--config", cfg, "--out", out]) == 0
     assert "Traceback" not in capsys.readouterr().err
-    log = load_report(out)["library"]["log"]
-    heights = [rec["schedule_item"]["k0"] for rec in log if rec.get("phase") in (1, 3)]
-    assert heights and min(heights) >= 1.3
+    library = load_report(out)["library"]
+    assert len(library["entries"]) == 9
+    heights = [rec["schedule_item"]["k0"] for rec in library["log"] if rec.get("phase") in (1, 3)]
+    assert {rec.get("phase") for rec in library["log"]} == {1, 2, 3}
+    assert set(heights) == {1.6}
 
 
 @pytest.mark.parametrize(
@@ -733,7 +737,7 @@ def test_search_pool_capped_at_phase1_items(pot, grid, cfg, monkeypatch):
     assert len(search_distinct(pot, grid, cfg, targets=0, jobs=2)) == 0
     assert sizes == []
     lib = search_distinct(pot, grid, cfg, targets=3, jobs=10**6)
-    assert sizes == [6]
+    assert sizes == [2]
     assert len(lib) == 3
 
 

@@ -11,6 +11,7 @@ from homoclinic import (
     InfeasibleGuess,
     LibraryEntry,
     SolutionLibrary,
+    example_potential,
     from_values,
     geometric_distance,
     h1_norm,
@@ -367,13 +368,13 @@ def test_ps_split_manufactured_pair(solved, library3):
 
 @pytest.mark.parametrize(
     "targets,calls,glues,last_phase",
-    [(1, 1, 0, 1), (7, 6, 5, 2), (9, 9, 6, 3)],
+    [(1, 1, 0, 1), (7, 2, 5, 2), (9, 3, 6, 3)],
     ids=["targets1", "targets7", "targets9"],
 )
 def test_search_phase1_is_lazy(pot, grid, cfg, monkeypatch, targets, calls, glues, last_phase):
     # with one worker, the attempt stream stops as soon as the target is
     # met: in phase 1 (one single-loop call), after the fifth glue (no
-    # backfill record), or at the third backfill item
+    # phase-3 record), or at the phase-3 item
     import homoclinic.multiplicity as mult
 
     items = []
@@ -392,40 +393,35 @@ def test_search_phase1_is_lazy(pot, grid, cfg, monkeypatch, targets, calls, glue
     assert lib.log[-1]["outcome"] == "inserted"
 
 
-def test_search_log_times_every_attempt(pot, grid, cfg, library9):
+def test_search_log_times_every_attempt(grid, cfg):
     # inserted, duplicate and failed records and phase 2 glues all carry
-    # the attempt's seconds; nothing else in the log depends on time
-    again = search_distinct(pot, grid, cfg, targets=9)
-    assert {rec["outcome"] for rec in library9.log} == {"inserted", "duplicate", "failed"}
-    assert any(rec.get("phase") == 2 for rec in library9.log)
-    for rec in library9.log + again.log:
+    # the attempt's seconds; nothing else in the log depends on time.  The
+    # alpha=4 search logs all three outcomes.
+    pot4 = example_potential(alpha=4.0)
+    first, again = (search_distinct(pot4, grid, cfg, targets=9) for _ in range(2))
+    assert {rec["outcome"] for rec in first.log} == {"inserted", "duplicate", "failed"}
+    assert any(rec.get("phase") == 2 for rec in first.log)
+    for rec in first.log + again.log:
         assert rec["timing"]["seconds"] >= 0.0
 
     def untimed(log):
         return [{k: v for k, v in rec.items() if k != "timing"} for rec in log]
 
-    assert untimed(again.log) == untimed(library9.log)
+    assert untimed(again.log) == untimed(first.log)
 
 
-# the built-in schedule at m=40: six phase-1 items (k0 2.0 and 1.2 repeat
-# 1.5), glues of pairs (0, 0) and (0, 1) at separations 6, 5 and 4, then
-# backfill items until the ninth entry; every record, a failed one too,
-# carries its phase
+# the built-in schedule at m=40: the two phase-1 items, glues of pairs
+# (0, 0) and (0, 1) at separations 6, 5 and 4, then the phase-3 item at
+# crossing phase 1/2 for the ninth entry; every record carries its phase
 _LIBRARY9_SCHEDULE = [
     (1, "inserted", {"k0": 1.5, "orientation": 1, "phase": 1}),
     (1, "inserted", {"k0": 1.5, "orientation": -1, "phase": 1}),
-    (1, "duplicate", {"k0": 2.0, "orientation": 1, "phase": 1}),
-    (1, "duplicate", {"k0": 2.0, "orientation": -1, "phase": 1}),
-    (1, "duplicate", {"k0": 1.2, "orientation": 1, "phase": 1}),
-    (1, "duplicate", {"k0": 1.2, "orientation": -1, "phase": 1}),
     (2, "inserted", {"phase": 2, "separation": 6, "pair": [0, 0]}),
     (2, "inserted", {"phase": 2, "separation": 6, "pair": [0, 1]}),
     (2, "inserted", {"phase": 2, "separation": 5, "pair": [0, 0]}),
     (2, "inserted", {"phase": 2, "separation": 5, "pair": [0, 1]}),
     (2, "inserted", {"phase": 2, "separation": 4, "pair": [0, 0]}),
     (2, "inserted", {"phase": 2, "separation": 4, "pair": [0, 1]}),
-    (3, "duplicate", {"center": 0.0, "width": 2.0, "phase": 3, "k0": 1.35}),
-    (3, "failed", {"center": 0.25, "width": 2.0, "phase": 3, "k0": 1.35}),
     (3, "inserted", {"center": 0.5, "width": 2.0, "phase": 3, "k0": 1.35}),
 ]
 

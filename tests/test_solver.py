@@ -391,3 +391,13 @@ def test_search_reproduces_the_library(library9):
     actions = [e.action for e in library9.entries]
     assert len(actions) == len(_LIBRARY9_ACTIONS)
     assert np.allclose(actions, _LIBRARY9_ACTIONS, rtol=0.0, atol=1e-8)
+
+
+def test_search_alpha3_needs_no_descent(grid, cfg, monkeypatch):
+    # alpha=3, targets 9: the two c=0 index-1 loops, one glue and the lower
+    # c=1/2 loop; no attempt falls back to the Armijo descent
+    calls = _count_descents(monkeypatch)
+    lib = search_distinct(example_potential(alpha=3.0), grid, cfg, targets=9)
+    actions = [e.action for e in lib.entries]
+    assert np.allclose(actions, [22.563663, 22.563663, 48.260729, 22.562398], rtol=0.0, atol=1e-6)
+    assert calls == []
