@@ -15,7 +15,11 @@ components with the pinned node held fixed, so the pinned node only moves
 along the ray.  Once the
 projected gradient is small the stage finishes with damped Newton steps on
 the block-tridiagonal action Hessian (solve_banded, block cyclic
-reduction), bordered by the ray constraint.
+reduction), bordered by the ray constraint.  Above 40 nodes per period the
+stage is nested: it minimizes at m=40 first, and the fine stage starts
+from that minimizer, prolonged linearly, with the bordered Newton; a
+coarse stage that does not converge within its cap leaves the fine stage
+to start from the guess at m.
 
 The release is the same damped Newton without the ray constraint;
 polish_to_critical (the glue polish of multibump guesses) is that Newton
@@ -51,7 +55,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -553,6 +557,7 @@ def minimize_over_E(
     constraint: ConstraintE,
     pot: PotentialSpec,
     cfg: SolverConfig,
+    newton_first: bool = False,
 ) -> EStageResult:
     """Minimize the action over the constraint class E_h.
 
@@ -563,9 +568,11 @@ def minimize_over_E(
     so every iterate lies in E_h exactly.  Once the projected gradient
     norm reaches _NEWTON_HANDOFF the stage finishes with _damped_newton
     along the ray (counted as newton_steps); if that stalls above
-    grad_tol, Armijo resumes to grad_tol and the iteration cap.  Returns
-    the best iterate with flags when the cap is hit; the infimum estimate
-    is the final value.  No per-step history is kept.
+    grad_tol, Armijo resumes to grad_tol and the iteration cap.  With
+    newton_first, for a start already near the minimizer (one prolonged
+    from a coarser grid), the Newton runs at the first iterate whatever
+    its norm.  Returns the best iterate with flags when the cap is hit;
+    the infimum estimate is the final value.  No per-step history is kept.
     """
     grid = u0.grid
     j = constraint.node_index
@@ -583,6 +590,7 @@ def minimize_over_E(
     full = H1Preconditioner(grid)
     pinned = H1Preconditioner(grid, pinned=j)
     alpha = 1.0
+    handoff = math.inf if newton_first else _NEWTON_HANDOFF
 
     converged = False
     handed_off = False
@@ -593,7 +601,7 @@ def minimize_over_E(
     for iters in range(1, cfg.max_iters + 1):
         g = kernel.gradient(p)
         pg_norm = _projected_grad_norm(grid, g, j, q, k, k_min)
-        if cfg.grad_tol < pg_norm <= _NEWTON_HANDOFF and not handed_off:
+        if cfg.grad_tol < pg_norm <= handoff and not handed_off:
             handed_off = True
             p, k, pg_norm, steps = _damped_newton(kernel, grid, p, cfg, (j, k, k_min))
             newton_steps = len(steps)
@@ -765,6 +773,28 @@ def _wrap_candidate(
     return cand
 
 
+# finer grids run the E-stage on this many nodes per period first
+_COARSE_M = 40
+# iteration cap of that coarse E-stage; past it the attempt starts over at m
+_COARSE_ITERS = 1000
+
+
+def _coarse_stage(pot: PotentialSpec, grid: Grid, cfg: SolverConfig, shape: dict) -> EStageResult:
+    """The attempt's E-stage from its guess at _COARSE_M on grid's box,
+    capped at _COARSE_ITERS iterations."""
+    coarse = replace(grid, nodes_per_period=_COARSE_M)
+    constraint = ConstraintE(snap_center(coarse, shape["center"]), cfg.k_min, shape["k0"])
+    capped = replace(cfg, max_iters=min(cfg.max_iters, _COARSE_ITERS))
+    return minimize_over_E(initial_guess_bump(coarse, pot, **shape), constraint, pot, capped)
+
+
+def _prolong(u: GridFunction, grid: Grid) -> GridFunction:
+    """u interpolated linearly, per component, onto the nodes of grid (same box)."""
+    return GridFunction(
+        grid, np.column_stack([np.interp(grid.times, u.grid.times, c) for c in u.values.T])
+    )
+
+
 def single_loop_attempt(
     pot: PotentialSpec, grid: Grid, cfg: SolverConfig, item: dict
 ) -> HomoclinicCandidate:
@@ -776,24 +806,45 @@ def single_loop_attempt(
     Missing guess parameters (k0, center, width, orientation) fall back to
     cfg.  The center is a crossing phase: a is periodic, so it is taken
     modulo grid.period, and an off-period center solves the translate that
-    crosses in the central period.  The candidate carries the
-    constrained-stage summary and the item as given.
+    crosses in the central period.
+
+    Above _COARSE_M nodes per period the constrained stage is nested
+    (Brandt, Math. Comp. 31 (1977)): the guess is built and minimized over
+    E at _COARSE_M on the same box, and when that converges within
+    _COARSE_ITERS iterations its minimizer, prolonged linearly to grid and
+    pinned at the coarse k, starts the fine stage with the bordered Newton.
+    Otherwise the fine stage starts from the guess at grid, as at
+    _COARSE_M and below.  The candidate carries the constrained-stage
+    summary, with the coarse stage's under "coarse" when one ran, and the
+    item as given.
     """
     center = float(item.get("center", cfg.bump_center)) % grid.period
     k0 = float(item.get("k0", cfg.k0))
-    guess = initial_guess_bump(
-        grid,
-        pot,
-        k0=k0,
-        center=center,
-        width=float(item.get("width", cfg.bump_width)),
-        orientation=int(item.get("orientation", cfg.orientation)),
-        eps_k=cfg.eps_k,
-    )
-    constraint = ConstraintE(node_index=snap_center(grid, center), k_min=cfg.k_min, k=k0)
-    e_res = minimize_over_E(guess, constraint, pot, cfg)
+    shape = {
+        "k0": k0,
+        "center": center,
+        "width": float(item.get("width", cfg.bump_width)),
+        "orientation": int(item.get("orientation", cfg.orientation)),
+        "eps_k": cfg.eps_k,
+    }
+    coarse = _coarse_stage(pot, grid, cfg, shape) if grid.nodes_per_period > _COARSE_M else None
+    nested = coarse is not None and coarse.converged
+    if nested:
+        start, k_start = _prolong(coarse.trajectory, grid), coarse.k
+    else:
+        start, k_start = initial_guess_bump(grid, pot, **shape), k0
+    constraint = ConstraintE(node_index=snap_center(grid, center), k_min=cfg.k_min, k=k_start)
+    e_res = minimize_over_E(start, constraint, pot, cfg, newton_first=nested)
     cand = _release(e_res.trajectory, pot, cfg)
     cand.e_stage = {k: v for k, v in vars(e_res).items() if k != "trajectory"}
+    if coarse is not None:
+        cand.e_stage["coarse"] = {
+            "m": _COARSE_M,
+            "iterations": coarse.iterations,
+            "newton_steps": coarse.newton_steps,
+            "value": coarse.value,
+            "converged": coarse.converged,
+        }
     cand.schedule_item = dict(item)
     return cand
 

@@ -567,6 +567,49 @@ def test_solve_summary_counts_polish(tmp_path, capsys):
     assert load_report(out)["candidate"]["iterations"] == 0
 
 
+
+def test_solve_summary_counts_the_coarse_stage(tmp_path, capsys):
+    # above m=40 the E-stage runs at m=40 first; its minimizer, prolonged,
+    # leaves one fine iteration around the bordered Newton
+    out = str(tmp_path / "run")
+    cfg = write_config(tmp_path, {"grid": {"m": 160}})
+    assert main(["solve", "--config", cfg, "--out", out]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert "action 27.316362" in line
+    assert line.endswith("iterations 8 coarse E-stage (m=40) + 1 E-stage + 0 descent + 0 polish")
+    e_stage = load_report(out)["candidate"]["e_stage"]
+    assert e_stage["coarse"] == {
+        "m": 40,
+        "iterations": 8,
+        "newton_steps": 5,
+        "value": pytest.approx(27.308803721782354, rel=0.0, abs=1e-8),
+        "converged": True,
+    }
+
+
+@pytest.mark.parametrize(
+    "doc,action",
+    [
+        ({"potential": {"a_base": 20}, "grid": {"m": 80}}, "80.685621"),
+        ({"potential": {"period": 4}, "grid": {"m": 160}}, "30.355095"),
+    ],
+    ids=["a_base20-m80", "period4-m160"],
+)
+def test_solve_starts_over_when_the_coarse_stage_stalls(tmp_path, capsys, doc, action):
+    # neither E-stage converges at m=40 within its 1000-iteration cap (both
+    # configs exit 3 at m=40): the attempt runs the E-stage at m from the
+    # guess, as on a grid of m=40 or below, and solves
+    out = str(tmp_path / "run")
+    assert main(["solve", "--config", write_config(tmp_path, doc), "--out", out]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert "action %s" % action in line
+    assert "iterations 1000 coarse E-stage (m=40) + " in line
+    report = load_report(out)
+    coarse = report["candidate"]["e_stage"]["coarse"]
+    assert (coarse["m"], coarse["iterations"], coarse["converged"]) == (40, 1000, False)
+    assert report["timing"]["solve"] < 2.0
+
+
 def test_report_is_strict_json(tmp_path):
     # the first search record has no nearest entry, and a zero-iteration
     # E-stage never measures its gradient: both non-finite values are null

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 from homoclinic import (
     ConstraintE,
+    Grid,
     H1Preconditioner,
     ConvergedToZero,
     GridFunction,
@@ -371,6 +372,44 @@ def test_armijo_steps_never_raise_the_action(grid, cfg, monkeypatch):
     for _, before, after, clearance in steps:
         assert after <= before
         assert clearance >= pot.delta_seg
+
+
+
+def _fine_pipeline(pot, grid, cfg, item):
+    """The attempt without a coarse stage: guess, E-stage and release at m."""
+    center, k0 = item["center"], item.get("k0", cfg.k0)
+    guess = initial_guess_bump(grid, pot, k0=k0, center=center, width=item.get("width", cfg.bump_width))
+    constraint = ConstraintE(node_index=snap_center(grid, center), k_min=cfg.k_min, k=k0)
+    e_res = solve.minimize_over_E(guess, constraint, pot, cfg)
+    return e_res, solve._release(e_res.trajectory, pot, cfg)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize(
+    "item", [{"center": 0.0}, {"center": 0.5, "width": 2.0, "k0": 1.35}], ids=["c0", "c1/2"]
+)
+def test_nested_attempt_matches_the_fine_pipeline(cfg, monkeypatch, alpha, item):
+    # at m=160 the attempt minimizes over E at m=40 first; from the
+    # prolonged minimizer the fine E-stage is its bordered Newton alone,
+    # and the orbit is the one the fine pipeline finds
+    grid = Grid(nodes_per_period=160)
+    pot = example_potential(alpha=alpha)
+    stages = []
+    minimize = solve.minimize_over_E
+
+    def spying(u0, *args, **kwargs):
+        stages.append(u0.grid.nodes_per_period)
+        return minimize(u0, *args, **kwargs)
+
+    monkeypatch.setattr(solve, "minimize_over_E", spying)
+    e_ref, ref = _fine_pipeline(pot, grid, cfg, item)
+    cand = solve.single_loop_attempt(pot, grid, cfg, item)
+    assert sorted(stages) == [40, 160, 160]
+    assert abs(cand.action - ref.action) <= 1e-8
+    assert abs(cand.e_stage["value"] - e_ref.value) <= 1e-8
+    assert np.abs(cand.trajectory.values - ref.trajectory.values).max() <= 1e-6
+    assert cand.e_stage["converged"] and cand.e_stage["iterations"] <= 2
+    assert cand.e_stage["coarse"]["m"] == 40 and cand.e_stage["coarse"]["converged"]
 
 
 # the default search library at m=40, alpha=2, targets=9, in insertion order
