@@ -251,6 +251,8 @@ def read_config_doc(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError("%s: not UTF-8 text: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             "%s: line %d column %d: %s" % (path, exc.lineno, exc.colno, exc.msg)

@@ -9,11 +9,11 @@ drops below tolerance.
 The constrained stage runs projected Armijo descent along the negative
 gradient mapped through the inverse of the discrete H1 operator
 (H1Preconditioner, its Green's function per component), which improves
-conditioning by roughly the square of the node count per unit time.  The
-component along q is solved with the full operator, the transverse
-components with the pinned node held fixed, so the pinned node only moves
-along the ray.  Once the
-projected gradient is small the stage finishes with damped Newton steps on
+conditioning by roughly the square of the node count per unit time.  One
+solve per step gives that direction; a rank-one correction by the
+inverse's column at the pinned node then removes its transverse part
+there, so the pinned node only moves along the ray.  Once the projected
+gradient is small the stage finishes with damped Newton steps on
 the block-tridiagonal action Hessian (solve_banded, block cyclic
 reduction), bordered by the ray constraint.  Above 40 nodes per period the
 stage is nested: it minimizes at m=40 first, and the fine stage starts
@@ -256,14 +256,11 @@ class H1Preconditioner:
     e^(-|i-k| lam) f_min(i,k) f_(n-1-max(i,k)).  apply() is then
     two exponentially weighted cumulative sums, one from each end, with no
     factorization.  The sums restart every _SPAN / lam nodes and carry
-    across, so their weights stay below e^_SPAN on any box.  A pinned node j
-    also holds v_j = 0, which cuts the coupling across it (the row and
-    column of j drop out): a rank-one correction by column j of the
-    inverse, after which apply() returns exactly zero there.  g is (n,) or
+    across, so their weights stay below e^_SPAN on any box.  g is (n,) or
     (n, d) and must be finite.
     """
 
-    def __init__(self, grid: Grid, pinned: Optional[int] = None):
+    def __init__(self, grid: Grid):
         n = grid.n
         h = grid.h
         lam = math.acosh(1.0 + 0.5 * h * h)
@@ -280,9 +277,6 @@ class H1Preconditioner:
         self._back = scale * f * self._shrink[::-1]
         self._fore = scale * f[::-1] * self._shrink
         self._fg = scale * f * f[::-1]
-        self._pinned = pinned
-        if pinned is not None:
-            self._column = self._solve(np.eye(1, n, pinned)[0])
 
     def _sums(self, v: Array) -> Array:
         """Chunk-local sums R along the last axis: e^(-(i-s) lam) R_i is the
@@ -302,37 +296,37 @@ class H1Preconditioner:
         backward = self._sums(v[..., ::-1])[..., ::-1]
         return self._back * backward + self._fore * self._sums(v) - self._fg * v
 
+    def column(self, j: int) -> Array:
+        """Column j of the inverse, scaled to exactly 1 at node j."""
+        c = self._solve(np.eye(1, len(self._fg), j)[0])
+        return c / c[j]
+
     def apply(self, g: Array) -> Array:
         if not np.isfinite(g).all():
             raise ValueError("array must not contain infs or NaNs")
-        x = self._solve(np.ascontiguousarray(g.T))
-        j = self._pinned
-        if j is not None:
-            x -= (x[..., j : j + 1] / self._column[j]) * self._column
-            x[..., j] = 0.0
-        return np.ascontiguousarray(x.T)
+        return np.ascontiguousarray(self._solve(np.ascontiguousarray(g.T)).T)
 
 
 def ray_direction(
-    full: H1Preconditioner,
-    pinned: H1Preconditioner,
+    pre: H1Preconditioner,
+    column: Array,
+    j: int,
     g: Array,
     q_hat: Array,
     clamped: bool = False,
-) -> tuple[Array, Array]:
-    """H1 direction over E_h, split into its q_hat and q_hat-perp parts.
+) -> Array:
+    """H1 direction over E_h with node j held on the ray along q_hat.
 
-    The component along q_hat is solved with the full operator, so the
-    pinned node moves freely along the ray; the transverse components are
-    solved with that node pinned, so they vanish there exactly.  While k
-    sits on its clamp and the gradient pushes it lower, the node cannot
-    move at all, and the q_hat component is solved pinned too.  Returns
-    (along, across): the q_hat coordinate per node and the transverse part
-    in the original coordinates; the direction is
-    outer(along, q_hat) + across.
+    pre.apply(g) moves every node freely; subtracting outer(column, t),
+    column = pre.column(j), holds part t of node j at 0.  t is the
+    transverse part of node j's free solve, or all of it while k sits on
+    its clamp and the gradient pushes it lower.  The solve acts per
+    component, so this is the free solve of the q_hat part (pinned when
+    clamped) plus the pinned solve of the transverse part.
     """
-    c = g @ q_hat
-    return (pinned if clamped else full).apply(c), pinned.apply(g - np.outer(c, q_hat))
+    x = pre.apply(g)
+    t = x[j] if clamped else x[j] - (x[j] @ q_hat) * q_hat
+    return x - np.outer(column, t)
 
 
 def _transverse_unit(q: Array) -> Array:
@@ -562,16 +556,16 @@ def minimize_over_E(
     """Minimize the action over the constraint class E_h.
 
     Free variables are all interior nodes except the pinned one plus the
-    ray coordinate k.  Projected Armijo descent follows ray_direction, the
-    H1 direction whose transverse part is solved with node j pinned, so
-    node j only moves along the ray; each trial's k is clamped at k_min,
-    so every iterate lies in E_h exactly.  Once the projected gradient
-    norm reaches _NEWTON_HANDOFF the stage finishes with _damped_newton
-    along the ray (counted as newton_steps); if that stalls above
-    grad_tol, Armijo resumes to grad_tol and the iteration cap.  With
-    newton_first, for a start already near the minimizer (one prolonged
-    from a coarser grid), the Newton runs at the first iterate whatever
-    its norm.  Returns the best iterate with flags when the cap is hit;
+    ray coordinate k.  Projected Armijo descent follows ray_direction, one
+    H1 solve per step whose transverse part at node j is removed by a
+    rank-one correction, so node j only moves along the ray; each trial's
+    k is clamped at k_min, so every iterate lies in E_h exactly.  Once the
+    projected gradient norm reaches _NEWTON_HANDOFF the stage finishes with
+    _damped_newton along the ray (counted as newton_steps); if that stalls
+    above grad_tol, Armijo resumes to grad_tol and the iteration cap.
+    With newton_first, for a start already near the minimizer (one
+    prolonged from a coarser grid), the Newton runs at the first iterate
+    whatever its norm.  Returns the best iterate with flags when the cap is hit;
     the infimum estimate is the final value.  No per-step history is kept.
     """
     grid = u0.grid
@@ -587,8 +581,8 @@ def minimize_over_E(
     vals[j] = k * q
     kernel, p = _start(pot, grid, vals, "the constrained stage")
 
-    full = H1Preconditioner(grid)
-    pinned = H1Preconditioner(grid, pinned=j)
+    pre = H1Preconditioner(grid)
+    column = pre.column(j)
     alpha = 1.0
     handoff = math.inf if newton_first else _NEWTON_HANDOFF
 
@@ -610,8 +604,8 @@ def minimize_over_E(
             converged = True
             break
 
-        along, across = ray_direction(full, pinned, g, q_hat, _clamped(g, j, q, k, k_min))
-        step = _armijo_step(kernel, p, g, np.outer(along, q_hat) + across, alpha, (j, k_min))
+        direction = ray_direction(pre, column, j, g, q_hat, _clamped(g, j, q, k, k_min))
+        step = _armijo_step(kernel, p, g, direction, alpha, (j, k_min))
         if step is None:
             break  # stalled at the floating-point floor
         p, k, alpha = step
@@ -800,12 +794,13 @@ def single_loop_attempt(
 ) -> HomoclinicCandidate:
     """One guess -> constrained stage -> release attempt for a schedule item.
 
-    The constrained stage is minimize_over_E (pinned-H1 Armijo, then
-    bordered Newton); the release is Newton polish, with Armijo descent
-    from the constrained minimizer as the fallback when Newton stalls.
-    Missing guess parameters (k0, center, width, orientation) fall back to
-    cfg.  The center is a crossing phase: a is periodic, so it is taken
-    modulo grid.period, and an off-period center solves the translate that
+    The constrained stage is minimize_over_E (Armijo along the H1
+    direction with the pinned node held on the ray, then bordered Newton);
+    the release is Newton polish, with Armijo descent from the constrained
+    minimizer as the fallback when Newton stalls.  Missing guess
+    parameters (k0, center, width, orientation) fall back to cfg.  The
+    center is a crossing phase: a is periodic, so it is taken modulo
+    grid.period, and an off-period center solves the translate that
     crosses in the central period.
 
     Above _COARSE_M nodes per period the constrained stage is nested

@@ -60,12 +60,14 @@ def test_check_reports_violation(tmp_path, capsys):
 
 
 def test_malformed_config_is_exit_1(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text('{"potential": ')
-    assert main(["check", "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert "config error" in err
-    assert "line" in err
+    # truncated JSON is reported by line, bytes that are not UTF-8 by path
+    for raw, where in ((b'{"potential": ', "line"), (b"\xff\xfe{}", "not UTF-8")):
+        path = tmp_path / "broken.json"
+        path.write_bytes(raw)
+        assert main(["check", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s: " % path)
+        assert where in err
 
 
 def test_unknown_key_is_exit_1(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """The solver's numpy linear algebra against scipy and dense references.
 
 solve.solve_banded (block cyclic reduction of the Newton system),
-solve.H1Preconditioner (the Green's function of K + M) and
+solve.H1Preconditioner (the Green's function of K + M, pinned at one node
+by the rank-one correction of solve.ray_direction) and
 ActionKernel.hessian_blocks (the Hessian from a point's stored offsets)
 stand in for LAPACK calls and a second well evaluation; scipy and dense
 numpy solves are the oracles here.
@@ -130,30 +131,56 @@ def _dense_h1(grid, pinned):
 _LONG_BOX = Grid(period=20.0, nodes_per_period=40, half_periods=20)
 
 
-@pytest.mark.parametrize("shape", ["1d", "2d"])
+@pytest.mark.parametrize("shape", ["1d", "2d", "3d"])
 @pytest.mark.parametrize("where", [None, "first", "centre", "last"])
 @pytest.mark.parametrize("box", ["default", "long"])
 def test_preconditioner_matches_a_dense_solve(grid, box, where, shape):
     # the long box has lam n near 770: a sinh-form Green's function overflows there
     grid = _LONG_BOX if box == "long" else grid
-    pinned = {None: None, "first": 1, "centre": grid.center_index, "last": grid.n - 2}[where]
-    g = np.random.default_rng(2).standard_normal((grid.n, 2) if shape == "2d" else grid.n)
-    x = H1Preconditioner(grid, pinned=pinned).apply(g)
-    ref = _dense_h1(grid, pinned)(g)
-    assert x.shape == g.shape
-    assert np.abs(x - ref).max() <= 1e-11 * np.abs(ref).max()
-    assert np.all(x[[0, -1]] == 0.0)
-    if pinned is not None:
-        assert np.all(x[pinned] == 0.0)
+    rng = np.random.default_rng(2)
+    d = int(shape[0])
+    g = rng.standard_normal((grid.n, d) if d > 1 else grid.n)
+    pre = H1Preconditioner(grid)
+    free = _dense_h1(grid, None)
+
+    def assert_close(x, ref):
+        assert x.shape == ref.shape
+        assert np.abs(x - ref).max() <= 1e-11 * np.abs(ref).max()
+        assert np.all(x[[0, -1]] == 0.0)
+
+    if where is None:
+        assert_close(pre.apply(g), free(g))
+        return
+    # node j held on a ray through the rank-one correction of ray_direction:
+    # the part along the ray is solved free, the transverse part pinned
+    j = {"first": 1, "centre": grid.center_index, "last": grid.n - 2}[where]
+    pinned = _dense_h1(grid, j)
+    g = g.reshape(grid.n, d)
+    q_hat = rng.standard_normal(d)
+    q_hat /= np.linalg.norm(q_hat)
+    column = pre.column(j)
+    x = solve.ray_direction(pre, column, j, g, q_hat)
+    along = g @ q_hat
+    assert_close(x @ q_hat, free(along))
+    assert_close(x - np.outer(x @ q_hat, q_hat), pinned(g - np.outer(along, q_hat)))
+    # on the clamp node j cannot move at all
+    x = solve.ray_direction(pre, column, j, g, q_hat, clamped=True)
+    assert_close(x, pinned(g))
+    assert np.all(x[j] == 0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("pinned", [None, 5])
-def test_preconditioner_refuses_non_finite_input(grid, pinned, bad):
+@pytest.mark.parametrize("ray_node", [None, 5])
+def test_preconditioner_refuses_non_finite_input(grid, ray_node, bad):
+    # the E-stage direction, with node ray_node held on the ray, refuses it too
     g = np.ones((grid.n, 2))
     g[7, 1] = bad
+    pre = H1Preconditioner(grid)
     with pytest.raises(ValueError):
-        H1Preconditioner(grid, pinned=pinned).apply(g)
+        if ray_node is None:
+            pre.apply(g)
+        else:
+            solve.ray_direction(pre, pre.column(ray_node), ray_node, g, np.array([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("dimension", [2, 3])

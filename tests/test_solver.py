@@ -82,6 +82,25 @@ def test_e_stage_iterates_are_pinned(grid, cfg, alpha, iterations, newton_steps)
     assert (res.iterations, res.newton_steps) == (iterations, newton_steps)
 
 
+@pytest.mark.parametrize("center,k0,iterations", [(0.0, 1.5, 8), (0.5, 1.35, 230)])
+def test_e_stage_solves_once_per_armijo_step(pot, grid, cfg, monkeypatch, center, k0, iterations):
+    # one H1 solve per Armijo step, none at the converged last iteration; the
+    # c=1/2 start is the search's phase-3 item
+    calls = []
+    apply = H1Preconditioner.apply
+
+    def counted(self, g):
+        calls.append(g.shape)
+        return apply(self, g)
+
+    monkeypatch.setattr(H1Preconditioner, "apply", counted)
+    guess = initial_guess_bump(grid, pot, k0=k0, center=center)
+    constraint = ConstraintE(node_index=snap_center(grid, center), k_min=cfg.k_min, k=k0)
+    res = minimize_over_E(guess, constraint, pot, cfg)
+    assert res.converged and res.iterations == iterations
+    assert calls == [(grid.n, 2)] * (iterations - 1)
+
+
 def test_descent_reaches_tolerance(pot, grid, cfg, solved):
     assert solved.grad_norm <= cfg.grad_tol
     assert solved.action > 0.0
@@ -190,10 +209,14 @@ def test_ray_direction_pins_transverse_part(pot, grid):
     guess = initial_guess_bump(grid, pot, k0=1.35, center=0.25 * grid.period)
     g = eval_action(guess, pot).gradient
     q_hat = pot.q / np.linalg.norm(pot.q)
-    full = H1Preconditioner(grid)
-    along, across = ray_direction(full, H1Preconditioner(grid, pinned=j), g, q_hat)
-    assert np.all(across[j] == 0.0)
-    assert np.array_equal(along, full.apply(g @ q_hat))
+    pre = H1Preconditioner(grid)
+    column = pre.column(j)
+    assert column[j] == 1.0
+    direction = ray_direction(pre, column, j, g, q_hat)
+    along = direction @ q_hat
+    across = direction - np.outer(along, q_hat)
+    assert np.abs(across[j]).max() <= 1e-14 * np.abs(across).max()
+    assert np.abs(along - pre.apply(g @ q_hat)).max() <= 1e-14 * np.abs(along).max()
     # away from j the transverse part solves (K + M) v = g_perp with v_j = 0
     h = grid.h
     g_perp = g - np.outer(g @ q_hat, q_hat)
@@ -201,6 +224,8 @@ def test_ray_direction_pins_transverse_part(pot, grid):
     free = np.arange(1, grid.n - 1) != j
     assert np.abs(kv - g_perp[1:-1])[free].max() <= 1e-10 * np.abs(g_perp).max()
     assert np.abs(across).max() > 0.0
+    # on the clamp node j does not move at all
+    assert np.all(ray_direction(pre, column, j, g, q_hat, clamped=True)[j] == 0.0)
 
 
 @pytest.mark.parametrize("width", [2.0, 1.25])
