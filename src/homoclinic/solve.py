@@ -6,28 +6,31 @@ to the ray, ray coordinate clamped at k_min = 1 + eps_k), then release the
 constraint and converge until the scaled gradient norm ||g||_2 / sqrt(h)
 drops below tolerance.
 
-The constrained stage runs projected Armijo descent along the negative
-gradient mapped through the inverse of the discrete H1 operator
-(H1Preconditioner, its Green's function per component), which improves
-conditioning by roughly the square of the node count per unit time.  One
-solve per step gives that direction; a rank-one correction by the
-inverse's column at the pinned node then removes its transverse part
-there, so the pinned node only moves along the ray.  Once the projected
-gradient is small the stage finishes with damped Newton steps on
-the block-tridiagonal action Hessian (solve_banded, block cyclic
-reduction), bordered by the ray constraint.  Above 40 nodes per period the
-stage is nested: it minimizes at m=40 first, and the fine stage starts
-from that minimizer, prolonged linearly, with the bordered Newton; a
-coarse stage that does not converge within its cap leaves the fine stage
-to start from the guess at m.
+The constrained stage runs projected Armijo descent along a limited-memory
+BFGS direction (Nocedal, Math. Comp. 35 (1980)) whose initial inverse
+Hessian is the inverse of the discrete H1 operator (H1Preconditioner, its
+Green's function per component), which alone improves conditioning by
+roughly the square of the node count per unit time.  One solve per step
+gives that initial direction; a rank-one correction by the inverse's
+column at the pinned node then removes its transverse part there, so the
+pinned node only moves along the ray.  Once the projected gradient is
+small the stage finishes with damped Newton steps on the block-tridiagonal
+action Hessian (solve_banded, block cyclic reduction), bordered by the ray
+constraint.  Above 40 nodes per period the stage is nested: it minimizes
+at m=40 first, and the fine stage starts from that minimizer, prolonged
+linearly, with the bordered Newton; a coarse stage that does not converge
+leaves the fine stage to start from the guess at m.
 
 The release is the same damped Newton without the ray constraint;
 polish_to_critical (the glue polish of multibump guesses) is that Newton
 alone.  Only when the release stalls above tolerance does monotone Armijo
-descent along the H1 direction restart from the constrained minimizer; it
-changes only the direction, never the accepted-value bookkeeping: action
-sequences stay monotone and iterates segment-feasible.  Both Armijo
-descents step through one backtracking line search, _armijo_step.
+descent along the free L-BFGS direction restart from the constrained
+minimizer; it changes only the direction, never the accepted-value
+bookkeeping: action sequences stay monotone and iterates segment-feasible.
+Both Armijo loops step through _descent_step (the quasi-Newton step, or the
+plain H1 step when that fails) and one backtracking line search,
+_armijo_step, and both stop, not converged, once the action stalls
+(_stalled), so a solve that cannot converge fails early.
 
 a is T-periodic, so every orbit comes with its whole-period translates,
 and a solve only chooses the crossing phase: single_loop_attempt takes its
@@ -55,7 +58,9 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -84,7 +89,11 @@ Array = np.ndarray
 _STEP_CAP = 8.0  # longest step tried along the H1 direction
 _ARMIJO_C1 = 1e-4  # sufficient-decrease constant of both Armijo loops
 _BACKTRACK = 0.5  # step shrink factor per rejected trial
-_MAX_BACKTRACKS = 60  # trials per Armijo step before the loop stalls
+_MAX_BACKTRACKS = 60  # trials per plain Armijo step before the loop stalls
+_MEMORY = 8  # (s, y) pairs of the quasi-Newton direction
+_QN_TRIALS = 4  # trials of a quasi-Newton step before the plain step
+_STALL_STEPS = 50  # a loop stops, not converged, once the action falls by
+_STALL_RTOL = 1e-12  # at most this fraction of itself over that many steps
 _ZERO_TOL = 1e-4  # sup norm below which an iterate has collapsed onto 0
 
 
@@ -424,20 +433,20 @@ def _armijo_step(
     p: StencilPoint,
     g: Array,
     direction: Array,
-    alpha: float,
+    step: float,
+    trials: int,
     ray: Optional[tuple[int, float]] = None,
 ) -> Optional[tuple[StencilPoint, Optional[float], float]]:
     """One Armijo backtracking step from p along -direction.
 
-    Steps start at min(2 alpha, _STEP_CAP) and shrink by _BACKTRACK; the
-    first feasible trial whose action drops by _ARMIJO_C1 <g, trial - p>
+    Trials start at step and shrink by _BACKTRACK, at most trials of them;
+    the first feasible trial whose action drops by _ARMIJO_C1 <g, trial - p>
     is accepted (near the floating-point floor of the action, plain
     nonincrease is enough).  With ray = (j, k_min) every trial snaps node
     j onto the ray.  Returns (point, k, step), k None without a ray, or
-    None when no trial is accepted: the descent has stalled.
+    None when no trial is accepted.
     """
-    step = min(alpha * 2.0, _STEP_CAP)
-    for _ in range(_MAX_BACKTRACKS):
+    for _ in range(trials):
         trial = p.values - step * direction
         k = None if ray is None else _snap_to_ray(trial, kernel.q, *ray)
         res = kernel.trial(trial)
@@ -448,6 +457,83 @@ def _armijo_step(
                 return res, k, step
         step *= _BACKTRACK
     return None
+
+
+class _Memory:
+    """The (s, y) pairs of a limited-memory BFGS direction (Nocedal, Math.
+    Comp. 35 (1980)), s an accepted step and y the change of the gradient
+    across it.
+
+    see() is called once per iterate; a pair with s.y <= 0 is skipped, and
+    a change of state (the E-stage's clamp flag) drops every pair, because
+    the pairs then span directions the new state's h0 holds fixed.
+    """
+
+    def __init__(self) -> None:
+        self.pairs: deque = deque(maxlen=_MEMORY)
+        self._last: Optional[tuple[Array, Array, bool]] = None
+
+    def see(self, x: Array, g: Array, state: bool = False) -> None:
+        if self._last is not None:
+            x0, g0, state0 = self._last
+            if state != state0:
+                self.pairs.clear()
+            else:
+                s, y = x - x0, g - g0
+                sy = float((s * y).sum())
+                if sy > 0.0:
+                    self.pairs.append((s, y, 1.0 / sy))
+        self._last = (x, g, state)
+
+    def direction(self, g: Array, h0) -> Array:
+        """The two-loop recursion: the inverse-Hessian estimate times g,
+        h0 its initial inverse, applied once."""
+        r = g.copy()
+        coef = []
+        for s, y, rho in reversed(self.pairs):
+            a = rho * float((s * r).sum())
+            r -= a * y
+            coef.append(a)
+        r = h0(r)
+        for (s, y, rho), a in zip(self.pairs, reversed(coef)):
+            r += (a - rho * float((y * r).sum())) * s
+        return r
+
+
+def _descent_step(
+    kernel: ActionKernel,
+    p: StencilPoint,
+    g: Array,
+    memory: _Memory,
+    h0,
+    alpha: float,
+    ray: Optional[tuple[int, float]] = None,
+) -> Optional[tuple[StencilPoint, Optional[float], float]]:
+    """One step of either Armijo loop from p, g its gradient.
+
+    With pairs in memory the quasi-Newton direction is tried first, from
+    unit step for _QN_TRIALS trials.  When none is accepted (near the
+    clearance barrier it can point straight into it), the memory is
+    dropped and the step is the plain H1 one, -h0(g), from
+    min(2 alpha, _STEP_CAP) for _MAX_BACKTRACKS trials.  Returns (point, k,
+    alpha), alpha the last plain step's length, or None when the plain
+    step is not accepted either: the loop has stalled.
+    """
+    if memory.pairs:
+        out = _armijo_step(kernel, p, g, memory.direction(g, h0), 1.0, _QN_TRIALS, ray)
+        if out is not None:
+            return out[0], out[1], alpha
+        memory.pairs.clear()
+    step = min(2.0 * alpha, _STEP_CAP)
+    return _armijo_step(kernel, p, g, h0(g), step, _MAX_BACKTRACKS, ray)
+
+
+def _stalled(values: deque) -> bool:
+    """The action fell by at most _STALL_RTOL of itself over the last
+    _STALL_STEPS accepted steps (values holds their actions)."""
+    return len(values) > _STALL_STEPS and (
+        values[0] - values[-1] <= _STALL_RTOL * abs(values[-1])
+    )
 
 
 # projected gradient norm at which the E-stage leaves Armijo for bordered Newton
@@ -556,17 +642,22 @@ def minimize_over_E(
     """Minimize the action over the constraint class E_h.
 
     Free variables are all interior nodes except the pinned one plus the
-    ray coordinate k.  Projected Armijo descent follows ray_direction, one
+    ray coordinate k.  Projected Armijo descent follows the L-BFGS
+    direction of _descent_step, whose initial inverse is ray_direction: one
     H1 solve per step whose transverse part at node j is removed by a
-    rank-one correction, so node j only moves along the ray; each trial's
-    k is clamped at k_min, so every iterate lies in E_h exactly.  Once the
-    projected gradient norm reaches _NEWTON_HANDOFF the stage finishes with
-    _damped_newton along the ray (counted as newton_steps); if that stalls
-    above grad_tol, Armijo resumes to grad_tol and the iteration cap.
-    With newton_first, for a start already near the minimizer (one
-    prolonged from a coarser grid), the Newton runs at the first iterate
-    whatever its norm.  Returns the best iterate with flags when the cap is hit;
-    the infimum estimate is the final value.  No per-step history is kept.
+    rank-one correction, so node j only moves along the ray.  The secant
+    pairs keep only the q_hat part of the gradient change at node j, and
+    they are dropped whenever the clamp state flips, so the direction
+    moves node j along the ray too, or not at all while clamped.  Each
+    trial's k is clamped at k_min, so every iterate lies in E_h exactly.
+    Once the projected gradient norm reaches _NEWTON_HANDOFF the stage
+    finishes with _damped_newton along the ray (counted as newton_steps);
+    if that stalls above grad_tol, Armijo resumes to grad_tol, the
+    iteration cap or a stall of the action.  With newton_first, for a
+    start already near the minimizer (one prolonged from a coarser grid),
+    the Newton runs at the first iterate whatever its norm.  Returns the
+    best iterate with flags when the loop stops short; the infimum
+    estimate is the final value.  No per-step history is kept.
     """
     grid = u0.grid
     j = constraint.node_index
@@ -585,6 +676,8 @@ def minimize_over_E(
     column = pre.column(j)
     alpha = 1.0
     handoff = math.inf if newton_first else _NEWTON_HANDOFF
+    memory = _Memory()
+    values = deque(maxlen=_STALL_STEPS + 1)
 
     converged = False
     handed_off = False
@@ -604,11 +697,18 @@ def minimize_over_E(
             converged = True
             break
 
-        direction = ray_direction(pre, column, j, g, q_hat, _clamped(g, j, q, k, k_min))
-        step = _armijo_step(kernel, p, g, direction, alpha, (j, k_min))
+        clamped = _clamped(g, j, q, k, k_min)
+        y_part = g.copy()  # node j moves along the ray only: its y is the q_hat part
+        y_part[j] = (g[j] @ q_hat) * q_hat
+        memory.see(p.values, y_part, clamped)
+        h0 = partial(ray_direction, pre, column, j, q_hat=q_hat, clamped=clamped)
+        step = _descent_step(kernel, p, g, memory, h0, alpha, (j, k_min))
         if step is None:
             break  # stalled at the floating-point floor
         p, k, alpha = step
+        values.append(p.value)
+        if _stalled(values):
+            break
     return EStageResult(
         trajectory=GridFunction(grid, p.values),
         k=float(k),
@@ -644,15 +744,19 @@ def descend_to_critical(
 ) -> HomoclinicCandidate:
     """Unconstrained monotone descent to a critical point.
 
-    Finishes with one free Newton polish when the descent stops above
-    tolerance; raises ConvergedToZero when an iterate collapses below
-    _ZERO_TOL in sup norm, and MaxItersExceeded when the cap is reached;
-    the best iterate rides along on the exception.
+    Armijo steps along the L-BFGS direction of _descent_step, whose
+    initial inverse is the H1 solve.  Finishes with one free Newton polish
+    when the descent stops above tolerance (at the cap, or when the action
+    has stalled); raises ConvergedToZero when an iterate collapses below
+    _ZERO_TOL in sup norm, and MaxItersExceeded when the polish does not
+    reach tolerance either; the best iterate rides along on the exception.
     """
     grid = u0.grid
     kernel, p = _start(pot, grid, u0.values, "descent")
     pre = H1Preconditioner(grid)
     alpha = 1.0
+    memory = _Memory()
+    values = deque(maxlen=_STALL_STEPS + 1)
 
     history = {"polish_grad_norm": []}
     iters = 0
@@ -663,12 +767,16 @@ def descend_to_critical(
         gn = grad_norm(grid, g)
         if gn <= cfg.grad_tol:
             break
-        step = _armijo_step(kernel, p, g, pre.apply(g), alpha)
+        memory.see(p.values, g)
+        step = _descent_step(kernel, p, g, memory, pre.apply, alpha)
         if step is None:
             break
         p, _, alpha = step
         iters += 1
         _check_collapse(p)
+        values.append(p.value)
+        if _stalled(values):
+            break
 
     if gn > cfg.grad_tol and cfg.polish_steps > 0:
         p, _, gn, history["polish_grad_norm"] = _damped_newton(kernel, grid, p, cfg)
@@ -769,17 +877,13 @@ def _wrap_candidate(
 
 # finer grids run the E-stage on this many nodes per period first
 _COARSE_M = 40
-# iteration cap of that coarse E-stage; past it the attempt starts over at m
-_COARSE_ITERS = 1000
 
 
 def _coarse_stage(pot: PotentialSpec, grid: Grid, cfg: SolverConfig, shape: dict) -> EStageResult:
-    """The attempt's E-stage from its guess at _COARSE_M on grid's box,
-    capped at _COARSE_ITERS iterations."""
+    """The attempt's E-stage from its guess at _COARSE_M on grid's box."""
     coarse = replace(grid, nodes_per_period=_COARSE_M)
     constraint = ConstraintE(snap_center(coarse, shape["center"]), cfg.k_min, shape["k0"])
-    capped = replace(cfg, max_iters=min(cfg.max_iters, _COARSE_ITERS))
-    return minimize_over_E(initial_guess_bump(coarse, pot, **shape), constraint, pot, capped)
+    return minimize_over_E(initial_guess_bump(coarse, pot, **shape), constraint, pot, cfg)
 
 
 def _prolong(u: GridFunction, grid: Grid) -> GridFunction:
@@ -794,7 +898,7 @@ def single_loop_attempt(
 ) -> HomoclinicCandidate:
     """One guess -> constrained stage -> release attempt for a schedule item.
 
-    The constrained stage is minimize_over_E (Armijo along the H1
+    The constrained stage is minimize_over_E (Armijo along the L-BFGS
     direction with the pinned node held on the ray, then bordered Newton);
     the release is Newton polish, with Armijo descent from the constrained
     minimizer as the fallback when Newton stalls.  Missing guess
@@ -805,9 +909,9 @@ def single_loop_attempt(
 
     Above _COARSE_M nodes per period the constrained stage is nested
     (Brandt, Math. Comp. 31 (1977)): the guess is built and minimized over
-    E at _COARSE_M on the same box, and when that converges within
-    _COARSE_ITERS iterations its minimizer, prolonged linearly to grid and
-    pinned at the coarse k, starts the fine stage with the bordered Newton.
+    E at _COARSE_M on the same box, and when that converges its
+    minimizer, prolonged linearly to grid and pinned at the coarse k,
+    starts the fine stage with the bordered Newton.
     Otherwise the fine stage starts from the guess at grid, as at
     _COARSE_M and below.  The candidate carries the constrained-stage
     summary, with the coarse stage's under "coarse" when one ran, and the

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import shutil
+import time
 import warnings
 
 import numpy as np
@@ -578,38 +579,56 @@ def test_solve_summary_counts_the_coarse_stage(tmp_path, capsys):
     assert main(["solve", "--config", cfg, "--out", out]) == 0
     line = capsys.readouterr().out.splitlines()[0]
     assert "action 27.316362" in line
-    assert line.endswith("iterations 8 coarse E-stage (m=40) + 1 E-stage + 0 descent + 0 polish")
+    assert line.endswith("iterations 7 coarse E-stage (m=40) + 1 E-stage + 0 descent + 0 polish")
     e_stage = load_report(out)["candidate"]["e_stage"]
     assert e_stage["coarse"] == {
         "m": 40,
-        "iterations": 8,
-        "newton_steps": 5,
+        "iterations": 7,
+        "newton_steps": 4,
         "value": pytest.approx(27.308803721782354, rel=0.0, abs=1e-8),
         "converged": True,
     }
 
 
 @pytest.mark.parametrize(
-    "doc,action",
+    "doc,action,coarse_iterations",
     [
-        ({"potential": {"a_base": 20}, "grid": {"m": 80}}, "80.685621"),
-        ({"potential": {"period": 4}, "grid": {"m": 160}}, "30.355095"),
+        ({"potential": {"a_base": 20}, "grid": {"m": 80}}, "80.685621", 113),
+        ({"potential": {"period": 4}, "grid": {"m": 160}}, "30.355095", 83),
     ],
     ids=["a_base20-m80", "period4-m160"],
 )
-def test_solve_starts_over_when_the_coarse_stage_stalls(tmp_path, capsys, doc, action):
-    # neither E-stage converges at m=40 within its 1000-iteration cap (both
-    # configs exit 3 at m=40): the attempt runs the E-stage at m from the
-    # guess, as on a grid of m=40 or below, and solves
+def test_solve_starts_over_when_the_coarse_stage_stalls(
+    tmp_path, capsys, doc, action, coarse_iterations
+):
+    # neither E-stage converges at m=40 (both configs exit 3 at m=40): the
+    # stall test ends the coarse stage, and the attempt runs the E-stage at
+    # m from the guess, as on a grid of m=40 or below, and solves
     out = str(tmp_path / "run")
     assert main(["solve", "--config", write_config(tmp_path, doc), "--out", out]) == 0
     line = capsys.readouterr().out.splitlines()[0]
     assert "action %s" % action in line
-    assert "iterations 1000 coarse E-stage (m=40) + " in line
+    assert "iterations %d coarse E-stage (m=40) + " % coarse_iterations in line
     report = load_report(out)
     coarse = report["candidate"]["e_stage"]["coarse"]
-    assert (coarse["m"], coarse["iterations"], coarse["converged"]) == (40, 1000, False)
+    assert (coarse["m"], coarse["iterations"], coarse["converged"]) == (40, coarse_iterations, False)
     assert report["timing"]["solve"] < 2.0
+
+
+@pytest.mark.parametrize(
+    "doc,error",
+    [({"potential": {"a_base": 20}}, "MaxItersExceeded"), ({"potential": {"period": 4}}, "ConvergedToZero")],
+    ids=["a_base20", "period4"],
+)
+def test_failing_solve_stops_when_the_action_stalls(tmp_path, capsys, doc, error):
+    # at m=40 neither config has an orbit the solver reaches: the action
+    # stops falling in the E-stage and again in the descent, and the stall
+    # test ends each loop long before max_iters
+    out = str(tmp_path / "run")
+    t0 = time.perf_counter()
+    assert main(["solve", "--config", write_config(tmp_path, doc), "--out", out]) == 3
+    assert time.perf_counter() - t0 < 2.0
+    assert "no solution found: %s: " % error in capsys.readouterr().err
 
 
 def test_report_is_strict_json(tmp_path):
