@@ -4,13 +4,13 @@ Subcommands: check (hypothesis table), solve (one candidate), search
 (multi-solution library), refine (two-grid discretization study), diagnose
 (inspect a trajectory CSV against a config and an existing library).
 
-check prints the rows of potential.run_hypotheses.  solve, search and
-refine share one pipeline, _reported: it runs that table once as the
-command's gate (exit 2 before the output directory exists; the library
-solvers do not check the hypotheses), builds the report header
-(command, config, hypotheses, timing.checks), lets the command add its
-own fields and its timing key, and writes report.json at its one write
-site.  diagnose reads CSVs through grids.TrajectoryCache in
+check prints the rows of potential.run_hypotheses, the closed-form
+hypothesis gate.  solve, search and refine share one pipeline, _reported:
+it runs that table once as the command's gate (exit 2 before the output
+directory exists; the library solvers do not check the hypotheses), builds
+the report header (command, config, hypotheses, timing.checks), lets the
+command add its own fields and its timing key, and writes report.json at
+its one write site.  diagnose reads CSVs through grids.TrajectoryCache in
 <out>/.trajectory-cache, and refuses a CSV whose dimension is not the
 potential's; each library load leaves the cache holding exactly the
 manifest's entries.
@@ -248,14 +248,16 @@ def cmd_refine(cfg: RunConfig) -> int:
 
     def body(report: dict) -> int:
         levels = {}
+        stage = None  # the coarse level's E-stage, which the fine level may start from
         for label, m in (("coarse", cfg.refine.coarse), ("fine", cfg.refine.fine)):
             grid = replace(cfg.grid, nodes_per_period=m)
             try:
-                cand = solve_homoclinic(cfg.potential, grid, solver)
+                cand = solve_homoclinic(cfg.potential, grid, solver, stage)
             except HomoclinicError as exc:
                 report["error"] = "%s level (m=%d): %s: %s" % (label, m, type(exc).__name__, exc)
                 print(report["error"], file=sys.stderr)
                 return 3
+            stage = cand.e_result
             csv_name = "solution_%s.csv" % label
             write_trajectory_csv(os.path.join(cfg.out_dir, csv_name), cand.trajectory)
             levels[label] = {
@@ -455,13 +457,9 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on a usage error, the code of a hypothesis violation here
         return 1 if exc.code else 0
-    if args.command != "diagnose":
-        # numpy loads numpy.random on first use, the hypothesis gate's first
-        # generator: the commands that run the gate import it now, so set-up
-        # pays for it and the freeze below covers its heap
-        import numpy.random  # noqa: F401
     # imported modules live until exit: move them out of the collector's
-    # generations so gen-2 passes and shutdown never rescan them
+    # generations so gen-2 passes and shutdown never rescan them (no command
+    # imports a module after this point, numpy.random included)
     gc.freeze()
     try:
         doc = read_config_doc(args.config) if args.config else {}

@@ -153,7 +153,7 @@ def _parse_potential(block: dict) -> PotentialSpec:
         )
     except ValueError as exc:
         raise ConfigError("potential: %s" % exc) from exc
-    # the barrier check samples shells out to the built-in witness radius,
+    # the barrier check covers shells out to the built-in witness radius,
     # which must stay below |q| / 2
     _require(
         pot.well.q_norm > 2.0 * WITNESS_RADIUS,

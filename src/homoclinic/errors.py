@@ -15,7 +15,12 @@ class SingularityHit(HomoclinicError):
 
 
 class HypothesisViolation(HomoclinicError):
-    """A sampled structural hypothesis on a(t), W or a witness failed."""
+    """A structural hypothesis on a(t), W or a witness failed; report holds
+    the failing row's margins."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class ShiftOutOfRange(HomoclinicError):

@@ -1,4 +1,4 @@
-"""Time-periodic coefficients and singular wells, with hypothesis probes.
+"""Time-periodic coefficients and singular wells, with a closed-form hypothesis gate.
 
 The systems studied here have the form
 
@@ -14,20 +14,22 @@ which is negative away from {0, q}, has Hessian -2|q|^(-alpha) I at the
 origin, and admits logarithmic / power witnesses for the strong-force
 inequalities near q and at infinity.
 
-Structural conditions are validated by sampling probes (check_A, check_H2,
+Structural conditions are checked by the gate (check_A, check_H2,
 check_H3, check_H4, check_W_negativity) rather than at construction time so
 that a deliberately broken spec can still be built and then diagnosed.
-Their sample counts, step and seeds are module constants.  The table
-_HYPOTHESES lists the probes in gate order, each row with its own margin
-text.  run_hypotheses is its one runner and the one gate: the `check`
-command prints its rows and the CLI runs it once before solve, search and
-refine.  The solvers themselves do not check the hypotheses.
+For this family each row's margin has a closed form in alpha, |q|, a_base,
+a_amp and the witness radii r and R0 = 4|q|, so the gate is exact over
+its ranges and samples nothing.  The table _HYPOTHESES lists the rows in
+gate order, each with its own margin text.  run_hypotheses is its one
+runner and the one gate: the `check` command prints its rows and the CLI
+runs it once before solve, search and refine.  The solvers themselves do
+not check the hypotheses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -84,16 +86,11 @@ class SingularPotentialSpec:
         return 1e-9 * self.q_norm
 
 
-def _dist_to_q(spec: SingularPotentialSpec, u: Array) -> Array:
-    return np.sqrt(np.sum((u - spec.q) ** 2, axis=-1))
-
-
 def _guard(spec: SingularPotentialSpec, u: Array) -> Array:
-    s = _dist_to_q(spec, u)
+    """|u - q|, refusing points inside the guard ball around q."""
+    s = np.sqrt(np.sum((u - spec.q) ** 2, axis=-1))
     if np.any(s < spec.eps_q):
-        raise SingularityHit(
-            "evaluation within %.3e of the singular point" % spec.eps_q
-        )
+        raise SingularityHit("evaluation within %.3e of the singular point" % spec.eps_q)
     return s
 
 
@@ -140,88 +137,39 @@ def eval_hessW(spec: SingularPotentialSpec, u):
 
 @dataclass
 class StrongForceWitness:
-    """Witness functions for the singular barrier and the decay at infinity.
+    """Radii of the built-in witnesses for the barrier and the far field.
 
-    U blows up at q and dominates W near q, U_inf grows without bound and
-    dominates W outside |u| >= R0.  check_H3 and check_H4 test the bounds
-    through the closed-form gradients grad_U and grad_U_inf.
+    Near q the witness is U = ln|u-q| at alpha = 2 and |u-q|^(1-alpha/2)
+    above; check_H3 certifies it on 1e-4 r <= |u-q| <= r.  At infinity it
+    is U_inf = |u|^((4-alpha)/2) / 2 below alpha = 4 and ln|u| / 2 at 4;
+    check_H4 certifies it on R0 <= |u| <= 64 R0.
     """
 
     r: float
-    U_inf: Callable
     R0: float
-    grad_U: Callable
-    grad_U_inf: Callable
 
 
 WITNESS_RADIUS = 0.1  # shell radius of the near-q witness; needs |q| > 0.2
 
 
 def default_witness(spec: SingularPotentialSpec) -> StrongForceWitness:
-    """Closed-form witnesses for the example family.
-
-    Near q:   U = ln|u-q|            for alpha = 2,
-              U = |u-q|^(1-alpha/2)  for alpha > 2.
-    At infinity: U_inf = c |u|^((4-alpha)/2) for alpha < 4, c ln|u| at 4.
-    """
-    q = spec.q
-    alpha = spec.alpha
-
-    def grad_u_near(x):
-        d = x - q
-        s = np.sqrt(np.sum(d * d, axis=-1))
-        if alpha == 2.0:
-            return d / (s * s)[..., None]
-        beta = 1.0 - alpha / 2.0
-        return beta * (s ** (beta - 2.0))[..., None] * d
-
-    c_inf = 0.5
-
-    def u_far(x):
-        r = np.sqrt(np.sum(np.asarray(x, dtype=float) ** 2, axis=-1))
-        if alpha == 4.0:
-            return c_inf * np.log(r)
-        return c_inf * r ** ((4.0 - alpha) / 2.0)
-
-    def grad_u_far(x):
-        x = np.asarray(x, dtype=float)
-        r = np.sqrt(np.sum(x * x, axis=-1))
-        if alpha == 4.0:
-            return c_inf * x / (r * r)[..., None]
-        beta = (4.0 - alpha) / 2.0
-        return c_inf * beta * (r ** (beta - 2.0))[..., None] * x
-
-    return StrongForceWitness(
-        r=WITNESS_RADIUS,
-        U_inf=u_far,
-        R0=4.0 * spec.q_norm,
-        grad_U=grad_u_near,
-        grad_U_inf=grad_u_far,
-    )
+    """The witness radii of spec: r = WITNESS_RADIUS and R0 = 4|q|."""
+    return StrongForceWitness(r=WITNESS_RADIUS, R0=4.0 * spec.q_norm)
 
 
 @dataclass(frozen=True)
 class CoefficientReport:
     min_a: float
     max_a: float
-    n_samples: int
-
-
-_A_SAMPLES = 2048  # coefficient samples per period
-_H2_FD_STEP = 1e-3  # finite-difference step of the Hessian at the origin
-_SHELLS, _PER_SHELL = 16, 16  # radii and directions per radius of the H3 and H4 probes
-_W_SAMPLES = 512  # box samples of the negativity probe
 
 
 def check_A(spec: CoefficientSpec) -> CoefficientReport:
-    """Sample a(t) over one period and verify strict positivity."""
-    t = np.linspace(0.0, spec.period, _A_SAMPLES, endpoint=False)
-    vals = eval_a(spec, t)
-    report = CoefficientReport(float(vals.min()), float(vals.max()), _A_SAMPLES)
+    """a(t) ranges over a_base -+ |a_amp|; its minimum must be positive."""
+    amp = abs(spec.a_amp)
+    report = CoefficientReport(spec.a_base - amp, spec.a_base + amp)
     if report.min_a <= 0.0:
-        raise HypothesisViolation(
-            "coefficient a(t) is not positive: sampled min %.6g" % report.min_a
-        )
+        msg = "coefficient a(t) is not positive: min %.6g" % report.min_a
+        raise HypothesisViolation(msg, report)
     return report
 
 
@@ -231,85 +179,49 @@ class PinchingReport:
     eigen_max: float
     alpha0: float
     alpha1: float
-    fd_step: float
 
 
 def check_H2(spec: SingularPotentialSpec) -> PinchingReport:
-    """Finite-difference Hessian of W at the origin; all eigenvalues must be < 0.
+    """The Hessian of W at the origin, -2|q|^(-alpha) I: d equal eigenvalues.
 
-    The Hessian is finite-differenced although eval_hessW gives it in
-    closed form, because the `check` table prints these eigenvalues and
-    the difference quotients keep its bytes.
-    Reports alpha0 = -eigen_min and alpha1 = -eigen_max (the quadratic
-    pinching constants).
+    They are negative for every well of the family.  Reports alpha0 =
+    -eigen_min and alpha1 = -eigen_max (the quadratic pinching constants).
     """
-    d = spec.dimension
-    h = _H2_FD_STEP
-    hess = np.empty((d, d))
-    eye = np.eye(d)
-    for a in range(d):
-        for b in range(a, d):
-            if a == b:
-                wp = eval_W(spec, h * eye[a])
-                wm = eval_W(spec, -h * eye[a])
-                w0 = eval_W(spec, np.zeros(d))
-                hess[a, a] = (wp - 2.0 * w0 + wm) / (h * h)
-            else:
-                pp = eval_W(spec, h * (eye[a] + eye[b]))
-                pm = eval_W(spec, h * (eye[a] - eye[b]))
-                mp = eval_W(spec, h * (-eye[a] + eye[b]))
-                mm = eval_W(spec, -h * (eye[a] + eye[b]))
-                hess[a, b] = hess[b, a] = (pp - pm - mp + mm) / (4.0 * h * h)
-    eigs = np.linalg.eigvalsh(hess)
-    report = PinchingReport(
-        eigen_min=float(eigs[0]),
-        eigen_max=float(eigs[-1]),
-        alpha0=-float(eigs[0]),
-        alpha1=-float(eigs[-1]),
-        fd_step=h,
-    )
-    if eigs[-1] >= 0.0:
-        raise HypothesisViolation(
-            "Hessian of W at 0 has a nonnegative eigenvalue %.6g" % eigs[-1]
-        )
-    return report
-
-
-def _unit_sphere(rng: np.random.Generator, n: int, d: int) -> Array:
-    v = rng.standard_normal((n, d))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    eig = -2.0 * spec.q_norm ** (-spec.alpha)
+    return PinchingReport(eigen_min=eig, eigen_max=eig, alpha0=-eig, alpha1=-eig)
 
 
 @dataclass(frozen=True)
 class BarrierReport:
     min_margin: float
-    n_samples: int
     radius: float
 
 
 def check_H3(spec: SingularPotentialSpec, witness: StrongForceWitness) -> BarrierReport:
-    """Sampled strong-force inequality W(u) <= -|grad U(u)|^2 near q.
+    """Strong-force inequality W(u) <= -|grad U(u)|^2 on 1e-4 r <= |u - q| <= r.
 
-    Samples shells 0 < |u - q| <= r.  The shell radius must satisfy
-    0 < r < |q|/2 so the shells stay away from the origin.
+    With s = |u - q|, |grad U|^2 = c^2 s^(-alpha), c = 1 at alpha = 2 and
+    alpha/2 - 1 above.  On the sphere of radius s the margin
+    s^(-alpha) (|u|^2 - c^2) is least at u = q - s q/|q|, which gives
+    m(s) = s^(-alpha) ((|q| - s)^2 - c^2).  Its minimum over the range lies
+    at an end or at a root of alpha ((|q| - s)^2 - c^2) + 2 s (|q| - s), a
+    quadratic in s.  The radius must satisfy 0 < r < |q|/2 so the shells
+    stay away from the origin.
     """
     r = witness.r
-    if not (0.0 < r < spec.q_norm / 2.0):
+    qn = spec.q_norm
+    if not (0.0 < r < qn / 2.0):
         raise ValueError("witness radius must satisfy 0 < r < |q|/2")
-    rng = np.random.default_rng(0)
-    margin = np.inf
-    for rho in np.geomspace(1e-4 * r, r, _SHELLS):
-        dirs = _unit_sphere(rng, _PER_SHELL, spec.dimension)
-        pts = spec.q + rho * dirs
-        w = eval_W(spec, pts)
-        gu = witness.grad_U(pts)
-        m = -w - np.sum(gu * gu, axis=-1)
-        margin = min(margin, float(m.min()))
-    report = BarrierReport(min_margin=margin, n_samples=_SHELLS * _PER_SHELL, radius=r)
+    alpha = spec.alpha
+    c2 = 1.0 if alpha == 2.0 else (alpha / 2.0 - 1.0) ** 2
+    roots = np.roots([alpha - 2.0, -2.0 * (alpha - 1.0) * qn, alpha * (qn * qn - c2)])
+    # a complex or out-of-range root only adds a point of the range
+    s = np.clip(np.concatenate(([1e-4 * r, r], roots.real)), 1e-4 * r, r)
+    margin = float(np.min(s ** (-alpha) * ((qn - s) ** 2 - c2)))
+    report = BarrierReport(min_margin=margin, radius=r)
     if margin < 0.0:
-        raise HypothesisViolation(
-            "strong-force barrier fails near q: min margin %.6g" % margin
-        )
+        msg = "strong-force barrier fails near q: min margin %.6g" % margin
+        raise HypothesisViolation(msg, report)
     return report
 
 
@@ -317,71 +229,55 @@ def check_H3(spec: SingularPotentialSpec, witness: StrongForceWitness) -> Barrie
 class FarFieldReport:
     min_margin: float
     min_growth: float
-    n_samples: int
     R0: float
 
 
 def check_H4(spec: SingularPotentialSpec, witness: StrongForceWitness) -> FarFieldReport:
-    """Sampled far-field inequality W <= -|grad U_inf|^2 plus a growth probe.
+    """Far-field inequality W <= -|grad U_inf|^2 on R0 <= |u| <= 64 R0, and growth.
 
-    The growth probe walks rays outward from |u| = R0 and requires |U_inf|
-    to increase without leveling off (sampled surrogate for |U_inf| -> inf).
+    With rho = |u|, |grad U_inf|^2 = k rho^(2-alpha), k = b^2/4 for
+    U_inf = rho^b / 2, b = (4 - alpha)/2, and k = 1/4 for ln(rho) / 2.  On
+    the sphere of radius rho, -W is least at u = -rho q/|q|, which gives
+    m(rho) = rho^2 (rho + |q|)^(-alpha) - k rho^(2-alpha).  m increases at
+    alpha = 2; above, it rises to one maximum and then decays, so either
+    way its minimum lies at an end of the range.  The growth is the
+    increment of |U_inf| from R0 to the next of 16 geometric shells out to
+    64 R0: U_inf is radial, and its increments over those shells are
+    smallest at the first.
     """
-    rng = np.random.default_rng(1)
     R0 = witness.R0
-    margin = np.inf
-    growth = np.inf
-    dirs = _unit_sphere(rng, _PER_SHELL, spec.dimension)
-    prev_abs = None
-    for rho in np.geomspace(R0, 64.0 * R0, _SHELLS):
-        pts = rho * dirs
-        w = eval_W(spec, pts)
-        gu = witness.grad_U_inf(pts)
-        m = -w - np.sum(gu * gu, axis=-1)
-        margin = min(margin, float(m.min()))
-        cur_abs = np.abs(np.asarray(witness.U_inf(pts), dtype=float))
-        if prev_abs is not None:
-            growth = min(growth, float((cur_abs - prev_abs).min()))
-        prev_abs = cur_abs
-    report = FarFieldReport(
-        min_margin=margin,
-        min_growth=growth,
-        n_samples=_SHELLS * _PER_SHELL,
-        R0=R0,
-    )
+    qn = spec.q_norm
+    alpha = spec.alpha
+    b = (4.0 - alpha) / 2.0
+    k = 0.25 if alpha == 4.0 else b * b / 4.0
+    rho = np.array([R0, 64.0 * R0])
+    margin = float(np.min(rho * rho * (rho + qn) ** (-alpha) - k * rho ** (2.0 - alpha)))
+    ends = R0 * np.array([1.0, 64.0 ** (1.0 / 15.0)])  # the first two of 16 shells
+    u_inf = np.abs(np.log(ends) / 2.0 if alpha == 4.0 else ends ** b / 2.0)
+    growth = float(u_inf[1] - u_inf[0])
+    report = FarFieldReport(min_margin=margin, min_growth=growth, R0=R0)
     if margin < 0.0:
-        raise HypothesisViolation(
-            "far-field domination fails: min margin %.6g" % margin
-        )
+        raise HypothesisViolation("far-field domination fails: min margin %.6g" % margin, report)
     if growth <= 0.0:
-        raise HypothesisViolation(
-            "far-field witness stops growing along some ray (min increment %.6g)"
-            % growth
-        )
+        msg = "far-field witness stops growing along some ray (min increment %.6g)" % growth
+        raise HypothesisViolation(msg, report)
     return report
 
 
 @dataclass(frozen=True)
 class NegativityReport:
-    max_w: float
-    n_samples: int
+    max_ratio: float
+    radius: float
 
 
 def check_W_negativity(spec: SingularPotentialSpec) -> NegativityReport:
-    """Sample W away from {0, q} and verify strict negativity."""
-    rng = np.random.default_rng(2)
-    pts = rng.uniform(-4.0 * spec.q_norm, 4.0 * spec.q_norm, (_W_SAMPLES, spec.dimension))
-    keep = (np.linalg.norm(pts, axis=1) > 1e-6) & (
-        _dist_to_q(spec, pts) > 10.0 * spec.eps_q
-    )
-    pts = pts[keep]
-    vals = eval_W(spec, pts)
-    report = NegativityReport(max_w=float(vals.max()), n_samples=int(len(pts)))
-    if report.max_w >= 0.0:
-        raise HypothesisViolation(
-            "W is not negative away from 0 and q: sampled max %.6g" % report.max_w
-        )
-    return report
+    """W(u) / |u|^2 = -|u - q|^(-alpha), negative for every u off {0, q}.
+
+    Reports the ratio's maximum over 0 < |u| <= 4|q| (out to the far-field
+    radius), -(5|q|)^(-alpha) at u = -4q.
+    """
+    radius = 4.0 * spec.q_norm
+    return NegativityReport(max_ratio=-((radius + spec.q_norm) ** (-spec.alpha)), radius=radius)
 
 
 @dataclass
@@ -428,7 +324,7 @@ _HYPOTHESES = (
     ("H4", "far-field domination and growth", lambda pot, wit: check_H4(pot.well, wit),
      lambda r: "min margin %.3e, min growth %.3e" % (r.min_margin, r.min_growth)),
     ("W<0", "W negative away from 0", lambda pot, wit: check_W_negativity(pot.well),
-     lambda r: "max W %.3e" % r.max_w),
+     lambda r: "max W/|u|^2 %.3e on |u| <= %.3g" % (r.max_ratio, r.radius)),
 )
 
 

@@ -230,12 +230,15 @@ class EStageResult:
     newton_steps: int
     converged: bool
     constraint_active: bool  # the stage ended with k on its clamp k_min
+    stop: str  # "converged", "stalled", "max_iters" or "line_search"
 
 
 @dataclass
 class HomoclinicCandidate:
     """One trajectory with its certificates.  history keeps
-    "polish_grad_norm", the gradient norm after each accepted Newton step."""
+    "polish_grad_norm", the gradient norm after each accepted Newton step;
+    e_result is the constrained stage's result, minimizer included, of
+    which e_stage is the summary."""
 
     trajectory: GridFunction
     action: float
@@ -248,6 +251,7 @@ class HomoclinicCandidate:
     e_stage: Optional[dict] = None
     schedule_item: Optional[dict] = None
     history: dict = field(repr=False, compare=False, default_factory=dict)
+    e_result: Optional[EStageResult] = field(repr=False, compare=False, default=None)
 
 
 # largest exponent lam * nodes of one chunk of the preconditioner's sums
@@ -656,8 +660,10 @@ def minimize_over_E(
     iteration cap or a stall of the action.  With newton_first, for a
     start already near the minimizer (one prolonged from a coarser grid),
     the Newton runs at the first iterate whatever its norm.  Returns the
-    best iterate with flags when the loop stops short; the infimum
-    estimate is the final value.  No per-step history is kept.
+    last iterate, with stop naming why the loop ended: "converged",
+    "stalled" (the action stopped falling), "max_iters" or "line_search"
+    (no trial accepted); the infimum estimate is the final value.  No
+    per-step history is kept.
     """
     grid = u0.grid
     j = constraint.node_index
@@ -679,7 +685,7 @@ def minimize_over_E(
     memory = _Memory()
     values = deque(maxlen=_STALL_STEPS + 1)
 
-    converged = False
+    stop = "max_iters"
     handed_off = False
     newton_steps = 0
     pg_norm = math.inf
@@ -694,7 +700,7 @@ def minimize_over_E(
             newton_steps = len(steps)
             g = kernel.gradient(p)
         if pg_norm <= cfg.grad_tol:
-            converged = True
+            stop = "converged"
             break
 
         clamped = _clamped(g, j, q, k, k_min)
@@ -704,10 +710,12 @@ def minimize_over_E(
         h0 = partial(ray_direction, pre, column, j, q_hat=q_hat, clamped=clamped)
         step = _descent_step(kernel, p, g, memory, h0, alpha, (j, k_min))
         if step is None:
-            break  # stalled at the floating-point floor
+            stop = "line_search"  # no trial accepted: the floating-point floor
+            break
         p, k, alpha = step
         values.append(p.value)
         if _stalled(values):
+            stop = "stalled"
             break
     return EStageResult(
         trajectory=GridFunction(grid, p.values),
@@ -716,8 +724,9 @@ def minimize_over_E(
         grad_norm=float(pg_norm),
         iterations=iters,
         newton_steps=newton_steps,
-        converged=converged,
+        converged=stop == "converged",
         constraint_active=_at_clamp(k, k_min),
+        stop=stop,
     )
 
 
@@ -746,10 +755,12 @@ def descend_to_critical(
 
     Armijo steps along the L-BFGS direction of _descent_step, whose
     initial inverse is the H1 solve.  Finishes with one free Newton polish
-    when the descent stops above tolerance (at the cap, or when the action
-    has stalled); raises ConvergedToZero when an iterate collapses below
-    _ZERO_TOL in sup norm, and MaxItersExceeded when the polish does not
-    reach tolerance either; the best iterate rides along on the exception.
+    when the descent stops above tolerance (at the cap, when the action
+    has stalled or when no trial is accepted); raises ConvergedToZero when
+    an iterate collapses below _ZERO_TOL in sup norm, and MaxItersExceeded,
+    its message naming the descent's stop ("max_iters", "stalled" or
+    "line_search"), when the polish does not reach tolerance either; the
+    best iterate rides along on the exception.
     """
     grid = u0.grid
     kernel, p = _start(pot, grid, u0.values, "descent")
@@ -761,21 +772,25 @@ def descend_to_critical(
     history = {"polish_grad_norm": []}
     iters = 0
     gn = math.inf
+    stop = "max_iters"
 
     while iters < cfg.max_iters:
         g = kernel.gradient(p)
         gn = grad_norm(grid, g)
         if gn <= cfg.grad_tol:
+            stop = "converged"
             break
         memory.see(p.values, g)
         step = _descent_step(kernel, p, g, memory, pre.apply, alpha)
         if step is None:
+            stop = "line_search"
             break
         p, _, alpha = step
         iters += 1
         _check_collapse(p)
         values.append(p.value)
         if _stalled(values):
+            stop = "stalled"
             break
 
     if gn > cfg.grad_tol and cfg.polish_steps > 0:
@@ -783,7 +798,8 @@ def descend_to_critical(
         _check_collapse(p)
     return _wrap_candidate(
         kernel, grid, p, pot, cfg, iters, history, gn,
-        "gradient norm %(gn).3e above tolerance %(tol).3e after %(iters)d iterations",
+        "gradient norm %(gn).3e above tolerance %(tol).3e after %(iters)d iterations"
+        " (descent stop: " + stop + ")",
     )
 
 
@@ -894,7 +910,11 @@ def _prolong(u: GridFunction, grid: Grid) -> GridFunction:
 
 
 def single_loop_attempt(
-    pot: PotentialSpec, grid: Grid, cfg: SolverConfig, item: dict
+    pot: PotentialSpec,
+    grid: Grid,
+    cfg: SolverConfig,
+    item: dict,
+    coarse: Optional[EStageResult] = None,
 ) -> HomoclinicCandidate:
     """One guess -> constrained stage -> release attempt for a schedule item.
 
@@ -913,9 +933,12 @@ def single_loop_attempt(
     minimizer, prolonged linearly to grid and pinned at the coarse k,
     starts the fine stage with the bordered Newton.
     Otherwise the fine stage starts from the guess at grid, as at
-    _COARSE_M and below.  The candidate carries the constrained-stage
-    summary, with the coarse stage's under "coarse" when one ran, and the
-    item as given.
+    _COARSE_M and below.  A given coarse result on the same box at
+    _COARSE_M (the e_result of an attempt with the same item and cfg one
+    level down) stands in for that stage, which would repeat it bit for
+    bit; on any other grid it is ignored.  The candidate carries the
+    constrained-stage summary, with the coarse stage's under "coarse" when
+    one ran, and the item as given.
     """
     center = float(item.get("center", cfg.bump_center)) % grid.period
     k0 = float(item.get("k0", cfg.k0))
@@ -926,7 +949,10 @@ def single_loop_attempt(
         "orientation": int(item.get("orientation", cfg.orientation)),
         "eps_k": cfg.eps_k,
     }
-    coarse = _coarse_stage(pot, grid, cfg, shape) if grid.nodes_per_period > _COARSE_M else None
+    if grid.nodes_per_period <= _COARSE_M:
+        coarse = None
+    elif coarse is None or coarse.trajectory.grid != replace(grid, nodes_per_period=_COARSE_M):
+        coarse = _coarse_stage(pot, grid, cfg, shape)
     nested = coarse is not None and coarse.converged
     if nested:
         start, k_start = _prolong(coarse.trajectory, grid), coarse.k
@@ -936,6 +962,7 @@ def single_loop_attempt(
     e_res = minimize_over_E(start, constraint, pot, cfg, newton_first=nested)
     cand = _release(e_res.trajectory, pot, cfg)
     cand.e_stage = {k: v for k, v in vars(e_res).items() if k != "trajectory"}
+    cand.e_result = e_res
     if coarse is not None:
         cand.e_stage["coarse"] = {
             "m": _COARSE_M,
@@ -943,6 +970,7 @@ def single_loop_attempt(
             "newton_steps": coarse.newton_steps,
             "value": coarse.value,
             "converged": coarse.converged,
+            "stop": coarse.stop,
         }
     cand.schedule_item = dict(item)
     return cand
@@ -963,6 +991,7 @@ def solve_homoclinic(
     pot: PotentialSpec,
     grid: Grid,
     cfg: Optional[SolverConfig] = None,
+    coarse: Optional[EStageResult] = None,
 ) -> HomoclinicCandidate:
     """Full pipeline: one guess from cfg, constrained stage, release.
 
@@ -973,7 +1002,9 @@ def solve_homoclinic(
     MaxItersExceeded, ...) propagates.  The returned candidate carries the
     constrained-stage summary (infimum estimate d_h, final k,
     constraint-activity flag) and alpha_gap, the proven action gap on the
-    unit H1 sphere from action.sphere_action_bound.
+    unit H1 sphere from action.sphere_action_bound.  coarse is passed to
+    single_loop_attempt: refine hands its coarse level's e_result to the
+    fine level.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -983,6 +1014,6 @@ def solve_homoclinic(
         "width": cfg.bump_width,
         "orientation": cfg.orientation,
     }
-    cand = single_loop_attempt(pot, grid, cfg, item)
+    cand = single_loop_attempt(pot, grid, cfg, item, coarse)
     cand.alpha_gap = sphere_action_bound(pot)
     return cand

@@ -41,9 +41,9 @@ def load_report(out_dir):
 # the rows after A, identical for both check configs below
 _CHECK_ROWS = [
     "H2   pass  negative pinched Hessian at 0 (eigenvalues in [-0.5, -0.5])",
-    "H3   pass  strong-force barrier near q (min margin 2.616e+02 inside radius 0.1)",
-    "H4   pass  far-field domination and growth (min margin 3.949e-01, min growth 1.278e+00)",
-    "W<0  pass  W negative away from 0 (max W -6.793e-02)",
+    "H3   pass  strong-force barrier near q (min margin 2.610e+02 inside radius 0.1)",
+    "H4   pass  far-field domination and growth (min margin 3.900e-01, min growth 1.278e+00)",
+    "W<0  pass  W negative away from 0 (max W/|u|^2 -1.000e-02 on |u| <= 8)",
 ]
 
 
@@ -56,7 +56,7 @@ def test_check_defaults_pass(capsys):
 def test_check_reports_violation(tmp_path, capsys):
     cfg = write_config(tmp_path, {"potential": {"a_base": 1.0, "a_amp": 2.0}})
     assert main(["check", "--config", cfg]) == 2
-    first = "A    FAIL  a(t) > 0 and periodic (coefficient a(t) is not positive: sampled min -1)"
+    first = "A    FAIL  a(t) > 0 and periodic (coefficient a(t) is not positive: min -1)"
     assert capsys.readouterr().out.splitlines() == [first] + _CHECK_ROWS
 
 
@@ -587,6 +587,7 @@ def test_solve_summary_counts_the_coarse_stage(tmp_path, capsys):
         "newton_steps": 4,
         "value": pytest.approx(27.308803721782354, rel=0.0, abs=1e-8),
         "converged": True,
+        "stop": "converged",
     }
 
 
@@ -612,23 +613,29 @@ def test_solve_starts_over_when_the_coarse_stage_stalls(
     report = load_report(out)
     coarse = report["candidate"]["e_stage"]["coarse"]
     assert (coarse["m"], coarse["iterations"], coarse["converged"]) == (40, coarse_iterations, False)
+    assert coarse["stop"] == "stalled"
     assert report["timing"]["solve"] < 2.0
 
 
 @pytest.mark.parametrize(
-    "doc,error",
-    [({"potential": {"a_base": 20}}, "MaxItersExceeded"), ({"potential": {"period": 4}}, "ConvergedToZero")],
+    "doc,error,ending",
+    [
+        ({"potential": {"a_base": 20}}, "MaxItersExceeded", " after 51 iterations (descent stop: stalled)"),
+        ({"potential": {"period": 4}}, "ConvergedToZero", ""),
+    ],
     ids=["a_base20", "period4"],
 )
-def test_failing_solve_stops_when_the_action_stalls(tmp_path, capsys, doc, error):
+def test_failing_solve_stops_when_the_action_stalls(tmp_path, capsys, doc, error, ending):
     # at m=40 neither config has an orbit the solver reaches: the action
     # stops falling in the E-stage and again in the descent, and the stall
-    # test ends each loop long before max_iters
+    # test ends each loop long before max_iters; the error names the stall
     out = str(tmp_path / "run")
     t0 = time.perf_counter()
     assert main(["solve", "--config", write_config(tmp_path, doc), "--out", out]) == 3
     assert time.perf_counter() - t0 < 2.0
-    assert "no solution found: %s: " % error in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("no solution found: %s: " % error)
+    assert err.endswith(ending + "\n")
 
 
 def test_report_is_strict_json(tmp_path):
@@ -865,6 +872,40 @@ def test_one_hypothesis_gate_per_command(tmp_path, monkeypatch, command, doc):
     out = str(tmp_path / "run")
     assert main([command, "--config", write_config(tmp_path, doc), "--out", out]) == 0
     assert len(calls) == 1
+
+
+# the exact barrier margins at s = 0.1 are -72.48 and -1.803; the sampled
+# probe that the closed form replaced passed both wells
+@pytest.mark.parametrize(
+    "well",
+    [{"alpha": 4, "q": [-0.5895, -0.9244]}, {"alpha": 2.5429, "dimension": 3, "q": [0.0786, 0.1592, -0.3152]}],
+    ids=["alpha4", "alpha2.5429-d3"],
+)
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_gate_refuses_wells_the_sampled_probe_passed(tmp_path, capsys, command, well):
+    out = str(tmp_path / "run")
+    cfg = write_config(tmp_path, {"potential": well})
+    assert main([command, "--config", cfg, "--out", out]) == 2
+    rows = capsys.readouterr().out.splitlines()
+    assert [row[:9] for row in rows] == ["A    pass", "H2   pass", "H3   FAIL", "H4   pass", "W<0  pass"]
+    assert not os.path.exists(out)
+
+
+def test_refine_starts_its_fine_level_from_the_coarse_e_stage(tmp_path, monkeypatch):
+    # the default levels are m=40 and m=80: the fine level's nested stage
+    # at m=40 is the coarse level's E-stage, so no m=40 stage runs twice
+    from homoclinic import solve
+
+    grids = []
+
+    def counted(u0, *args, **kwargs):
+        grids.append(u0.grid.nodes_per_period)
+        return minimize(u0, *args, **kwargs)
+
+    minimize = solve.minimize_over_E
+    monkeypatch.setattr(solve, "minimize_over_E", counted)
+    assert main(["refine", "--out", str(tmp_path / "run")]) == 0
+    assert grids == [40, 80]
 
 
 def test_refine_unreachable_tolerance_is_exit_3(tmp_path):

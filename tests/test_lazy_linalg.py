@@ -1,13 +1,11 @@
 """No command and no library call loads scipy.
 
 The package is numpy-only: the Newton solve and the H1 preconditioner are
-numpy kernels (solve.solve_banded, solve.H1Preconditioner).  The commands
-that run the hypothesis gate (check, solve, search, refine) import
-numpy.random at CLI entry, before the config is read and before
-gc.freeze(), since numpy loads it lazily on the gate's first generator;
-after that a solver command imports nothing more.  Each case runs in a
-fresh interpreter, since the test process itself imports scipy as an
-oracle.
+numpy kernels (solve.solve_banded, solve.H1Preconditioner).  No command
+loads numpy.random either, since the hypothesis gate is closed-form and
+the solver is deterministic, and once the config is read a command
+imports nothing more.  Each case runs in a fresh interpreter, since the
+test process itself imports scipy as an oracle.
 """
 
 import json
@@ -113,18 +111,27 @@ def recording_read(path):
 gc.freeze, cli.read_config_doc = recording_freeze, recording_read
 seen["import"] = "numpy.random" in sys.modules
 seen["rc"] = cli.main(sys.argv[1:])
+seen["exit"] = "numpy.random" in sys.modules
 seen["new_after_config"] = sorted(set(sys.modules) - set(seen.pop("config")))
 print(json.dumps(seen))
 """
 
 
-@pytest.mark.parametrize("command", sorted(_SOLVER_CONFIGS))
-def test_solver_commands_import_everything_before_config_and_freeze(tmp_path, command):
-    # numpy.random is the one module numpy loads on first use; a solver
-    # command imports it at entry and no module at all once the config is read
-    out = str(tmp_path / "run")
-    seen = _fresh(_IMPORT_ORDER, command, "--config", _config(tmp_path, command), "--out", out)
-    assert seen == {"import": False, "freeze": True, "rc": 0, "new_after_config": []}
+@pytest.mark.parametrize("command", ["check", "diagnose"] + sorted(_SOLVER_CONFIGS))
+def test_solver_commands_import_everything_before_config_and_freeze(
+    small_library, tmp_path, command
+):
+    # numpy loads numpy.random on first use, and no command uses it; no
+    # command imports any module once the config is read
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_SOLVER_CONFIGS.get(command, {})))
+    if command == "diagnose":
+        args = ["--out", small_library, small_library + "/entry_001.csv"]
+    else:
+        args = ["--out", str(tmp_path / "run")]
+    seen = _fresh(_IMPORT_ORDER, command, "--config", str(cfg), *args)
+    expected = {"import": False, "freeze": False, "rc": 0, "exit": False, "new_after_config": []}
+    assert seen == expected
 
 
 _BLOCKED_SOLVE = """

@@ -1,5 +1,6 @@
-"""Potential well: values, derivatives, and hypothesis checkers."""
+"""Potential well: values, derivatives, and the closed-form hypothesis gate."""
 
+import gate_oracle
 import numpy as np
 import pytest
 
@@ -153,16 +154,6 @@ def test_check_A_accepts_default():
     assert rep.max_a == pytest.approx(3.0, abs=1e-4)
 
 
-def test_check_H2_rejects_positive_curvature(monkeypatch):
-    # every well of the family has Hessian -2|q|^-alpha I at 0, so a convex
-    # fake stands in for W; check_H2 looks eval_W up at call time
-    from homoclinic import potential
-
-    monkeypatch.setattr(potential, "eval_W", lambda spec, u: np.sum(np.asarray(u) ** 2, axis=-1))
-    with pytest.raises(HypothesisViolation, match="nonnegative eigenvalue"):
-        check_H2(example_potential().well)
-
-
 def test_check_H2_dimension_three():
     pot = example_potential(dimension=3, alpha=2.0)
     rep = check_H2(pot.well)
@@ -186,21 +177,30 @@ def test_check_H3_rejects_bad_radius(pot):
         check_H3(pot.well, w)
 
 
-def test_check_H3_rejects_inverse_distance_well(monkeypatch):
-    # -W ~ 1/s is too weak: every admissible witness gradient near q
-    # grows at least like 1/s, so |grad U|^2 ~ 1/s^2 wins; no well of the
-    # family is that weak, so a fake W stands in (check_H3 looks eval_W up
-    # at call time)
-    from homoclinic import potential
-
-    well = example_potential().well
-    monkeypatch.setattr(
-        potential,
-        "eval_W",
-        lambda spec, u: -1.0 / np.linalg.norm(np.asarray(u) - spec.q, axis=-1),
-    )
-    with pytest.raises(HypothesisViolation, match="strong-force barrier fails"):
-        check_H3(well, default_witness(well))
+# exact minima of the barrier margin s^-alpha ((|q| - s)^2 - c^2) over
+# 1e-5 <= s <= 0.1: at s = 1e-5 for |q| = 0.5 at alpha = 2, at s = 0.1 for
+# the two wells that the old 16 x 16 sampled probe passed (with margins
+# 5.162 and 0.1102)
+@pytest.mark.parametrize(
+    "alpha,q,s,margin",
+    [
+        (2.0, [0.5, 0.0], 1e-5, -7.5001e9),
+        (4.0, [-0.5895, -0.9244], 0.1, -72.48),
+        (2.5429, [0.0786, 0.1592, -0.3152], 0.1, -1.803),
+    ],
+    ids=["q0.5-alpha2", "alpha4", "alpha2.5429-d3"],
+)
+def test_check_H3_rejects_weak_barriers(alpha, q, s, margin):
+    well = example_potential(alpha=alpha, dimension=len(q), q=q).well
+    witness = default_witness(well)
+    c = 1.0 if alpha == 2.0 else alpha / 2.0 - 1.0
+    exact = s ** -alpha * ((well.q_norm - s) ** 2 - c * c)
+    with pytest.raises(HypothesisViolation, match="strong-force barrier fails") as info:
+        check_H3(well, witness)
+    assert info.value.report.min_margin == pytest.approx(exact, rel=1e-12)
+    assert exact == pytest.approx(margin, rel=1e-3)
+    # the dense oracle finds the violation too
+    assert gate_oracle.barrier_margin(well, witness.r) < 0.0
 
 
 def test_check_H3_detects_weak_singularity():
@@ -211,10 +211,11 @@ def test_check_H3_detects_weak_singularity():
         check_H3(well, default_witness(well))
 
 
-# measured margins; alpha=4 takes the witness's logarithmic far field
+# closed-form margins, the far end's at alpha 3 and 4 (0.8^2 - 1/4 at the
+# near end at alpha 2); alpha=4 takes the witness's logarithmic far field
 @pytest.mark.parametrize(
     "alpha,margin,growth",
-    [(2.0, 0.39487085, 1.27803164), (3.0, 1.80887410e-3, 0.21029123), (4.0, 2.80337061e-6, 0.13862944)],
+    [(2.0, 0.39, 1.27803164), (3.0, 1.8083442e-3, 0.21029123), (4.0, 2.8019959e-6, 0.13862944)],
     ids=["2.0", "3.0", "4.0"],
 )
 def test_check_H4_default_witness_passes(alpha, margin, growth):
@@ -226,9 +227,68 @@ def test_check_H4_default_witness_passes(alpha, margin, growth):
 
 
 def test_check_W_negativity(pot):
+    # W / |u|^2 = -|u - q|^-alpha peaks on |u| <= 4|q| at u = -4q
     rep = check_W_negativity(pot.well)
-    assert rep.max_w < 0.0
-    assert rep.n_samples > 400
+    assert (rep.max_ratio, rep.radius) == (-(10.0**-2), 8.0)
+
+
+def _random_wells(n=300, seed=7):
+    """Valid wells: alpha in [2, 4] (every tenth at 2, the next at 4), d 2
+    or 3, |q| log-uniform in [0.21, 1000] in a random direction, and a
+    random coefficient, positive or not."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        d = int(rng.integers(2, 4))
+        v = rng.standard_normal(d)
+        q_norm = np.exp(rng.uniform(np.log(0.21), np.log(1000.0)))
+        yield example_potential(
+            alpha=(2.0, 4.0, float(rng.uniform(2.0, 4.0)))[min(i % 10, 2)],
+            dimension=d,
+            a_base=float(rng.uniform(-1.0, 3.0)),
+            a_amp=float(rng.uniform(-2.0, 2.0)),
+            q=q_norm * v / np.linalg.norm(v),
+        )
+
+
+def _report(check, *args):
+    """(report, passed) of one gate row, the report taken off a violation."""
+    try:
+        return check(*args), True
+    except HypothesisViolation as exc:
+        return exc.report, False
+
+
+def test_closed_form_gate_matches_dense_sampling():
+    # each closed-form margin is an exact minimum over the range the oracle
+    # samples, so it lies at or below the sampled one up to rounding (H2's
+    # difference quotients add an O((h/|q|)^2) error), and every verdict agrees
+    failed = {"A": 0, "H3": 0}
+    for pot in _random_wells():
+        well, witness = pot.well, default_witness(pot.well)
+        a_rep, a_ok = _report(check_A, pot.coeff)
+        a_min, a_max = gate_oracle.coefficient_range(pot.coeff)
+        assert a_ok == (a_min > 0.0)
+        assert (a_rep.min_a, a_rep.max_a) == pytest.approx((a_min, a_max), rel=1e-12, abs=1e-12)
+        h2 = check_H2(well)
+        eigs = gate_oracle.hessian_eigenvalues(well)
+        assert (h2.eigen_min, h2.eigen_max) == pytest.approx((eigs[0], eigs[-1]), rel=1e-8)
+        assert eigs[-1] < 0.0
+        h3, h3_ok = _report(check_H3, well, witness)
+        barrier = gate_oracle.barrier_margin(well, witness.r)
+        assert h3_ok == (barrier >= 0.0)
+        assert h3.min_margin <= barrier + 1e-12 * abs(barrier)
+        h4 = check_H4(well, witness)
+        far, growth = gate_oracle.far_field(well, witness.R0)
+        assert far >= 0.0 and growth > 0.0
+        assert h4.min_margin <= far + 1e-12 * abs(far)
+        assert h4.min_growth == pytest.approx(growth, rel=1e-12)
+        ratio = check_W_negativity(well).max_ratio
+        sampled = gate_oracle.negativity_ratio(well)
+        assert sampled <= ratio + 1e-12 * abs(ratio) and ratio < 0.0
+        failed["A"] += not a_ok
+        failed["H3"] += not h3_ok
+    # both verdicts occur in the sweep
+    assert failed == {"A": 154, "H3": 30}
 
 
 def test_example_family_alpha_bounds():
