@@ -5,187 +5,6 @@ for a periodic coefficient a and a potential W with a strong-force
 singularity, by minimizing a discretized action over a topological
 constraint class and descending to critical points.  Includes a
 multi-solution search with a shift-invariant distinctness metric and a
-command line interface.
+command line interface.  The package root re-exports nothing: import each
+name from its module (`from homoclinic.solve import solve_homoclinic`).
 """
-
-from .action import (
-    GRAD_NORM_CONVENTION,
-    ActionEval,
-    FdCheckReport,
-    PositivityProbe,
-    ResidualReport,
-    eval_action,
-    eval_gradient_fd_check,
-    grad_norm,
-    ode_residual,
-    positivity_probe,
-    segment_clearance,
-    singularity_clearance,
-    sphere_action_bound,
-    truncation_residual,
-)
-from .errors import (
-    ConfigError,
-    ConvergedToZero,
-    HomoclinicError,
-    HypothesisViolation,
-    InfeasibleGuess,
-    MaxItersExceeded,
-    ShiftOutOfRange,
-    SingularityHit,
-    SingularityProximity,
-    TrajectoryFormatError,
-    WindowOutOfDomain,
-    ZeroFunction,
-)
-from .grids import (
-    CSV_FLOAT_FORMAT,
-    Grid,
-    GridFunction,
-    WindowBoundReport,
-    from_values,
-    h1_norm,
-    kinetic_seminorm_sq,
-    l2_norm,
-    l2_norm_sq,
-    random_smooth_function,
-    read_trajectory_csv,
-    renormalize_translation,
-    shift_gaps,
-    shift_periods,
-    sobolev_bound_check,
-    sup_norm,
-    write_trajectory_csv,
-    zero_function,
-)
-from .multiplicity import (
-    Bump,
-    BumpDecomposition,
-    LibraryEntry,
-    SolutionLibrary,
-    geometric_distance,
-    ps_split,
-    search_distinct,
-)
-from .potential import (
-    BarrierReport,
-    CoefficientReport,
-    CoefficientSpec,
-    FarFieldReport,
-    NegativityReport,
-    PinchingReport,
-    PotentialSpec,
-    SingularPotentialSpec,
-    StrongForceWitness,
-    check_A,
-    check_H2,
-    check_H3,
-    check_H4,
-    check_W_negativity,
-    default_witness,
-    eval_W,
-    eval_a,
-    eval_gradW,
-    eval_hessW,
-    example_potential,
-)
-from .solve import (
-    ConstraintE,
-    EStageResult,
-    H1Preconditioner,
-    HomoclinicCandidate,
-    SolverConfig,
-    descend_to_critical,
-    initial_guess_bump,
-    minimize_over_E,
-    polish_to_critical,
-    snap_center,
-    solve_homoclinic,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ActionEval",
-    "BarrierReport",
-    "Bump",
-    "BumpDecomposition",
-    "CSV_FLOAT_FORMAT",
-    "CoefficientReport",
-    "CoefficientSpec",
-    "ConfigError",
-    "ConstraintE",
-    "ConvergedToZero",
-    "EStageResult",
-    "FarFieldReport",
-    "FdCheckReport",
-    "GRAD_NORM_CONVENTION",
-    "Grid",
-    "GridFunction",
-    "H1Preconditioner",
-    "HomoclinicCandidate",
-    "HomoclinicError",
-    "HypothesisViolation",
-    "InfeasibleGuess",
-    "LibraryEntry",
-    "MaxItersExceeded",
-    "NegativityReport",
-    "PinchingReport",
-    "PositivityProbe",
-    "PotentialSpec",
-    "ResidualReport",
-    "ShiftOutOfRange",
-    "SingularPotentialSpec",
-    "SingularityHit",
-    "SingularityProximity",
-    "SolutionLibrary",
-    "SolverConfig",
-    "StrongForceWitness",
-    "TrajectoryFormatError",
-    "WindowBoundReport",
-    "WindowOutOfDomain",
-    "ZeroFunction",
-    "check_A",
-    "check_H2",
-    "check_H3",
-    "check_H4",
-    "check_W_negativity",
-    "default_witness",
-    "descend_to_critical",
-    "eval_W",
-    "eval_a",
-    "eval_action",
-    "eval_gradW",
-    "eval_gradient_fd_check",
-    "eval_hessW",
-    "example_potential",
-    "from_values",
-    "geometric_distance",
-    "grad_norm",
-    "h1_norm",
-    "initial_guess_bump",
-    "kinetic_seminorm_sq",
-    "l2_norm",
-    "l2_norm_sq",
-    "minimize_over_E",
-    "ode_residual",
-    "polish_to_critical",
-    "positivity_probe",
-    "ps_split",
-    "random_smooth_function",
-    "read_trajectory_csv",
-    "renormalize_translation",
-    "search_distinct",
-    "segment_clearance",
-    "shift_gaps",
-    "shift_periods",
-    "singularity_clearance",
-    "snap_center",
-    "sobolev_bound_check",
-    "solve_homoclinic",
-    "sphere_action_bound",
-    "sup_norm",
-    "truncation_residual",
-    "write_trajectory_csv",
-    "zero_function",
-]

@@ -50,8 +50,8 @@ is one attempt, whose error propagates; run_attempt runs every attempt of
 the search, turning any HomoclinicError into an error text so the search
 moves on to its next item.
 
-The module needs numpy alone: both linear solves are numpy kernels, with
-no LAPACK factorization.
+The module needs numpy alone: both linear solves are numpy kernels, no scipy.
+Only _dense_solve and _inv_blocks (when d != 2) call numpy's own LAPACK.
 """
 
 from __future__ import annotations

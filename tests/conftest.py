@@ -2,13 +2,10 @@ import time
 
 import pytest
 
-from homoclinic import (
-    Grid,
-    SolverConfig,
-    example_potential,
-    search_distinct,
-    solve_homoclinic,
-)
+from homoclinic.grids import Grid
+from homoclinic.multiplicity import search_distinct
+from homoclinic.potential import example_potential
+from homoclinic.solve import SolverConfig, solve_homoclinic
 
 
 @pytest.fixture(scope="session")

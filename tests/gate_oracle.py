@@ -19,7 +19,7 @@ The sampled points are random directions from a fixed generator.
 
 import numpy as np
 
-from homoclinic import eval_a, eval_W
+from homoclinic.potential import eval_a, eval_W
 
 SHELLS = 32  # radii of the barrier and far-field probes
 DIRECTIONS = 512  # directions per radius

@@ -14,27 +14,24 @@ import gate_oracle
 import numpy as np
 import pytest
 
-from homoclinic import (
-    Grid,
-    GridFunction,
-    LibraryEntry,
-    SolutionLibrary,
-    check_H2,
-    check_H3,
-    default_witness,
+from homoclinic.action import (
     eval_action,
     eval_gradient_fd_check,
-    example_potential,
-    h1_norm,
     ode_residual,
     positivity_probe,
-    ps_split,
+    truncation_residual,
+)
+from homoclinic.grids import (
+    Grid,
+    GridFunction,
+    h1_norm,
     random_smooth_function,
     shift_periods,
     sobolev_bound_check,
-    solve_homoclinic,
-    truncation_residual,
 )
+from homoclinic.multiplicity import LibraryEntry, SolutionLibrary, ps_split
+from homoclinic.potential import check_H2, check_H3, default_witness, example_potential
+from homoclinic.solve import solve_homoclinic
 
 TIGHT = 1e-8  # gradient tolerance for the refinement pair
 

@@ -5,29 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homoclinic import (
+from homoclinic.action import (
     GRAD_NORM_CONVENTION,
-    Grid,
-    GridFunction,
-    SingularityProximity,
-    eval_a,
     eval_action,
     eval_gradient_fd_check,
-    eval_W,
-    eval_gradW,
-    example_potential,
     grad_norm,
-    kinetic_seminorm_sq,
     ode_residual,
     positivity_probe,
-    random_smooth_function,
     segment_clearance,
-    shift_periods,
     singularity_clearance,
     sphere_action_bound,
     truncation_residual,
+)
+from homoclinic.errors import SingularityProximity
+from homoclinic.grids import (
+    Grid,
+    GridFunction,
+    kinetic_seminorm_sq,
+    random_smooth_function,
+    shift_periods,
     zero_function,
 )
+from homoclinic.potential import eval_a, eval_W, eval_gradW, example_potential
 
 GRID = Grid(period=1.0, nodes_per_period=10, half_periods=4)
 POT = example_potential()
@@ -56,7 +55,7 @@ def test_gradient_by_hand():
     ae = eval_action(u, POT)
     j = GRID.center_index
     # at the raised node: 2v/h - h a(0) gradW(v); neighbors: -v/h (gradW(0)=0)
-    from homoclinic import eval_gradW
+    from homoclinic.potential import eval_gradW
 
     g_j = 2.0 * v / h - h * eval_a(POT.coeff, 0.0) * eval_gradW(POT.well, v)
     assert np.allclose(ae.gradient[j], g_j, rtol=1e-13)

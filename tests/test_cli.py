@@ -786,7 +786,7 @@ def test_search_pool_capped_at_phase1_items(pot, grid, cfg, monkeypatch):
     # a stand-in pool that records its size and maps serially: no process starts
     import concurrent.futures
 
-    from homoclinic import search_distinct
+    from homoclinic.multiplicity import search_distinct
 
     sizes = []
 

@@ -9,12 +9,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from homoclinic import (
+from homoclinic.errors import ShiftOutOfRange, TrajectoryFormatError, ZeroFunction
+from homoclinic.grids import (
     Grid,
     GridFunction,
-    ShiftOutOfRange,
-    TrajectoryFormatError,
-    ZeroFunction,
+    TrajectoryCache,
     h1_norm,
     kinetic_seminorm_sq,
     l2_norm,
@@ -27,7 +26,6 @@ from homoclinic import (
     write_trajectory_csv,
     zero_function,
 )
-from homoclinic.grids import TrajectoryCache
 
 SMALL = Grid(period=1.0, nodes_per_period=10, half_periods=4)
 

@@ -3,19 +3,10 @@
 import numpy as np
 import pytest
 
-from homoclinic import (
-    Grid,
-    GridFunction,
-    SingularityProximity,
-    eval_a,
-    eval_action,
-    eval_gradW,
-    eval_W,
-    example_potential,
-    random_smooth_function,
-    segment_clearance,
-)
-from homoclinic.action import ActionKernel
+from homoclinic.action import ActionKernel, eval_action, segment_clearance
+from homoclinic.errors import SingularityProximity
+from homoclinic.grids import Grid, GridFunction, random_smooth_function
+from homoclinic.potential import eval_a, eval_gradW, eval_W, example_potential
 
 GRID = Grid(period=1.0, nodes_per_period=20, half_periods=4)
 POT = example_potential()

@@ -4,8 +4,9 @@ The package is numpy-only: the Newton solve and the H1 preconditioner are
 numpy kernels (solve.solve_banded, solve.H1Preconditioner).  No command
 loads numpy.random either, since the hypothesis gate is closed-form and
 the solver is deterministic, and once the config is read a command
-imports nothing more.  Each case runs in a fresh interpreter, since the
-test process itself imports scipy as an oracle.
+imports nothing more.  The package root imports nothing, and importing cli
+loads every module the benchmark tracer wraps.  Each case runs in a fresh
+interpreter, since the test process itself imports scipy as an oracle.
 """
 
 import json
@@ -16,6 +17,7 @@ import sys
 import pytest
 
 from homoclinic.cli import main
+from test_tracer_targets import _specs
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -35,6 +37,26 @@ def _fresh(code, *args):
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+_LOADED = """
+import json, sys
+%s
+print(json.dumps(sorted(m for m in sys.modules if m == "numpy" or m.startswith("homoclinic."))))
+"""
+
+
+def test_package_root_imports_nothing():
+    # the root re-exports nothing: a submodule loads only what it imports
+    assert _fresh(_LOADED % "import homoclinic") == []
+    loaded = _fresh(_LOADED % "from homoclinic import grids")
+    assert [m for m in loaded if m != "numpy"] == ["homoclinic.errors", "homoclinic.grids"]
+
+
+def test_cli_loads_every_module_the_tracer_wraps():
+    # the traced benchmark wraps functions in the modules loaded by importing cli
+    wrapped = {"homoclinic." + mod for _, targets, _ in _specs() for mod, _ in targets}
+    assert wrapped - set(_fresh(_LOADED % "import homoclinic.cli")) == set()
 
 
 _SCIPY_MODULES = """
@@ -152,7 +174,9 @@ def test_solve_runs_with_scipy_blocked(tmp_path):
 
 _LIBRARY_SOLVE = """
 import json, sys
-from homoclinic import Grid, SolverConfig, example_potential, solve_homoclinic
+from homoclinic.grids import Grid
+from homoclinic.potential import example_potential
+from homoclinic.solve import SolverConfig, solve_homoclinic
 
 grid = Grid(period=1.0, nodes_per_period=40, half_periods=8)
 cand = solve_homoclinic(example_potential(), grid, SolverConfig())

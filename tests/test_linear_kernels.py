@@ -14,16 +14,11 @@ from numpy.linalg import LinAlgError
 from scipy.linalg import eigvals_banded
 from scipy.linalg import solve_banded as lapack_solve_banded
 
-from homoclinic import (
-    Grid,
-    H1Preconditioner,
-    example_potential,
-    initial_guess_bump,
-    solve,
-    solve_homoclinic,
-)
+from homoclinic import solve
 from homoclinic.action import ActionKernel
-from homoclinic.potential import eval_hessW
+from homoclinic.grids import Grid
+from homoclinic.potential import eval_hessW, example_potential
+from homoclinic.solve import H1Preconditioner, initial_guess_bump, solve_homoclinic
 
 
 def _band(blocks, coupling):

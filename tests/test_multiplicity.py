@@ -5,24 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homoclinic import (
+from homoclinic.errors import InfeasibleGuess
+from homoclinic.grids import (
     Grid,
     GridFunction,
-    InfeasibleGuess,
-    LibraryEntry,
-    SolutionLibrary,
-    example_potential,
     from_values,
-    geometric_distance,
     h1_norm,
-    ps_split,
     random_smooth_function,
-    search_distinct,
     shift_gaps,
     shift_periods,
     zero_function,
 )
-from homoclinic.multiplicity import _glued_sum
+from homoclinic.multiplicity import (
+    _glued_sum,
+    LibraryEntry,
+    SolutionLibrary,
+    geometric_distance,
+    ps_split,
+    search_distinct,
+)
+from homoclinic.potential import example_potential
 
 
 def entry(u, action=1.0):

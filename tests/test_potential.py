@@ -4,9 +4,9 @@ import gate_oracle
 import numpy as np
 import pytest
 
-from homoclinic import (
-    HypothesisViolation,
-    SingularityHit,
+from homoclinic.errors import HypothesisViolation, SingularityHit
+from homoclinic.potential import (
+    CoefficientSpec,
     SingularPotentialSpec,
     check_A,
     check_H2,
@@ -20,7 +20,6 @@ from homoclinic import (
     eval_W,
     example_potential,
 )
-from homoclinic.potential import CoefficientSpec
 
 
 def test_coefficient_values():

@@ -6,31 +6,24 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from homoclinic import (
+from homoclinic import action, solve
+from homoclinic.action import eval_action, grad_norm, sphere_action_bound
+from homoclinic.errors import ConvergedToZero, InfeasibleGuess, MaxItersExceeded
+from homoclinic.grids import Grid, GridFunction, shift_periods, sup_norm
+from homoclinic.multiplicity import search_distinct
+from homoclinic.potential import example_potential
+from homoclinic.solve import (
     ConstraintE,
-    Grid,
     H1Preconditioner,
-    ConvergedToZero,
-    GridFunction,
-    InfeasibleGuess,
-    MaxItersExceeded,
     SolverConfig,
     descend_to_critical,
-    eval_action,
-    example_potential,
-    grad_norm,
     initial_guess_bump,
     minimize_over_E,
     polish_to_critical,
-    search_distinct,
-    shift_periods,
+    ray_direction,
     snap_center,
     solve_homoclinic,
-    sphere_action_bound,
-    sup_norm,
 )
-from homoclinic import action, solve
-from homoclinic.solve import ray_direction
 
 
 def test_snap_center_clamps_to_interior(grid):
