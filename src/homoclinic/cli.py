@@ -68,7 +68,7 @@ from .multiplicity import (
     search_distinct,
 )
 from .potential import run_hypotheses
-from .solve import solve_homoclinic
+from .solve import continue_to_grid, solve_homoclinic
 
 
 def _jsonable(obj):
@@ -248,16 +248,18 @@ def cmd_refine(cfg: RunConfig) -> int:
 
     def body(report: dict) -> int:
         levels = {}
-        stage = None  # the coarse level's E-stage, which the fine level may start from
+        cand = None  # the coarse level's orbit, which the fine level continues
         for label, m in (("coarse", cfg.refine.coarse), ("fine", cfg.refine.fine)):
             grid = replace(cfg.grid, nodes_per_period=m)
             try:
-                cand = solve_homoclinic(cfg.potential, grid, solver, stage)
+                if cand is None:
+                    cand = solve_homoclinic(cfg.potential, grid, solver)
+                else:
+                    cand = continue_to_grid(cand.trajectory, cfg.potential, grid, solver)
             except HomoclinicError as exc:
                 report["error"] = "%s level (m=%d): %s: %s" % (label, m, type(exc).__name__, exc)
                 print(report["error"], file=sys.stderr)
                 return 3
-            stage = cand.e_result
             csv_name = "solution_%s.csv" % label
             write_trajectory_csv(os.path.join(cfg.out_dir, csv_name), cand.trajectory)
             levels[label] = {

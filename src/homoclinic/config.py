@@ -84,8 +84,8 @@ class RunConfig:
         }
 
 
-# admissible ranges of the solver fields, (test, message); k0 is checked
-# against k_min separately
+# admissible ranges of the solver and search fields, (test, message); k0
+# is checked against k_min separately
 _SOLVER_RANGES = {
     "bump_width": (lambda x: x > 0.0, "must be positive"),
     "orientation": (lambda x: x in (1, -1), "must be 1 or -1"),
@@ -93,6 +93,10 @@ _SOLVER_RANGES = {
     "eps_k": (lambda x: x > 0.0, "must be positive"),
     "max_iters": (lambda x: x >= 0, "must be nonnegative"),
     "polish_steps": (lambda x: x >= 0, "must be nonnegative"),
+}
+_SEARCH_RANGES = {
+    "targets": (lambda x: x >= 0, "must be nonnegative"),
+    "eps_distinct": (lambda x: x > 0.0, "must be positive"),
 }
 
 
@@ -173,30 +177,26 @@ def _parse_grid(block: dict, period: float) -> Grid:
         raise ConfigError("grid: %s" % exc) from exc
 
 
-def _parse_solver(block: dict) -> SolverConfig:
-    # field types come from SolverConfig itself
-    types = {f.name: f.type for f in fields(SolverConfig)}
-    _check_keys(block, types, "solver")
+def _parse_fields(block: dict, cls, where: str, ranges: dict):
+    """cls from the block's fields, each typed by cls's own annotation and
+    range-checked by ranges; fields not given keep cls's defaults."""
+    types = {f.name: f.type for f in fields(cls)}
+    _check_keys(block, types, where)
     out = {}
     for key, value in block.items():
-        at = "solver.%s" % key
+        at = "%s.%s" % (where, key)
         out[key] = _as_int(value, at) if types[key] in (int, "int") else _as_float(value, at)
-        if key in _SOLVER_RANGES:
-            ok, msg = _SOLVER_RANGES[key]
+        if key in ranges:
+            ok, msg = ranges[key]
             _require(ok(out[key]), at, msg)
-    solver = SolverConfig(**out)
+    return cls(**out)
+
+
+def _parse_solver(block: dict) -> SolverConfig:
+    solver = _parse_fields(block, SolverConfig, "solver", _SOLVER_RANGES)
     k_min = solver.k_min
     _require(solver.k0 >= k_min, "solver.k0", "must be at least 1 + solver.eps_k = %r" % k_min)
     return solver
-
-
-def _parse_search(block: dict) -> SearchConfig:
-    _check_keys(block, {"targets", "eps_distinct"}, "search")
-    targets = _as_int(block.get("targets", 3), "search.targets")
-    _require(targets >= 0, "search.targets", "must be nonnegative")
-    eps = _as_float(block.get("eps_distinct", 0.1), "search.eps_distinct")
-    _require(eps > 0, "search.eps_distinct", "must be positive")
-    return SearchConfig(targets=targets, eps_distinct=eps)
 
 
 def _parse_refine(block: dict, grid: Grid) -> RefineConfig:
@@ -229,7 +229,7 @@ def parse_config(doc: dict) -> RunConfig:
     potential = _parse_potential(doc.get("potential", {}))
     grid = _parse_grid(doc.get("grid", {}), potential.period)
     solver = _parse_solver(doc.get("solver", {}))
-    search = _parse_search(doc.get("search", {}))
+    search = _parse_fields(doc.get("search", {}), SearchConfig, "search", _SEARCH_RANGES)
     refine = _parse_refine(doc.get("refine", {}), grid)
     out_dir = doc.get("out_dir", ".")
     _require(isinstance(out_dir, str), "out_dir", "expected a string")

@@ -23,10 +23,12 @@ leaves the fine stage to start from the guess at m.
 
 The release is the same damped Newton without the ray constraint;
 polish_to_critical (the glue polish of multibump guesses) is that Newton
-alone.  Only when the release stalls above tolerance does monotone Armijo
-descent along the free L-BFGS direction restart from the constrained
-minimizer; it changes only the direction, never the accepted-value
-bookkeeping: action sequences stay monotone and iterates segment-feasible.
+alone, and continue_to_grid releases a solved orbit prolonged onto
+another resolution of its box.  Only when the release stalls above
+tolerance does monotone Armijo descent along the free L-BFGS direction
+restart from the constrained minimizer; it changes only the direction,
+never the accepted-value bookkeeping: action sequences stay monotone and
+iterates segment-feasible.
 Both Armijo loops step through _descent_step (the quasi-Newton step, or the
 plain H1 step when that fails) and one backtracking line search,
 _armijo_step, and both stop, not converged, once the action stalls
@@ -237,8 +239,8 @@ class EStageResult:
 class HomoclinicCandidate:
     """One trajectory with its certificates.  history keeps
     "polish_grad_norm", the gradient norm after each accepted Newton step;
-    e_result is the constrained stage's result, minimizer included, of
-    which e_stage is the summary."""
+    e_stage summarizes the constrained stage of the attempt that found it
+    (None when the candidate was continued or polished without one)."""
 
     trajectory: GridFunction
     action: float
@@ -251,7 +253,6 @@ class HomoclinicCandidate:
     e_stage: Optional[dict] = None
     schedule_item: Optional[dict] = None
     history: dict = field(repr=False, compare=False, default_factory=dict)
-    e_result: Optional[EStageResult] = field(repr=False, compare=False, default=None)
 
 
 # largest exponent lam * nodes of one chunk of the preconditioner's sums
@@ -909,12 +910,23 @@ def _prolong(u: GridFunction, grid: Grid) -> GridFunction:
     )
 
 
+def continue_to_grid(
+    u: GridFunction, pot: PotentialSpec, grid: Grid, cfg: SolverConfig
+) -> HomoclinicCandidate:
+    """A solved orbit u continued onto grid, another resolution of its box.
+
+    u is prolonged linearly (_prolong) and released there by _release:
+    the free damped Newton, with Armijo descent only when the Newton
+    stalls.  This is one leg of nested iteration (Brandt, Math. Comp. 31
+    (1977)): refine's fine level is its coarse orbit continued, so both
+    levels are the same orbit.  The release's HomoclinicError propagates;
+    the candidate has no constrained stage and no schedule item.
+    """
+    return _release(_prolong(u, grid), pot, cfg)
+
+
 def single_loop_attempt(
-    pot: PotentialSpec,
-    grid: Grid,
-    cfg: SolverConfig,
-    item: dict,
-    coarse: Optional[EStageResult] = None,
+    pot: PotentialSpec, grid: Grid, cfg: SolverConfig, item: dict
 ) -> HomoclinicCandidate:
     """One guess -> constrained stage -> release attempt for a schedule item.
 
@@ -933,12 +945,9 @@ def single_loop_attempt(
     minimizer, prolonged linearly to grid and pinned at the coarse k,
     starts the fine stage with the bordered Newton.
     Otherwise the fine stage starts from the guess at grid, as at
-    _COARSE_M and below.  A given coarse result on the same box at
-    _COARSE_M (the e_result of an attempt with the same item and cfg one
-    level down) stands in for that stage, which would repeat it bit for
-    bit; on any other grid it is ignored.  The candidate carries the
-    constrained-stage summary, with the coarse stage's under "coarse" when
-    one ran, and the item as given.
+    _COARSE_M and below.  The candidate carries the constrained-stage
+    summary, with the coarse stage's under "coarse" when one ran, and the
+    item as given.
     """
     center = float(item.get("center", cfg.bump_center)) % grid.period
     k0 = float(item.get("k0", cfg.k0))
@@ -949,10 +958,7 @@ def single_loop_attempt(
         "orientation": int(item.get("orientation", cfg.orientation)),
         "eps_k": cfg.eps_k,
     }
-    if grid.nodes_per_period <= _COARSE_M:
-        coarse = None
-    elif coarse is None or coarse.trajectory.grid != replace(grid, nodes_per_period=_COARSE_M):
-        coarse = _coarse_stage(pot, grid, cfg, shape)
+    coarse = _coarse_stage(pot, grid, cfg, shape) if grid.nodes_per_period > _COARSE_M else None
     nested = coarse is not None and coarse.converged
     if nested:
         start, k_start = _prolong(coarse.trajectory, grid), coarse.k
@@ -962,16 +968,9 @@ def single_loop_attempt(
     e_res = minimize_over_E(start, constraint, pot, cfg, newton_first=nested)
     cand = _release(e_res.trajectory, pot, cfg)
     cand.e_stage = {k: v for k, v in vars(e_res).items() if k != "trajectory"}
-    cand.e_result = e_res
     if coarse is not None:
-        cand.e_stage["coarse"] = {
-            "m": _COARSE_M,
-            "iterations": coarse.iterations,
-            "newton_steps": coarse.newton_steps,
-            "value": coarse.value,
-            "converged": coarse.converged,
-            "stop": coarse.stop,
-        }
+        keys = ("iterations", "newton_steps", "value", "converged", "stop")
+        cand.e_stage["coarse"] = {"m": _COARSE_M, **{k: getattr(coarse, k) for k in keys}}
     cand.schedule_item = dict(item)
     return cand
 
@@ -988,10 +987,7 @@ def run_attempt(fn, *args) -> tuple[Optional[HomoclinicCandidate], str, float]:
 
 
 def solve_homoclinic(
-    pot: PotentialSpec,
-    grid: Grid,
-    cfg: Optional[SolverConfig] = None,
-    coarse: Optional[EStageResult] = None,
+    pot: PotentialSpec, grid: Grid, cfg: Optional[SolverConfig] = None
 ) -> HomoclinicCandidate:
     """Full pipeline: one guess from cfg, constrained stage, release.
 
@@ -1002,9 +998,9 @@ def solve_homoclinic(
     MaxItersExceeded, ...) propagates.  The returned candidate carries the
     constrained-stage summary (infimum estimate d_h, final k,
     constraint-activity flag) and alpha_gap, the proven action gap on the
-    unit H1 sphere from action.sphere_action_bound.  coarse is passed to
-    single_loop_attempt: refine hands its coarse level's e_result to the
-    fine level.
+    unit H1 sphere from action.sphere_action_bound.  To carry a solved
+    orbit to another resolution, continue_to_grid releases it there
+    instead of solving again.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -1014,6 +1010,6 @@ def solve_homoclinic(
         "width": cfg.bump_width,
         "orientation": cfg.orientation,
     }
-    cand = single_loop_attempt(pot, grid, cfg, item, coarse)
+    cand = single_loop_attempt(pot, grid, cfg, item)
     cand.alpha_gap = sphere_action_bound(pot)
     return cand

@@ -7,6 +7,7 @@ import os
 import shutil
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -518,6 +519,24 @@ def test_solver_range_is_exit_1(tmp_path, capsys, field, value):
     assert not os.path.exists(str(tmp_path / "run"))
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("targets", -1, "must be nonnegative"),
+        ("targets", 1.0, "expected an integer"),
+        ("targets", True, "expected an integer"),
+        ("eps_distinct", 0, "must be positive"),
+        ("eps_distinct", "0.1", "expected a number"),
+    ],
+)
+def test_search_range_is_exit_1(tmp_path, capsys, field, value, message):
+    # the search block shares the solver block's typed, range-checked parse
+    cfg = write_config(tmp_path, {"search": {field: value}})
+    assert main(["search", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == "config error: search.%s: %s\n" % (field, message)
+    assert not os.path.exists(str(tmp_path / "run"))
+
+
 @pytest.mark.parametrize("field,value", [("m_coarse", 4), ("m_fine", -2)])
 def test_refine_level_range_is_exit_1(tmp_path, capsys, field, value):
     cfg = write_config(tmp_path, {"refine": {field: value}})
@@ -891,11 +910,9 @@ def test_gate_refuses_wells_the_sampled_probe_passed(tmp_path, capsys, command, 
     assert not os.path.exists(out)
 
 
-def test_refine_starts_its_fine_level_from_the_coarse_e_stage(tmp_path, monkeypatch):
-    # the default levels are m=40 and m=80: the fine level's nested stage
-    # at m=40 is the coarse level's E-stage, so no m=40 stage runs twice
-    from homoclinic import solve
-
+def test_refine_continues_its_coarse_orbit(tmp_path, monkeypatch):
+    # the default levels are m=40 and m=80: the coarse level is the one
+    # E-stage, and the fine level is the coarse orbit prolonged and released
     grids = []
 
     def counted(u0, *args, **kwargs):
@@ -904,8 +921,52 @@ def test_refine_starts_its_fine_level_from_the_coarse_e_stage(tmp_path, monkeypa
 
     minimize = solve.minimize_over_E
     monkeypatch.setattr(solve, "minimize_over_E", counted)
-    assert main(["refine", "--out", str(tmp_path / "run")]) == 0
-    assert grids == [40, 80]
+    out = str(tmp_path / "run")
+    assert main(["refine", "--out", out]) == 0
+    assert grids == [40]
+    cfg = parse_config({})
+    coarse = read_trajectory_csv(os.path.join(out, "solution_coarse.csv"), cfg.grid)
+    fine_grid = replace(cfg.grid, nodes_per_period=80)
+    solver = replace(cfg.solver, grad_tol=1e-8)
+    cand = solve.continue_to_grid(coarse, cfg.potential, fine_grid, solver)
+    write_trajectory_csv(str(tmp_path / "fine.csv"), cand.trajectory)
+    with open(os.path.join(out, "solution_fine.csv"), "rb") as fh:
+        assert fh.read() == (tmp_path / "fine.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "m,ratio,actions",
+    [
+        (20, "4.146", (27.28424802, 27.30880372)),
+        (40, "4.034", (27.30880372, 27.31485441)),
+        (80, "4.008", (27.31485441, 27.31636184)),
+    ],
+)
+def test_refine_ladder_matches_the_readme(tmp_path, capsys, m, ratio, actions):
+    # the README's refinement ladder: one ratio per run, and the actions at
+    # m = 20, 40, 80 and 160 in the reports' coarse and fine levels
+    out = str(tmp_path / "run")
+    assert main(["refine", "--config", write_config(tmp_path, {"grid": {"m": m}}), "--out", out]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("refine m=%d -> m=%d: residual ratio %s " % (m, 2 * m, ratio))
+    levels = load_report(out)["refine"]
+    assert (round(levels["coarse"]["action"], 8), round(levels["fine"]["action"], 8)) == actions
+
+
+def test_refine_without_newton_steps_fails_its_fine_level(tmp_path, capsys):
+    # with polish_steps 0 the continued fine level has only the Armijo
+    # descent, which stops above the 1e-8 tolerance refine runs at
+    out = str(tmp_path / "run")
+    cfg = write_config(tmp_path, {"solver": {"polish_steps": 0}})
+    assert main(["refine", "--config", cfg, "--out", out]) == 3
+    error = (
+        "fine level (m=80): MaxItersExceeded: gradient norm 1.233e-07 above tolerance"
+        " 1.000e-08 after 23 iterations (descent stop: line_search)"
+    )
+    assert capsys.readouterr().err == error + "\n"
+    rep = load_report(out)
+    assert rep["error"] == error and "refine" not in rep
+    assert os.path.exists(os.path.join(out, "solution_coarse.csv"))
 
 
 def test_refine_unreachable_tolerance_is_exit_3(tmp_path):

@@ -1,11 +1,12 @@
-"""The solver's numpy linear algebra against scipy and dense references.
+"""The solver's numpy linear algebra against LAPACK references.
 
 solve.solve_banded (block cyclic reduction of the Newton system),
 solve.H1Preconditioner (the Green's function of K + M, pinned at one node
 by the rank-one correction of solve.ray_direction) and
 ActionKernel.hessian_blocks (the Hessian from a point's stored offsets)
-stand in for LAPACK calls and a second well evaluation; scipy and dense
-numpy solves are the oracles here.
+stand in for LAPACK calls and a second well evaluation; scipy's banded
+LAPACK solve is the oracle for both systems, the tridiagonal K + M with
+its pinned node cut out included.
 """
 
 import numpy as np
@@ -102,22 +103,29 @@ def test_newton_stops_on_a_singular_pivot(pot, grid, cfg):
     assert gn == pytest.approx(solve.grad_norm(grid, kernel.gradient(p)))
 
 
-def _dense_h1(grid, pinned):
-    """(K + M)^-1 on the interior nodes by a dense solve, with node `pinned` held at 0."""
+def _banded_h1(grid, pinned):
+    """(K + M)^-1 on the interior nodes by LAPACK's tridiagonal solve, with
+    node `pinned` held at 0: its row is a unit row, its couplings are cut
+    and its right-hand side is 0."""
     h = grid.h
     n_int = grid.n - 2
-    a = (
-        np.diag(np.full(n_int, 2.0 / h + h))
-        - np.diag(np.full(n_int - 1, 1.0 / h), 1)
-        - np.diag(np.full(n_int - 1, 1.0 / h), -1)
-    )
-    free = np.ones(n_int, dtype=bool)
+    ab = np.empty((3, n_int))  # scipy's layout: ab[1 + r - c, c] holds entry (r, c)
+    ab[0] = ab[2] = -1.0 / h
+    ab[1] = 2.0 / h + h
     if pinned is not None:
-        free[pinned - 1] = False
+        i = pinned - 1
+        ab[:, i] = (0.0, 1.0, 0.0)
+        if i + 1 < n_int:
+            ab[0, i + 1] = 0.0
+        if i > 0:
+            ab[2, i - 1] = 0.0
 
     def apply(g):
+        b = np.array(g[1:-1], dtype=float)
+        if pinned is not None:
+            b[pinned - 1] = 0.0
         out = np.zeros(g.shape)
-        out[1:-1][free] = np.linalg.solve(a[np.ix_(free, free)], g[1:-1][free])
+        out[1:-1] = lapack_solve_banded((1, 1), ab, b)
         return out
 
     return apply
@@ -136,7 +144,7 @@ def test_preconditioner_matches_a_dense_solve(grid, box, where, shape):
     d = int(shape[0])
     g = rng.standard_normal((grid.n, d) if d > 1 else grid.n)
     pre = H1Preconditioner(grid)
-    free = _dense_h1(grid, None)
+    free = _banded_h1(grid, None)
 
     def assert_close(x, ref):
         assert x.shape == ref.shape
@@ -149,7 +157,7 @@ def test_preconditioner_matches_a_dense_solve(grid, box, where, shape):
     # node j held on a ray through the rank-one correction of ray_direction:
     # the part along the ray is solved free, the transverse part pinned
     j = {"first": 1, "centre": grid.center_index, "last": grid.n - 2}[where]
-    pinned = _dense_h1(grid, j)
+    pinned = _banded_h1(grid, j)
     g = g.reshape(grid.n, d)
     q_hat = rng.standard_normal(d)
     q_hat /= np.linalg.norm(q_hat)
