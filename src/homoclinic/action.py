@@ -114,10 +114,10 @@ class ActionKernel:
     """
 
     def __init__(self, pot: PotentialSpec, grid: Grid):
-        self.well = pot.well
+        self.alpha = pot.alpha
         self.q = pot.q
         self.h = grid.h
-        self.a = eval_a(pot.coeff, grid.times)
+        self.a = eval_a(pot, grid.times)
         self.eps_q = pot.eps_q
         self.delta_seg = pot.delta_seg
 
@@ -127,7 +127,7 @@ class ActionKernel:
         if d2.min() < guard2:
             return None
         s = np.sqrt(d2)
-        return StencilPoint(values, dq, s, _rowsum(values * values), s ** (-self.well.alpha))
+        return StencilPoint(values, dq, s, _rowsum(values * values), s ** (-self.alpha))
 
     def _value(self, p: StencilPoint) -> float:
         v = p.values
@@ -161,7 +161,7 @@ class ActionKernel:
 
     def grad_w(self, p: StencilPoint) -> Array:
         """grad W at every node, from the point's stored offsets."""
-        alpha = self.well.alpha
+        alpha = self.alpha
         # W = -|u|^2 s^-alpha, so grad = -2u s^-alpha + alpha |u|^2 s^-(alpha+2) (u-q)
         return -2.0 * p.values * p.sa[:, None] + (
             alpha * p.r2 * p.s ** (-alpha - 2.0)
@@ -181,7 +181,7 @@ class ActionKernel:
         """Diagonal blocks (2/h) I - h a(t_i) Hess W(u_i) of the action
         Hessian on the interior nodes, from the point's stored offsets; every
         neighbour coupling is -(1/h) I."""
-        alpha = self.well.alpha
+        alpha = self.alpha
         h = self.h
         u, v = p.values[1:-1], p.dq[1:-1]
         s2 = p.s[1:-1] ** 2
@@ -383,7 +383,7 @@ def sphere_action_bound(pot: PotentialSpec) -> Optional[float]:
     and a(t) >= a_min = a_base - |a_amp|.  A coefficient with a_min <= 0
     gets None.
     """
-    a_min = pot.coeff.a_base - abs(pot.coeff.a_amp)
+    a_min = pot.a_base - abs(pot.a_amp)
     if a_min <= 0.0:
         return None
-    return min(0.5, a_min * (pot.well.q_norm + math.sqrt(0.5)) ** (-pot.well.alpha))
+    return min(0.5, a_min * (pot.q_norm + math.sqrt(0.5)) ** (-pot.alpha))

@@ -137,7 +137,9 @@ def _reported(cfg: RunConfig, command: str, timing_key: str, body) -> int:
         "hypotheses": {name: dict(asdict(rep), passed=True) for name, _, rep, _ in rows},
     }
     t1 = time.perf_counter()
-    code = body(report)
+    # an overflowing trial is rejected by the kernel, not reported by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = body(report)
     timing[timing_key] = time.perf_counter() - t1
     report["timing"] = timing
     _write_json(os.path.join(cfg.out_dir, "report.json"), report)
@@ -273,7 +275,10 @@ def cmd_refine(cfg: RunConfig) -> int:
         coarse, fine = levels["coarse"], levels["fine"]
         ratio = coarse["truncation_residual"] / fine["truncation_residual"]
         drift = abs(fine["action"] - coarse["action"]) / abs(coarse["action"])
-        passed = 3.5 <= ratio <= 4.5 and drift <= 0.05
+        # a second-order defect falls by (m_fine / m_coarse)^2: [3.5, 4.5] at 2x
+        scale = (fine["m"] / coarse["m"]) ** 2 / 4.0
+        low, high = 3.5 * scale, 4.5 * scale
+        passed = low <= ratio <= high and drift <= 0.05
         report["refine"] = {
             "coarse": coarse,
             "fine": fine,
@@ -283,8 +288,8 @@ def cmd_refine(cfg: RunConfig) -> int:
             "passed": passed,
         }
         print(
-            "refine m=%d -> m=%d: residual ratio %.3f (want [3.5, 4.5]), action drift %.3e (want <= 5e-2)"
-            % (coarse["m"], fine["m"], ratio, drift)
+            "refine m=%d -> m=%d: residual ratio %.3f (want [%g, %g]), action drift %.3e (want <= 5e-2)"
+            % (coarse["m"], fine["m"], ratio, low, high, drift)
         )
         return 0 if passed else 3
 

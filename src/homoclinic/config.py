@@ -54,17 +54,16 @@ class RunConfig:
 
     def echo(self) -> dict:
         """Round-trippable document: parse_config(echo()) resolves identically."""
-        well = self.potential.well
-        coeff = self.potential.coeff
+        pot = self.potential
         solver = {f.name: getattr(self.solver, f.name) for f in fields(SolverConfig)}
         return {
             "potential": {
-                "dimension": int(well.dimension),
-                "q": [float(x) for x in well.q],
-                "alpha": float(well.alpha),
-                "a_base": float(coeff.a_base),
-                "a_amp": float(coeff.a_amp),
-                "period": float(coeff.period),
+                "dimension": int(pot.dimension),
+                "q": [float(x) for x in pot.q],
+                "alpha": float(pot.alpha),
+                "a_base": float(pot.a_base),
+                "a_amp": float(pot.a_amp),
+                "period": float(pot.period),
             },
             "grid": {
                 "m": int(self.grid.nodes_per_period),
@@ -160,7 +159,7 @@ def _parse_potential(block: dict) -> PotentialSpec:
     # the barrier check covers shells out to the built-in witness radius,
     # which must stay below |q| / 2
     _require(
-        pot.well.q_norm > 2.0 * WITNESS_RADIUS,
+        pot.q_norm > 2.0 * WITNESS_RADIUS,
         "potential.q",
         "|q| must exceed %g, twice the strong-force witness radius" % (2.0 * WITNESS_RADIUS),
     )

@@ -10,10 +10,6 @@ class HomoclinicError(Exception):
     """Base class for all package-specific errors."""
 
 
-class SingularityHit(HomoclinicError):
-    """A well evaluation was requested at (or within guard distance of) q."""
-
-
 class HypothesisViolation(HomoclinicError):
     """A structural hypothesis on a(t), W or a witness failed; report holds
     the failing row's margins."""
@@ -36,7 +32,8 @@ class WindowOutOfDomain(HomoclinicError):
 
 
 class SingularityProximity(HomoclinicError):
-    """A node of a trajectory sits inside the guard ball around q."""
+    """A well evaluation or a node of a trajectory lies inside the guard ball
+    around q."""
 
 
 class InfeasibleGuess(HomoclinicError):

@@ -28,53 +28,44 @@ not check the hypotheses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import HypothesisViolation, SingularityHit
+from .errors import HypothesisViolation, SingularityProximity
 
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
-class CoefficientSpec:
-    """Cosine coefficient a(t) = a_base + a_amp * cos(2 pi t / period)."""
-
-    a_base: float = 2.0
-    a_amp: float = 1.0
-    period: float = 1.0
-
-    def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-
-
-def eval_a(spec: CoefficientSpec, t):
-    """Evaluate a(t) for scalar or array t."""
-    t = np.asarray(t, dtype=float)
-    return spec.a_base + spec.a_amp * np.cos(2.0 * np.pi * t / spec.period)
-
-
 @dataclass
-class SingularPotentialSpec:
-    """The built-in well -|u|^2 |u - q|^(-alpha) on R^d, singular at q."""
+class PotentialSpec:
+    """The system u'' + a(t) grad W(u) = 0 on R^d, d = len(q).
 
-    dimension: int = 2
-    q: Array = field(default_factory=lambda: np.array([2.0, 0.0]))
-    alpha: float = 2.0
+    The coefficient is a(t) = a_base + a_amp cos(2 pi t / period) and the
+    well is W(u) = -|u|^2 |u - q|^(-alpha), singular at q.
+    """
+
+    q: Array
+    alpha: float
+    a_base: float
+    a_amp: float
+    period: float
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float)
         if self.dimension < 2:
             raise ValueError("dimension must be at least 2")
-        if self.q.shape != (self.dimension,):
-            raise ValueError("q must be a point in R^dimension")
-        if np.linalg.norm(self.q) == 0.0:
+        if self.q_norm == 0.0:
             raise ValueError("q must be distinct from the origin")
         if not (2.0 <= self.alpha <= 4.0):
             raise ValueError("alpha must lie in [2, 4]")
+        if self.period <= 0:
+            raise ValueError("period must be positive")
+
+    @property
+    def dimension(self) -> int:
+        return len(self.q)
 
     @property
     def q_norm(self) -> float:
@@ -85,16 +76,27 @@ class SingularPotentialSpec:
         """Guard radius around q below which evaluations refuse to run."""
         return 1e-9 * self.q_norm
 
+    @property
+    def delta_seg(self) -> float:
+        """Segment clearance floor used by the feasibility test."""
+        return 1e-3 * self.q_norm
 
-def _guard(spec: SingularPotentialSpec, u: Array) -> Array:
+
+def eval_a(spec: PotentialSpec, t):
+    """Evaluate a(t) for scalar or array t."""
+    t = np.asarray(t, dtype=float)
+    return spec.a_base + spec.a_amp * np.cos(2.0 * np.pi * t / spec.period)
+
+
+def _guard(spec: PotentialSpec, u: Array) -> Array:
     """|u - q|, refusing points inside the guard ball around q."""
     s = np.sqrt(np.sum((u - spec.q) ** 2, axis=-1))
     if np.any(s < spec.eps_q):
-        raise SingularityHit("evaluation within %.3e of the singular point" % spec.eps_q)
+        raise SingularityProximity("evaluation within %.3e of the singular point" % spec.eps_q)
     return s
 
 
-def eval_W(spec: SingularPotentialSpec, u):
+def eval_W(spec: PotentialSpec, u):
     """Evaluate W at one point (d,) or a batch (..., d) of points."""
     u = np.asarray(u, dtype=float)
     s = _guard(spec, u)
@@ -102,7 +104,7 @@ def eval_W(spec: SingularPotentialSpec, u):
     return -r2 * s ** (-spec.alpha)
 
 
-def eval_gradW(spec: SingularPotentialSpec, u):
+def eval_gradW(spec: PotentialSpec, u):
     """Evaluate grad W; same batching convention as eval_W."""
     u = np.asarray(u, dtype=float)
     s = _guard(spec, u)
@@ -114,7 +116,7 @@ def eval_gradW(spec: SingularPotentialSpec, u):
     )[..., None] * (u - spec.q)
 
 
-def eval_hessW(spec: SingularPotentialSpec, u):
+def eval_hessW(spec: PotentialSpec, u):
     """Evaluate the Hessian of W, batched like eval_W with shape (..., d, d)."""
     u = np.asarray(u, dtype=float)
     s = _guard(spec, u)
@@ -152,7 +154,7 @@ class StrongForceWitness:
 WITNESS_RADIUS = 0.1  # shell radius of the near-q witness; needs |q| > 0.2
 
 
-def default_witness(spec: SingularPotentialSpec) -> StrongForceWitness:
+def default_witness(spec: PotentialSpec) -> StrongForceWitness:
     """The witness radii of spec: r = WITNESS_RADIUS and R0 = 4|q|."""
     return StrongForceWitness(r=WITNESS_RADIUS, R0=4.0 * spec.q_norm)
 
@@ -163,7 +165,7 @@ class CoefficientReport:
     max_a: float
 
 
-def check_A(spec: CoefficientSpec) -> CoefficientReport:
+def check_A(spec: PotentialSpec) -> CoefficientReport:
     """a(t) ranges over a_base -+ |a_amp|; its minimum must be positive."""
     amp = abs(spec.a_amp)
     report = CoefficientReport(spec.a_base - amp, spec.a_base + amp)
@@ -181,7 +183,7 @@ class PinchingReport:
     alpha1: float
 
 
-def check_H2(spec: SingularPotentialSpec) -> PinchingReport:
+def check_H2(spec: PotentialSpec) -> PinchingReport:
     """The Hessian of W at the origin, -2|q|^(-alpha) I: d equal eigenvalues.
 
     They are negative for every well of the family.  Reports alpha0 =
@@ -197,7 +199,7 @@ class BarrierReport:
     radius: float
 
 
-def check_H3(spec: SingularPotentialSpec, witness: StrongForceWitness) -> BarrierReport:
+def check_H3(spec: PotentialSpec, witness: StrongForceWitness) -> BarrierReport:
     """Strong-force inequality W(u) <= -|grad U(u)|^2 on 1e-4 r <= |u - q| <= r.
 
     With s = |u - q|, |grad U|^2 = c^2 s^(-alpha), c = 1 at alpha = 2 and
@@ -232,7 +234,7 @@ class FarFieldReport:
     R0: float
 
 
-def check_H4(spec: SingularPotentialSpec, witness: StrongForceWitness) -> FarFieldReport:
+def check_H4(spec: PotentialSpec, witness: StrongForceWitness) -> FarFieldReport:
     """Far-field inequality W <= -|grad U_inf|^2 on R0 <= |u| <= 64 R0, and growth.
 
     With rho = |u|, |grad U_inf|^2 = k rho^(2-alpha), k = b^2/4 for
@@ -270,7 +272,7 @@ class NegativityReport:
     radius: float
 
 
-def check_W_negativity(spec: SingularPotentialSpec) -> NegativityReport:
+def check_W_negativity(spec: PotentialSpec) -> NegativityReport:
     """W(u) / |u|^2 = -|u - q|^(-alpha), negative for every u off {0, q}.
 
     Reports the ratio's maximum over 0 < |u| <= 4|q| (out to the far-field
@@ -280,50 +282,21 @@ def check_W_negativity(spec: SingularPotentialSpec) -> NegativityReport:
     return NegativityReport(max_ratio=-((radius + spec.q_norm) ** (-spec.alpha)), radius=radius)
 
 
-@dataclass
-class PotentialSpec:
-    """Bundle of coefficient and well defining V(t, u) = a(t) W(u)."""
-
-    coeff: CoefficientSpec
-    well: SingularPotentialSpec
-
-    @property
-    def q(self) -> Array:
-        return self.well.q
-
-    @property
-    def dimension(self) -> int:
-        return self.well.dimension
-
-    @property
-    def period(self) -> float:
-        return self.coeff.period
-
-    @property
-    def eps_q(self) -> float:
-        return self.well.eps_q
-
-    @property
-    def delta_seg(self) -> float:
-        """Segment clearance floor used by the feasibility test."""
-        return 1e-3 * self.well.q_norm
-
-
 # The hypothesis table in gate order: (name, description, check, margin).  A
 # check takes the potential and its strong-force witness and returns a report
 # or raises HypothesisViolation; margin renders a passing report.  The
 # lambdas look the checks up by name at call time, so wrappers installed on
 # this module see every call.
 _HYPOTHESES = (
-    ("A", "a(t) > 0 and periodic", lambda pot, wit: check_A(pot.coeff),
+    ("A", "a(t) > 0 and periodic", lambda pot, wit: check_A(pot),
      lambda r: "a in [%.6g, %.6g]" % (r.min_a, r.max_a)),
-    ("H2", "negative pinched Hessian at 0", lambda pot, wit: check_H2(pot.well),
+    ("H2", "negative pinched Hessian at 0", lambda pot, wit: check_H2(pot),
      lambda r: "eigenvalues in [%.6g, %.6g]" % (r.eigen_min, r.eigen_max)),
-    ("H3", "strong-force barrier near q", lambda pot, wit: check_H3(pot.well, wit),
+    ("H3", "strong-force barrier near q", lambda pot, wit: check_H3(pot, wit),
      lambda r: "min margin %.3e inside radius %.3g" % (r.min_margin, r.radius)),
-    ("H4", "far-field domination and growth", lambda pot, wit: check_H4(pot.well, wit),
+    ("H4", "far-field domination and growth", lambda pot, wit: check_H4(pot, wit),
      lambda r: "min margin %.3e, min growth %.3e" % (r.min_margin, r.min_growth)),
-    ("W<0", "W negative away from 0", lambda pot, wit: check_W_negativity(pot.well),
+    ("W<0", "W negative away from 0", lambda pot, wit: check_W_negativity(pot),
      lambda r: "max W/|u|^2 %.3e on |u| <= %.3g" % (r.max_ratio, r.radius)),
 )
 
@@ -336,7 +309,7 @@ def run_hypotheses(pot: PotentialSpec) -> list[tuple[str, str, Optional[object],
     violation message.  This is the whole gate: the solvers do not run it,
     so a library caller who wants it calls this first.
     """
-    witness = default_witness(pot.well)
+    witness = default_witness(pot)
     rows = []
     for name, description, check, margin in _HYPOTHESES:
         try:
@@ -356,10 +329,13 @@ def example_potential(
     period: float = 1.0,
     q=None,
 ) -> PotentialSpec:
-    """The default example system used across tests and the CLI."""
+    """The default example system used across tests and the CLI: q defaults
+    to 2 e_1 in R^dimension, and a given q must have dimension entries."""
+    if dimension < 2:
+        raise ValueError("dimension must be at least 2")
     if q is None:
         q = np.zeros(dimension)
         q[0] = 2.0
-    well = SingularPotentialSpec(dimension=dimension, q=np.asarray(q, dtype=float), alpha=alpha)
-    coeff = CoefficientSpec(a_base=a_base, a_amp=a_amp, period=period)
-    return PotentialSpec(coeff=coeff, well=well)
+    if np.shape(q) != (dimension,):
+        raise ValueError("q must be a point in R^dimension")
+    return PotentialSpec(q=q, alpha=alpha, a_base=a_base, a_amp=a_amp, period=period)

@@ -215,10 +215,9 @@ class SolverConfig:
 
 @dataclass
 class ConstraintE:
-    """One node pinned to the ray {k q : k >= k_min}."""
+    """One node pinned to the ray {k q : k >= k_min}, k_min from the solver config."""
 
     node_index: int
-    k_min: float
     k: float
 
 
@@ -392,7 +391,7 @@ def initial_guess_bump(
         sech = 1.0 / np.cosh(width * tau)
         swing = np.tanh(width * tau) * sech
         vals = k0 * np.outer(sech, pot.q) + (
-            orientation * transverse * pot.well.q_norm
+            orientation * transverse * pot.q_norm
         ) * np.outer(swing, p_hat)
         if not np.isfinite(vals).all():
             raise InfeasibleGuess("guess with k0 %.3g is not finite" % k0)
@@ -654,7 +653,7 @@ def minimize_over_E(
     pairs keep only the q_hat part of the gradient change at node j, and
     they are dropped whenever the clamp state flips, so the direction
     moves node j along the ray too, or not at all while clamped.  Each
-    trial's k is clamped at k_min, so every iterate lies in E_h exactly.
+    trial's k is clamped at cfg.k_min, so every iterate lies in E_h exactly.
     Once the projected gradient norm reaches _NEWTON_HANDOFF the stage
     finishes with _damped_newton along the ray (counted as newton_steps);
     if that stalls above grad_tol, Armijo resumes to grad_tol, the
@@ -672,7 +671,7 @@ def minimize_over_E(
         raise ValueError("constrained node must be interior")
     q = pot.q
     q_hat = q / math.sqrt(float(q @ q))
-    k_min = constraint.k_min
+    k_min = cfg.k_min
 
     vals = np.array(u0.values, copy=True)
     k = max(float(constraint.k), k_min)
@@ -734,7 +733,7 @@ def minimize_over_E(
 def _detect_crossing(u: GridFunction, pot: PotentialSpec) -> Optional[tuple[int, float]]:
     """Node sitting on the ray {k q : k > 1}, if any."""
     q = pot.q
-    qn = pot.well.q_norm
+    qn = pot.q_norm
     qh = q / qn
     along = u.values @ qh
     perp = u.values - np.outer(along, qh)
@@ -899,7 +898,7 @@ _COARSE_M = 40
 def _coarse_stage(pot: PotentialSpec, grid: Grid, cfg: SolverConfig, shape: dict) -> EStageResult:
     """The attempt's E-stage from its guess at _COARSE_M on grid's box."""
     coarse = replace(grid, nodes_per_period=_COARSE_M)
-    constraint = ConstraintE(snap_center(coarse, shape["center"]), cfg.k_min, shape["k0"])
+    constraint = ConstraintE(snap_center(coarse, shape["center"]), shape["k0"])
     return minimize_over_E(initial_guess_bump(coarse, pot, **shape), constraint, pot, cfg)
 
 
@@ -964,7 +963,7 @@ def single_loop_attempt(
         start, k_start = _prolong(coarse.trajectory, grid), coarse.k
     else:
         start, k_start = initial_guess_bump(grid, pot, **shape), k0
-    constraint = ConstraintE(node_index=snap_center(grid, center), k_min=cfg.k_min, k=k_start)
+    constraint = ConstraintE(node_index=snap_center(grid, center), k=k_start)
     e_res = minimize_over_E(start, constraint, pot, cfg, newton_first=nested)
     cand = _release(e_res.trajectory, pot, cfg)
     cand.e_stage = {k: v for k, v in vars(e_res).items() if k != "trajectory"}

@@ -87,13 +87,13 @@ def test_criterion_02_hypothesis_checker_exactness():
     # exact minimum, at or below the sampled one
     worst = 0.0
     for alpha in (2.0, 3.0, 4.0):
-        well = example_potential(alpha=alpha).well
-        rep = check_H2(well)
-        eigs = gate_oracle.hessian_eigenvalues(well)
+        pot = example_potential(alpha=alpha)
+        rep = check_H2(pot)
+        eigs = gate_oracle.hessian_eigenvalues(pot)
         worst = max(worst, abs(rep.eigen_min - eigs[0]), abs(rep.eigen_max - eigs[-1]))
-    well = example_potential(alpha=2.0).well
-    barrier = check_H3(well, default_witness(well))
-    sampled = gate_oracle.barrier_margin(well, barrier.radius)
+    pot = example_potential(alpha=2.0)
+    barrier = check_H3(pot, default_witness(pot))
+    sampled = gate_oracle.barrier_margin(pot, barrier.radius)
     ok = worst <= 1e-4 and 0.0 <= barrier.min_margin <= sampled and barrier.radius == 0.1
     report(
         2,

@@ -43,7 +43,7 @@ def test_action_value_by_hand():
     v = np.array([-1.0, 0.5])
     u = raised_node(GRID, v)
     h = GRID.h
-    expected = float(v @ v) / h - h * eval_a(POT.coeff, 0.0) * eval_W(POT.well, v)
+    expected = float(v @ v) / h - h * eval_a(POT, 0.0) * eval_W(POT, v)
     ae = eval_action(u, POT)
     assert ae.value == pytest.approx(expected, rel=1e-14)
 
@@ -57,7 +57,7 @@ def test_gradient_by_hand():
     # at the raised node: 2v/h - h a(0) gradW(v); neighbors: -v/h (gradW(0)=0)
     from homoclinic.potential import eval_gradW
 
-    g_j = 2.0 * v / h - h * eval_a(POT.coeff, 0.0) * eval_gradW(POT.well, v)
+    g_j = 2.0 * v / h - h * eval_a(POT, 0.0) * eval_gradW(POT, v)
     assert np.allclose(ae.gradient[j], g_j, rtol=1e-13)
     assert np.allclose(ae.gradient[j - 1], -v / h, rtol=1e-13)
     assert np.allclose(ae.gradient[j + 1], -v / h, rtol=1e-13)
@@ -108,7 +108,7 @@ def test_action_on_sech_bump_matches_fine_quadrature():
     sech = 1.0 / np.cosh(tf)
     du2 = (sech * np.tanh(tf)) ** 2
     w = -(sech**2) / (sech - 2.0) ** 2
-    oracle = simpson(0.5 * du2 - eval_a(POT.coeff, tf) * w, x=tf)
+    oracle = simpson(0.5 * du2 - eval_a(POT, tf) * w, x=tf)
     assert ae.value == pytest.approx(oracle, rel=1e-3)
 
 

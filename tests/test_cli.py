@@ -562,6 +562,29 @@ def test_small_q_is_config_error(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"dimension": 0}, "dimension must be at least 2"),
+        ({"dimension": -1}, "dimension must be at least 2"),
+        ({"dimension": 1}, "dimension must be at least 2"),
+        ({"dimension": 3, "q": [1, 0], "alpha": 5}, "q must be a point in R^dimension"),
+        ({"q": [0, 0], "alpha": 5}, "q must be distinct from the origin"),
+        ({"alpha": 5, "period": 0}, "alpha must lie in [2, 4]"),
+        ({"period": 0}, "period must be positive"),
+    ],
+    ids=["dim0", "dim-1", "dim1", "q-shape", "q-zero", "alpha-before-period", "period"],
+)
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_bad_potential_names_its_first_bad_field(tmp_path, capsys, command, doc, message):
+    # the well's fields (dimension, q, alpha) are checked before the period
+    out = str(tmp_path / "run")
+    cfg = write_config(tmp_path, {"potential": doc})
+    assert main([command, "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == "config error: potential: %s\n" % message
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("q", [[10000, 0], [1e200, 0]])
 def test_huge_q_is_config_error(tmp_path, capsys, q):
     # the barrier check's innermost shell would lie inside the guard ball
@@ -869,6 +892,24 @@ def test_hypothesis_violation_is_exit_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
+    "command,error",
+    [
+        ("solve", "no solution found: MaxItersExceeded: gradient norm inf "),
+        ("search", "found 0 candidates, wanted 3"),
+        ("refine", "coarse level (m=40): MaxItersExceeded: gradient norm inf "),
+    ],
+    ids=["solve", "search", "refine"],
+)
+def test_overflowing_well_is_exit_3_without_numpy_warnings(tmp_path, capsys, command, error):
+    # the kernel rejects every overflowing trial; numpy does not report them
+    cfg = write_config(tmp_path, {"potential": {"a_base": 1e300}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 3
+    assert capsys.readouterr().err.splitlines()[-1].startswith(error)
+
+
+@pytest.mark.parametrize(
     "command,doc",
     [
         ("solve", {}),
@@ -951,6 +992,34 @@ def test_refine_ladder_matches_the_readme(tmp_path, capsys, m, ratio, actions):
     assert line.startswith("refine m=%d -> m=%d: residual ratio %s " % (m, 2 * m, ratio))
     levels = load_report(out)["refine"]
     assert (round(levels["coarse"]["action"], 8), round(levels["fine"]["action"], 8)) == actions
+
+
+@pytest.mark.parametrize(
+    "doc,line",
+    [
+        ({"refine": {"m_fine": 100}}, "m=40 -> m=100: residual ratio 6.309 (want [5.46875, 7.03125])"),
+        ({"grid": {"m": 20}, "refine": {"m_fine": 80}}, "m=20 -> m=80: residual ratio 16.726 (want [14, 18])"),
+        ({"refine": {"m_fine": 60}}, "m=40 -> m=60: residual ratio 2.264 (want [1.96875, 2.53125])"),
+    ],
+    ids=["40-100", "20-80", "40-60"],
+)
+def test_refine_band_scales_with_the_level_ratio(tmp_path, capsys, doc, line):
+    # a second-order defect falls by (m_fine / m_coarse)^2, so the band
+    # [3.5, 4.5] of 2x levels scales by that square over 4
+    out = str(tmp_path / "run")
+    assert main(["refine", "--config", write_config(tmp_path, doc), "--out", out]) == 0
+    assert capsys.readouterr().out.splitlines()[0].startswith("refine " + line + ", ")
+    assert load_report(out)["refine"]["passed"] is True
+
+
+def test_refine_ratio_outside_the_scaled_band_is_exit_3(tmp_path, capsys):
+    # at m=10 the defect is not yet in its asymptotic range
+    out = str(tmp_path / "run")
+    doc = {"refine": {"m_coarse": 10, "m_fine": 80}}
+    assert main(["refine", "--config", write_config(tmp_path, doc), "--out", out]) == 3
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("refine m=10 -> m=80: residual ratio 81.362 (want [56, 72]), ")
+    assert load_report(out)["refine"]["passed"] is False
 
 
 def test_refine_without_newton_steps_fails_its_fine_level(tmp_path, capsys):

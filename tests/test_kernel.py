@@ -30,15 +30,15 @@ def reference_value(values, pot, grid):
     h = grid.h
     diffs = np.diff(values, axis=0)
     kinetic = 0.5 * np.sum(diffs * diffs) / h
-    aw = eval_a(pot.coeff, grid.times) * eval_W(pot.well, values)
+    aw = eval_a(pot, grid.times) * eval_W(pot, values)
     potential = -h * (np.sum(aw) - 0.5 * (aw[0] + aw[-1]))
     return float(kinetic + potential)
 
 
 def reference_gradient(values, pot, grid):
     h = grid.h
-    a = eval_a(pot.coeff, grid.times)
-    gw = eval_gradW(pot.well, values)
+    a = eval_a(pot, grid.times)
+    gw = eval_gradW(pot, values)
     g = np.zeros_like(values)
     g[1:-1] = -(values[2:] - 2.0 * values[1:-1] + values[:-2]) / h - h * (
         a[1:-1, None] * gw[1:-1]
@@ -53,7 +53,7 @@ def feasible_samples(pot, d, count=12, seed=0):
     while len(out) < count:
         u = random_smooth_function(GRID, d, rng)
         peak = np.max(np.linalg.norm(u.values, axis=1))
-        vals = u.values * (rng.uniform(0.5, 3.0) * pot.well.q_norm / peak)
+        vals = u.values * (rng.uniform(0.5, 3.0) * pot.q_norm / peak)
         if reference_clearance(vals, pot.q) >= pot.delta_seg:
             out.append(vals)
     return out

@@ -193,6 +193,6 @@ def test_hessian_blocks_match_eval_hessW(grid, alpha, dimension):
     kernel, p = _point(pot, grid, 1e-2)
     h = grid.h
     ref = (2.0 / h) * np.eye(dimension) - h * (
-        kernel.a[1:-1, None, None] * eval_hessW(pot.well, p.values[1:-1])
+        kernel.a[1:-1, None, None] * eval_hessW(pot, p.values[1:-1])
     )
     assert np.abs(kernel.hessian_blocks(p) - ref).max() <= 1e-13 * np.abs(ref).max()

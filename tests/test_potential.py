@@ -4,10 +4,9 @@ import gate_oracle
 import numpy as np
 import pytest
 
-from homoclinic.errors import HypothesisViolation, SingularityHit
+from homoclinic.errors import HypothesisViolation, SingularityProximity
 from homoclinic.potential import (
-    CoefficientSpec,
-    SingularPotentialSpec,
+    PotentialSpec,
     check_A,
     check_H2,
     check_H3,
@@ -23,7 +22,7 @@ from homoclinic.potential import (
 
 
 def test_coefficient_values():
-    spec = CoefficientSpec(a_base=2.0, a_amp=1.0, period=1.0)
+    spec = example_potential(a_base=2.0, a_amp=1.0, period=1.0)
     assert eval_a(spec, 0.0) == pytest.approx(3.0)
     assert eval_a(spec, 0.5) == pytest.approx(1.0)
     assert eval_a(spec, 0.25) == pytest.approx(2.0, abs=1e-12)
@@ -37,19 +36,19 @@ def test_well_value_and_gradient_by_hand():
     # u = (1, 0), q = (2, 0), alpha = 2: |u|^2 = 1, s = 1
     pot = example_potential()
     u = np.array([1.0, 0.0])
-    assert eval_W(pot.well, u) == pytest.approx(-1.0)
+    assert eval_W(pot, u) == pytest.approx(-1.0)
     # grad = -2u s^-a + a |u|^2 s^(-a-2) (u - q) = (-2,0) + 2(-1,0)
-    g = eval_gradW(pot.well, u)
+    g = eval_gradW(pot, u)
     assert np.allclose(g, [-4.0, 0.0], atol=1e-14)
 
 
 def test_well_values_other_points():
     # alpha = 2, u = (-2, 0): |u|^2 = 4, s = 4, W = -4/16
     pot2 = example_potential(alpha=2.0)
-    assert eval_W(pot2.well, np.array([-2.0, 0.0])) == pytest.approx(-0.25)
+    assert eval_W(pot2, np.array([-2.0, 0.0])) == pytest.approx(-0.25)
     # alpha = 3, u = (1, 0): s = 1 so the power drops out
     pot3 = example_potential(alpha=3.0)
-    assert eval_W(pot3.well, np.array([1.0, 0.0])) == pytest.approx(-1.0)
+    assert eval_W(pot3, np.array([1.0, 0.0])) == pytest.approx(-1.0)
 
 
 def test_gradient_matches_value_differences():
@@ -60,13 +59,13 @@ def test_gradient_matches_value_differences():
         u = rng.uniform(-3.0, 3.0, 2)
         if np.linalg.norm(u - pot.q) < 0.5:
             continue
-        g = eval_gradW(pot.well, u)
+        g = eval_gradW(pot, u)
         step = 1e-6 * (1.0 + np.linalg.norm(u))
         fd = np.empty(2)
         for a in range(2):
             e = np.zeros(2)
             e[a] = step
-            fd[a] = (eval_W(pot.well, u + e) - eval_W(pot.well, u - e)) / (2.0 * step)
+            fd[a] = (eval_W(pot, u + e) - eval_W(pot, u - e)) / (2.0 * step)
         assert np.allclose(g, fd, rtol=1e-6, atol=1e-8)
         checked += 1
 
@@ -77,15 +76,15 @@ def test_well_decreases_toward_singularity():
     pot = example_potential()
     qhat = pot.q / np.linalg.norm(pot.q)
     for s in np.linspace(0.1, 1.9, 10):
-        g = eval_gradW(pot.well, s * qhat)
+        g = eval_gradW(pot, s * qhat)
         assert float(g @ qhat) < 0.0
 
 
 def test_well_vanishes_at_origin():
     pot = example_potential()
     z = np.zeros(2)
-    assert eval_W(pot.well, z) == 0.0
-    assert np.all(eval_gradW(pot.well, z) == 0.0)
+    assert eval_W(pot, z) == 0.0
+    assert np.all(eval_gradW(pot, z) == 0.0)
 
 
 @pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0])
@@ -93,9 +92,9 @@ def test_hessian_at_zero_closed_form(alpha):
     # W ~ -|u|^2 |q|^-alpha near 0, so the Hessian is -2 |q|^-alpha I
     pot = example_potential(alpha=alpha)
     expected = -2.0 * 2.0 ** (-alpha)
-    H = eval_hessW(pot.well, np.zeros(2))
+    H = eval_hessW(pot, np.zeros(2))
     assert np.allclose(H, expected * np.eye(2), atol=1e-12)
-    rep = check_H2(pot.well)
+    rep = check_H2(pot)
     assert rep.eigen_min == pytest.approx(expected, abs=1e-4)
     assert rep.eigen_max == pytest.approx(expected, abs=1e-4)
 
@@ -107,13 +106,13 @@ def test_hessian_matches_gradient_differences():
         u = rng.uniform(-3.0, 3.0, 2)
         if np.linalg.norm(u - pot.q) < 0.3:
             continue
-        H = eval_hessW(pot.well, u)
+        H = eval_hessW(pot, u)
         step = 1e-6 * (1.0 + np.linalg.norm(u))
         fd = np.empty((2, 2))
         for a in range(2):
             e = np.zeros(2)
             e[a] = step
-            fd[:, a] = (eval_gradW(pot.well, u + e) - eval_gradW(pot.well, u - e)) / (
+            fd[:, a] = (eval_gradW(pot, u + e) - eval_gradW(pot, u - e)) / (
                 2.0 * step
             )
         assert np.allclose(H, fd, rtol=1e-5, atol=1e-6)
@@ -123,57 +122,57 @@ def test_hessian_matches_gradient_differences():
 def test_batched_evaluation_shapes():
     pot = example_potential()
     pts = np.random.default_rng(5).uniform(-1.0, 1.0, (7, 2))
-    assert eval_W(pot.well, pts).shape == (7,)
-    assert eval_gradW(pot.well, pts).shape == (7, 2)
-    assert eval_hessW(pot.well, pts).shape == (7, 2, 2)
+    assert eval_W(pot, pts).shape == (7,)
+    assert eval_gradW(pot, pts).shape == (7, 2)
+    assert eval_hessW(pot, pts).shape == (7, 2, 2)
 
 
 def test_singularity_guard():
     pot = example_potential()
-    with pytest.raises(SingularityHit):
-        eval_W(pot.well, pot.q)
-    with pytest.raises(SingularityHit):
-        eval_gradW(pot.well, pot.q + 1e-12)
+    with pytest.raises(SingularityProximity):
+        eval_W(pot, pot.q)
+    with pytest.raises(SingularityProximity):
+        eval_gradW(pot, pot.q + 1e-12)
 
 
 def test_check_A_rejects_sign_change():
     with pytest.raises(HypothesisViolation):
-        check_A(CoefficientSpec(a_base=1.0, a_amp=2.0, period=1.0))
+        check_A(example_potential(a_base=1.0, a_amp=2.0, period=1.0))
 
 
 def test_check_A_constant_coefficient():
-    rep = check_A(CoefficientSpec(a_base=2.0, a_amp=0.0, period=1.0))
+    rep = check_A(example_potential(a_base=2.0, a_amp=0.0, period=1.0))
     assert rep.min_a == pytest.approx(2.0, abs=1e-12)
     assert rep.max_a == pytest.approx(2.0, abs=1e-12)
 
 
 def test_check_A_accepts_default():
-    rep = check_A(CoefficientSpec(a_base=2.0, a_amp=1.0, period=1.0))
+    rep = check_A(example_potential(a_base=2.0, a_amp=1.0, period=1.0))
     assert rep.min_a == pytest.approx(1.0, abs=1e-4)
     assert rep.max_a == pytest.approx(3.0, abs=1e-4)
 
 
 def test_check_H2_dimension_three():
     pot = example_potential(dimension=3, alpha=2.0)
-    rep = check_H2(pot.well)
+    rep = check_H2(pot)
     assert rep.eigen_min == pytest.approx(-0.5, abs=1e-4)
     assert rep.eigen_max == pytest.approx(-0.5, abs=1e-4)
 
 
 def test_check_H3_default_witness_passes(pot):
-    rep = check_H3(pot.well, default_witness(pot.well))
+    rep = check_H3(pot, default_witness(pot))
     assert rep.min_margin >= 0.0
     assert rep.radius == pytest.approx(0.1)
 
 
 def test_check_H3_rejects_bad_radius(pot):
-    w = default_witness(pot.well)
+    w = default_witness(pot)
     w.r = 0.0
     with pytest.raises(ValueError):
-        check_H3(pot.well, w)
+        check_H3(pot, w)
     w.r = np.linalg.norm(pot.q)  # at |q| the shells would touch the origin
     with pytest.raises(ValueError):
-        check_H3(pot.well, w)
+        check_H3(pot, w)
 
 
 # exact minima of the barrier margin s^-alpha ((|q| - s)^2 - c^2) over
@@ -190,24 +189,24 @@ def test_check_H3_rejects_bad_radius(pot):
     ids=["q0.5-alpha2", "alpha4", "alpha2.5429-d3"],
 )
 def test_check_H3_rejects_weak_barriers(alpha, q, s, margin):
-    well = example_potential(alpha=alpha, dimension=len(q), q=q).well
-    witness = default_witness(well)
+    pot = example_potential(alpha=alpha, dimension=len(q), q=q)
+    witness = default_witness(pot)
     c = 1.0 if alpha == 2.0 else alpha / 2.0 - 1.0
-    exact = s ** -alpha * ((well.q_norm - s) ** 2 - c * c)
+    exact = s ** -alpha * ((pot.q_norm - s) ** 2 - c * c)
     with pytest.raises(HypothesisViolation, match="strong-force barrier fails") as info:
-        check_H3(well, witness)
+        check_H3(pot, witness)
     assert info.value.report.min_margin == pytest.approx(exact, rel=1e-12)
     assert exact == pytest.approx(margin, rel=1e-3)
     # the dense oracle finds the violation too
-    assert gate_oracle.barrier_margin(well, witness.r) < 0.0
+    assert gate_oracle.barrier_margin(pot, witness.r) < 0.0
 
 
 def test_check_H3_detects_weak_singularity():
     # with |q| < 1 the well -|u|^2 s^-2 ~ -|q|^2 / s^2 near q is dominated
     # by |grad ln s|^2 = 1 / s^2, so the log witness cannot certify the barrier
-    well = example_potential(q=[0.5, 0.0]).well
+    pot = example_potential(q=[0.5, 0.0])
     with pytest.raises(HypothesisViolation, match="min margin -7.5"):
-        check_H3(well, default_witness(well))
+        check_H3(pot, default_witness(pot))
 
 
 # closed-form margins, the far end's at alpha 3 and 4 (0.8^2 - 1/4 at the
@@ -218,8 +217,8 @@ def test_check_H3_detects_weak_singularity():
     ids=["2.0", "3.0", "4.0"],
 )
 def test_check_H4_default_witness_passes(alpha, margin, growth):
-    well = example_potential(alpha=alpha).well
-    rep = check_H4(well, default_witness(well))
+    pot = example_potential(alpha=alpha)
+    rep = check_H4(pot, default_witness(pot))
     assert rep.min_margin >= 0.0
     assert rep.min_growth > 0.0
     assert (rep.min_margin, rep.min_growth) == pytest.approx((margin, growth), rel=1e-6)
@@ -227,7 +226,7 @@ def test_check_H4_default_witness_passes(alpha, margin, growth):
 
 def test_check_W_negativity(pot):
     # W / |u|^2 = -|u - q|^-alpha peaks on |u| <= 4|q| at u = -4q
-    rep = check_W_negativity(pot.well)
+    rep = check_W_negativity(pot)
     assert (rep.max_ratio, rep.radius) == (-(10.0**-2), 8.0)
 
 
@@ -263,26 +262,26 @@ def test_closed_form_gate_matches_dense_sampling():
     # difference quotients add an O((h/|q|)^2) error), and every verdict agrees
     failed = {"A": 0, "H3": 0}
     for pot in _random_wells():
-        well, witness = pot.well, default_witness(pot.well)
-        a_rep, a_ok = _report(check_A, pot.coeff)
-        a_min, a_max = gate_oracle.coefficient_range(pot.coeff)
+        witness = default_witness(pot)
+        a_rep, a_ok = _report(check_A, pot)
+        a_min, a_max = gate_oracle.coefficient_range(pot)
         assert a_ok == (a_min > 0.0)
         assert (a_rep.min_a, a_rep.max_a) == pytest.approx((a_min, a_max), rel=1e-12, abs=1e-12)
-        h2 = check_H2(well)
-        eigs = gate_oracle.hessian_eigenvalues(well)
+        h2 = check_H2(pot)
+        eigs = gate_oracle.hessian_eigenvalues(pot)
         assert (h2.eigen_min, h2.eigen_max) == pytest.approx((eigs[0], eigs[-1]), rel=1e-8)
         assert eigs[-1] < 0.0
-        h3, h3_ok = _report(check_H3, well, witness)
-        barrier = gate_oracle.barrier_margin(well, witness.r)
+        h3, h3_ok = _report(check_H3, pot, witness)
+        barrier = gate_oracle.barrier_margin(pot, witness.r)
         assert h3_ok == (barrier >= 0.0)
         assert h3.min_margin <= barrier + 1e-12 * abs(barrier)
-        h4 = check_H4(well, witness)
-        far, growth = gate_oracle.far_field(well, witness.R0)
+        h4 = check_H4(pot, witness)
+        far, growth = gate_oracle.far_field(pot, witness.R0)
         assert far >= 0.0 and growth > 0.0
         assert h4.min_margin <= far + 1e-12 * abs(far)
         assert h4.min_growth == pytest.approx(growth, rel=1e-12)
-        ratio = check_W_negativity(well).max_ratio
-        sampled = gate_oracle.negativity_ratio(well)
+        ratio = check_W_negativity(pot).max_ratio
+        sampled = gate_oracle.negativity_ratio(pot)
         assert sampled <= ratio + 1e-12 * abs(ratio) and ratio < 0.0
         failed["A"] += not a_ok
         failed["H3"] += not h3_ok
@@ -292,6 +291,6 @@ def test_closed_form_gate_matches_dense_sampling():
 
 def test_example_family_alpha_bounds():
     with pytest.raises(ValueError):
-        SingularPotentialSpec(dimension=2, q=np.array([2.0, 0.0]), alpha=1.5)
+        PotentialSpec(q=np.array([2.0, 0.0]), alpha=1.5, a_base=2.0, a_amp=1.0, period=1.0)
     with pytest.raises(ValueError):
         example_potential(alpha=4.5)

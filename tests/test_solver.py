@@ -54,11 +54,11 @@ def test_guess_without_swing_is_infeasible(pot, grid):
 
 def test_e_stage_properties(pot, grid, cfg):
     guess = initial_guess_bump(grid, pot, k0=cfg.k0)
-    constraint = ConstraintE(node_index=grid.center_index, k_min=cfg.k_min, k=cfg.k0)
+    constraint = ConstraintE(node_index=grid.center_index, k=cfg.k0)
     res = minimize_over_E(guess, constraint, pot, cfg)
     assert res.value > 0.0
     assert res.value <= eval_action(guess, pot).value
-    assert res.k > constraint.k_min or res.constraint_active
+    assert res.k > cfg.k_min or res.constraint_active
     # the pinned node still sits on the ray through q beyond the crossing
     j = grid.center_index
     v = res.trajectory.values[j]
@@ -71,7 +71,7 @@ def test_e_stage_iterates_are_pinned(grid, cfg, alpha, iterations, newton_steps)
     # the default guess's E-stage: quasi-Newton steps to the handoff, then bordered Newton
     pot = example_potential(alpha=alpha)
     guess = initial_guess_bump(grid, pot, k0=cfg.k0)
-    constraint = ConstraintE(node_index=grid.center_index, k_min=cfg.k_min, k=cfg.k0)
+    constraint = ConstraintE(node_index=grid.center_index, k=cfg.k0)
     res = minimize_over_E(guess, constraint, pot, cfg)
     assert res.converged
     assert (res.iterations, res.newton_steps) == (iterations, newton_steps)
@@ -91,7 +91,7 @@ def test_e_stage_solves_once_per_armijo_step(pot, grid, cfg, monkeypatch, center
 
     monkeypatch.setattr(H1Preconditioner, "apply", counted)
     guess = initial_guess_bump(grid, pot, k0=k0, center=center)
-    constraint = ConstraintE(node_index=snap_center(grid, center), k_min=cfg.k_min, k=k0)
+    constraint = ConstraintE(node_index=snap_center(grid, center), k=k0)
     res = minimize_over_E(guess, constraint, pot, cfg)
     assert res.converged and res.iterations == iterations
     assert calls == [(grid.n, 2)] * (iterations - 1)
@@ -103,7 +103,7 @@ def test_alpha4_e_stage_newton_stops_well_inside_its_cap(grid, cfg, center, k0):
     # quadratic phase; the steepest-descent handoff left it all 12 steps
     pot = example_potential(alpha=4.0)
     guess = initial_guess_bump(grid, pot, k0=k0, center=center)
-    constraint = ConstraintE(node_index=snap_center(grid, center), k_min=cfg.k_min, k=k0)
+    constraint = ConstraintE(node_index=snap_center(grid, center), k=k0)
     res = minimize_over_E(guess, constraint, pot, cfg)
     assert res.converged
     assert res.newton_steps <= cfg.polish_steps // 2
@@ -241,7 +241,7 @@ def test_ray_direction_pins_transverse_part(pot, grid):
 def test_e_stage_converges_off_the_symmetric_phases(pot, grid, cfg, phase, width):
     center = phase * grid.period
     guess = initial_guess_bump(grid, pot, k0=1.35, center=center, width=width)
-    constraint = ConstraintE(node_index=snap_center(grid, center), k_min=cfg.k_min, k=1.35)
+    constraint = ConstraintE(node_index=snap_center(grid, center), k=1.35)
     res = minimize_over_E(guess, constraint, pot, cfg)
     assert res.converged
     assert res.iterations <= 500
@@ -272,7 +272,7 @@ def _e_stage_point(pot, grid, cfg):
     """Converged E-stage iterate of the default guess, as a kernel point."""
     j = grid.center_index
     guess = initial_guess_bump(grid, pot, k0=cfg.k0)
-    res = minimize_over_E(guess, ConstraintE(node_index=j, k_min=cfg.k_min, k=cfg.k0), pot, cfg)
+    res = minimize_over_E(guess, ConstraintE(node_index=j, k=cfg.k0), pot, cfg)
     assert res.converged
     kernel = action.ActionKernel(pot, grid)
     return kernel, kernel.trial(np.array(res.trajectory.values)), res
@@ -424,7 +424,7 @@ def _fine_pipeline(pot, grid, cfg, item):
     """The attempt without a coarse stage: guess, E-stage and release at m."""
     center, k0 = item["center"], item.get("k0", cfg.k0)
     guess = initial_guess_bump(grid, pot, k0=k0, center=center, width=item.get("width", cfg.bump_width))
-    constraint = ConstraintE(node_index=snap_center(grid, center), k_min=cfg.k_min, k=k0)
+    constraint = ConstraintE(node_index=snap_center(grid, center), k=k0)
     e_res = solve.minimize_over_E(guess, constraint, pot, cfg)
     return e_res, solve._release(e_res.trajectory, pot, cfg)
 
