@@ -247,12 +247,20 @@ def cmd_refine(cfg: RunConfig) -> int:
     # the ratio needs residuals evaluated well below the h^2 truncation
     # signal, so the study always runs at a tight gradient tolerance
     solver = replace(cfg.solver, grad_tol=min(cfg.solver.grad_tol, 1e-8))
+    grids = {}
+    for label, m in (("coarse", cfg.refine.coarse), ("fine", cfg.refine.fine)):
+        try:
+            grids[label] = replace(cfg.grid, nodes_per_period=m)
+        except ValueError as exc:
+            # the config checks the levels it is given; a default fine
+            # level, twice the coarse, can still pass the node cap
+            raise ConfigError("refine.m_%s: %s" % (label, exc)) from exc
 
     def body(report: dict) -> int:
         levels = {}
         cand = None  # the coarse level's orbit, which the fine level continues
-        for label, m in (("coarse", cfg.refine.coarse), ("fine", cfg.refine.fine)):
-            grid = replace(cfg.grid, nodes_per_period=m)
+        for label, grid in grids.items():
+            m = grid.nodes_per_period
             try:
                 if cand is None:
                     cand = solve_homoclinic(cfg.potential, grid, solver)

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from homoclinic import grids, solve
+from homoclinic import solve
 from homoclinic.cli import main
 from homoclinic.config import parse_config
 from homoclinic.grids import (
@@ -137,22 +137,36 @@ def test_solve_rerun_identical_modulo_timing(tmp_path):
     ],
     ids=["solve-alpha2", "solve-alpha3", "solve-alpha4", "refine", "search-targets9"],
 )
-def test_commands_never_shift_by_whole_periods(tmp_path, monkeypatch, command, doc):
-    # the crossing phase is chosen once, at the guess; no stage moves an
-    # iterate by whole periods afterwards
-    calls = []
-    shift = grids.renormalize_translation
+def test_commands_never_shift_by_whole_periods(tmp_path, command, doc):
+    # the crossing phase c is chosen once, at the guess, modulo the period,
+    # and no stage moves an iterate by whole periods afterwards: every
+    # single-loop orbit a command writes peaks in the period centred on c,
+    # and solve's crossing node lies there too (glued entries are placed
+    # by their separation, so the search checks its phase-1 and 3 entries)
+    out = tmp_path / "run"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    report = load_report(str(out))
+    cfg = parse_config(report["config"])
+    period = cfg.grid.period
+    c = cfg.solver.bump_center % period
 
-    def spy(u):
-        calls.append(1)
-        return shift(u)
+    def central(t, center):
+        return -period / 2 <= t - center < period / 2
 
-    monkeypatch.setattr(grids, "renormalize_translation", spy)
-    # also where solve would bind the name by import
-    monkeypatch.setattr(solve, "renormalize_translation", spy, raising=False)
-    cfg = write_config(tmp_path, doc)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 0
-    assert calls == []
+    if command == "search":
+        entries = [e for e in report["library"]["entries"] if e["schedule_item"]["phase"] != 2]
+        orbits = [(e["trajectory_csv_path"], e["schedule_item"].get("center", c)) for e in entries]
+    elif command == "refine":
+        orbits = [("solution_coarse.csv", c), ("solution_fine.csv", c)]
+    else:
+        orbits = [("solution.csv", c)]
+        node, _ = report["candidate"]["crossing"]
+        assert central(cfg.grid.times[node], c)
+    assert len(orbits) >= 1
+    for csv, center in orbits:
+        data = np.loadtxt(out / csv, delimiter=",", skiprows=1)
+        peak = data[np.argmax(np.sum(data[:, 1:] ** 2, axis=1)), 0]
+        assert central(peak, center), (csv, peak, center)
 
 
 def test_solve_unreachable_tolerance_is_exit_3(tmp_path):
@@ -537,12 +551,46 @@ def test_search_range_is_exit_1(tmp_path, capsys, field, value, message):
     assert not os.path.exists(str(tmp_path / "run"))
 
 
-@pytest.mark.parametrize("field,value", [("m_coarse", 4), ("m_fine", -2)])
-def test_refine_level_range_is_exit_1(tmp_path, capsys, field, value):
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("m_coarse", 4, "need at least 8 nodes per period"),
+        ("m_fine", -2, "need at least 8 nodes per period"),
+        # a fine level numpy could not allocate: 2 M m + 1 above grids.MAX_NODES
+        ("m_fine", 10**12, "need at most 1000000 nodes in all, not 2 M m + 1 = 16000000000001"),
+    ],
+    ids=["m_coarse-4", "m_fine--2", "m_fine-1e12"],
+)
+def test_refine_level_range_is_exit_1(tmp_path, capsys, field, value, message):
     cfg = write_config(tmp_path, {"refine": {field: value}})
     assert main(["refine", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
-    err = capsys.readouterr().err
-    assert "config error: refine.%s: need at least 8 nodes per period" % field in err
+    assert capsys.readouterr().err == "config error: refine.%s: %s\n" % (field, message)
+    assert not os.path.exists(str(tmp_path / "run"))
+
+
+def test_refine_default_fine_level_over_the_node_cap_is_exit_1(tmp_path, capsys):
+    # 560001 nodes at m=40, so the default fine level (m=80) has 1120001:
+    # refused before the coarse level is solved
+    cfg = write_config(tmp_path, {"grid": {"M": 7000}})
+    assert main(["refine", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == (
+        "config error: refine.m_fine: need at most 1000000 nodes in all, not 2 M m + 1 = 1120001\n"
+    )
+    assert not os.path.exists(str(tmp_path / "run"))
+
+
+@pytest.mark.parametrize(
+    "grid,nodes",
+    [({"M": 10**12}, 80000000000001), ({"M": 10**30}, 8 * 10**31 + 1), ({"m": 10**6}, 16000001)],
+    ids=["M1e12", "M1e30", "m1e6"],
+)
+def test_grid_node_count_is_exit_1(tmp_path, capsys, grid, nodes):
+    # above grids.MAX_NODES, before numpy is asked for the grid's times
+    cfg = write_config(tmp_path, {"grid": grid})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == (
+        "config error: grid: need at most 1000000 nodes in all, not 2 M m + 1 = %d\n" % nodes
+    )
     assert not os.path.exists(str(tmp_path / "run"))
 
 
@@ -568,12 +616,14 @@ def test_small_q_is_config_error(tmp_path, capsys, command):
         ({"dimension": 0}, "dimension must be at least 2"),
         ({"dimension": -1}, "dimension must be at least 2"),
         ({"dimension": 1}, "dimension must be at least 2"),
+        # above potential.MAX_DIMENSION, before numpy is asked for q
+        ({"dimension": 10**15}, "dimension must be at most 64"),
         ({"dimension": 3, "q": [1, 0], "alpha": 5}, "q must be a point in R^dimension"),
         ({"q": [0, 0], "alpha": 5}, "q must be distinct from the origin"),
         ({"alpha": 5, "period": 0}, "alpha must lie in [2, 4]"),
         ({"period": 0}, "period must be positive"),
     ],
-    ids=["dim0", "dim-1", "dim1", "q-shape", "q-zero", "alpha-before-period", "period"],
+    ids=["dim0", "dim-1", "dim1", "dim1e15", "q-shape", "q-zero", "alpha-before-period", "period"],
 )
 @pytest.mark.parametrize("command", ["check", "solve"])
 def test_bad_potential_names_its_first_bad_field(tmp_path, capsys, command, doc, message):

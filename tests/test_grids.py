@@ -58,6 +58,8 @@ def test_grid_validation():
         Grid(period=1.0, nodes_per_period=4, half_periods=8)
     with pytest.raises(ValueError):
         Grid(period=1.0, nodes_per_period=40, half_periods=1)
+    with pytest.raises(ValueError, match="need at most 1000000 nodes"):
+        Grid(period=1.0, nodes_per_period=40, half_periods=12500)  # 1000001 nodes
 
 
 def test_grid_function_pins_boundary():
