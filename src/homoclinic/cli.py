@@ -44,6 +44,7 @@ from .action import (
 )
 from .config import (
     RunConfig,
+    check_size,
     default_run_config,
     parse_config,
     read_config_doc,
@@ -247,20 +248,16 @@ def cmd_refine(cfg: RunConfig) -> int:
     # the ratio needs residuals evaluated well below the h^2 truncation
     # signal, so the study always runs at a tight gradient tolerance
     solver = replace(cfg.solver, grad_tol=min(cfg.solver.grad_tol, 1e-8))
-    grids = {}
-    for label, m in (("coarse", cfg.refine.coarse), ("fine", cfg.refine.fine)):
-        try:
-            grids[label] = replace(cfg.grid, nodes_per_period=m)
-        except ValueError as exc:
-            # the config checks the levels it is given; a default fine
-            # level, twice the coarse, can still pass the node cap
-            raise ConfigError("refine.m_%s: %s" % (label, exc)) from exc
+    # the config bounds the grid's size; the fine level, twice the coarse
+    # by default, is the larger of the two
+    fine = replace(cfg.grid, nodes_per_period=cfg.refine.fine)
+    check_size(fine, cfg.potential.dimension, "refine.m_fine")
 
     def body(report: dict) -> int:
         levels = {}
         cand = None  # the coarse level's orbit, which the fine level continues
-        for label, grid in grids.items():
-            m = grid.nodes_per_period
+        for label, m in (("coarse", cfg.refine.coarse), ("fine", cfg.refine.fine)):
+            grid = replace(cfg.grid, nodes_per_period=m)
             try:
                 if cand is None:
                     cand = solve_homoclinic(cfg.potential, grid, solver)

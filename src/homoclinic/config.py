@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grids import Grid
-from .potential import WITNESS_RADIUS, PotentialSpec, example_potential
+from .potential import MAX_HESSIAN_ENTRIES, WITNESS_RADIUS, PotentialSpec, example_potential
 from .solve import SolverConfig
 
 
@@ -166,14 +166,28 @@ def _parse_potential(block: dict) -> PotentialSpec:
     return pot
 
 
-def _parse_grid(block: dict, period: float) -> Grid:
+def check_size(grid: Grid, dim: int, where: str):
+    """Raise ConfigError, naming where, if grid at dimension dim has more
+    than MAX_HESSIAN_ENTRIES Hessian entries."""
+    entries = grid.n * dim * dim
+    _require(
+        entries <= MAX_HESSIAN_ENTRIES,
+        where,
+        "2 M m + 1 = %d nodes at dimension %d make n d^2 = %d Hessian entries, more than %d"
+        % (grid.n, dim, entries, MAX_HESSIAN_ENTRIES),
+    )
+
+
+def _parse_grid(block: dict, pot: PotentialSpec) -> Grid:
     _check_keys(block, {"m", "M"}, "grid")
     m = _as_int(block.get("m", 40), "grid.m")
     big_m = _as_int(block.get("M", 8), "grid.M")
     try:
-        return Grid(period=period, nodes_per_period=m, half_periods=big_m)
+        grid = Grid(period=pot.period, nodes_per_period=m, half_periods=big_m)
     except ValueError as exc:
         raise ConfigError("grid: %s" % exc) from exc
+    check_size(grid, pot.dimension, "grid")
+    return grid
 
 
 def _parse_fields(block: dict, cls, where: str, ranges: dict):
@@ -226,7 +240,7 @@ def parse_config(doc: dict) -> RunConfig:
     )
     seed = _as_int(doc.get("seed", 0), "seed")
     potential = _parse_potential(doc.get("potential", {}))
-    grid = _parse_grid(doc.get("grid", {}), potential.period)
+    grid = _parse_grid(doc.get("grid", {}), potential)
     solver = _parse_solver(doc.get("solver", {}))
     search = _parse_fields(doc.get("search", {}), SearchConfig, "search", _SEARCH_RANGES)
     refine = _parse_refine(doc.get("refine", {}), grid)

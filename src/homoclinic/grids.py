@@ -51,11 +51,6 @@ from .errors import (
 
 Array = np.ndarray
 
-# the most nodes a grid may have: a d=2 solve peaks at about 0.6 kB per
-# node (23 MB over the interpreter at 40961 nodes), so about 0.6 GB here,
-# while the counts a config can name reach past what numpy can allocate
-MAX_NODES = 10**6
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -72,10 +67,6 @@ class Grid:
             raise ValueError("need at least 8 nodes per period")
         if self.half_periods < 2:
             raise ValueError("need at least 2 periods on each side of 0")
-        if self.n > MAX_NODES:
-            raise ValueError(
-                "need at most %d nodes in all, not 2 M m + 1 = %d" % (MAX_NODES, self.n)
-            )
 
     @property
     def h(self) -> float:

@@ -28,6 +28,7 @@ not check the hypotheses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -321,10 +322,13 @@ def run_hypotheses(pot: PotentialSpec) -> list[tuple[str, str, Optional[object],
     return rows
 
 
-# the largest dimension d: the Newton holds and inverts one d x d Hessian
-# block per node, so its memory grows as n d^2 and its time as n d^3; at
-# the default 641 nodes a d=64 solve peaks at 240 MB and takes 1 s on 2 CPUs
-MAX_DIMENSION = 64
+# the most Hessian entries n d^2 a problem may have, n its node count and
+# d its dimension: the Newton holds one d x d block per node, and a solve
+# peaks at about 150 bytes per entry at d=2 and 90 at d=32 to 64, so at
+# about 1.5 GB here, while the sizes a config can name reach past what
+# numpy can allocate (the config checks n d^2; a grid has at least one
+# node, so a larger d is refused here, before q is allocated)
+MAX_HESSIAN_ENTRIES = 10**7
 
 
 def example_potential(
@@ -339,8 +343,8 @@ def example_potential(
     to 2 e_1 in R^dimension, and a given q must have dimension entries."""
     if dimension < 2:
         raise ValueError("dimension must be at least 2")
-    if dimension > MAX_DIMENSION:
-        raise ValueError("dimension must be at most %d" % MAX_DIMENSION)
+    if dimension * dimension > MAX_HESSIAN_ENTRIES:
+        raise ValueError("dimension must be at most %d" % math.isqrt(MAX_HESSIAN_ENTRIES))
     if q is None:
         q = np.zeros(dimension)
         q[0] = 2.0

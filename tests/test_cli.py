@@ -556,8 +556,13 @@ def test_search_range_is_exit_1(tmp_path, capsys, field, value, message):
     [
         ("m_coarse", 4, "need at least 8 nodes per period"),
         ("m_fine", -2, "need at least 8 nodes per period"),
-        # a fine level numpy could not allocate: 2 M m + 1 above grids.MAX_NODES
-        ("m_fine", 10**12, "need at most 1000000 nodes in all, not 2 M m + 1 = 16000000000001"),
+        # a fine level numpy could not allocate, refused before either is solved
+        (
+            "m_fine",
+            10**12,
+            "2 M m + 1 = 16000000000001 nodes at dimension 2 make n d^2 = "
+            "64000000000004 Hessian entries, more than 10000000",
+        ),
     ],
     ids=["m_coarse-4", "m_fine--2", "m_fine-1e12"],
 )
@@ -565,32 +570,6 @@ def test_refine_level_range_is_exit_1(tmp_path, capsys, field, value, message):
     cfg = write_config(tmp_path, {"refine": {field: value}})
     assert main(["refine", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
     assert capsys.readouterr().err == "config error: refine.%s: %s\n" % (field, message)
-    assert not os.path.exists(str(tmp_path / "run"))
-
-
-def test_refine_default_fine_level_over_the_node_cap_is_exit_1(tmp_path, capsys):
-    # 560001 nodes at m=40, so the default fine level (m=80) has 1120001:
-    # refused before the coarse level is solved
-    cfg = write_config(tmp_path, {"grid": {"M": 7000}})
-    assert main(["refine", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
-    assert capsys.readouterr().err == (
-        "config error: refine.m_fine: need at most 1000000 nodes in all, not 2 M m + 1 = 1120001\n"
-    )
-    assert not os.path.exists(str(tmp_path / "run"))
-
-
-@pytest.mark.parametrize(
-    "grid,nodes",
-    [({"M": 10**12}, 80000000000001), ({"M": 10**30}, 8 * 10**31 + 1), ({"m": 10**6}, 16000001)],
-    ids=["M1e12", "M1e30", "m1e6"],
-)
-def test_grid_node_count_is_exit_1(tmp_path, capsys, grid, nodes):
-    # above grids.MAX_NODES, before numpy is asked for the grid's times
-    cfg = write_config(tmp_path, {"grid": grid})
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
-    assert capsys.readouterr().err == (
-        "config error: grid: need at most 1000000 nodes in all, not 2 M m + 1 = %d\n" % nodes
-    )
     assert not os.path.exists(str(tmp_path / "run"))
 
 
@@ -616,8 +595,8 @@ def test_small_q_is_config_error(tmp_path, capsys, command):
         ({"dimension": 0}, "dimension must be at least 2"),
         ({"dimension": -1}, "dimension must be at least 2"),
         ({"dimension": 1}, "dimension must be at least 2"),
-        # above potential.MAX_DIMENSION, before numpy is asked for q
-        ({"dimension": 10**15}, "dimension must be at most 64"),
+        # n d^2 above potential.MAX_HESSIAN_ENTRIES at any n, before q is allocated
+        ({"dimension": 10**15}, "dimension must be at most 3162"),
         ({"dimension": 3, "q": [1, 0], "alpha": 5}, "q must be a point in R^dimension"),
         ({"q": [0, 0], "alpha": 5}, "q must be distinct from the origin"),
         ({"alpha": 5, "period": 0}, "alpha must lie in [2, 4]"),

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from homoclinic.errors import ShiftOutOfRange, TrajectoryFormatError, ZeroFunction
+from homoclinic.config import parse_config
+from homoclinic.errors import ConfigError, ShiftOutOfRange, TrajectoryFormatError, ZeroFunction
 from homoclinic.grids import (
     Grid,
     GridFunction,
@@ -58,8 +59,10 @@ def test_grid_validation():
         Grid(period=1.0, nodes_per_period=4, half_periods=8)
     with pytest.raises(ValueError):
         Grid(period=1.0, nodes_per_period=40, half_periods=1)
-    with pytest.raises(ValueError, match="need at most 1000000 nodes"):
-        Grid(period=1.0, nodes_per_period=40, half_periods=12500)  # 1000001 nodes
+    # a config bounds n d^2, the Newton's Hessian entries: 10^6 nodes at d=64
+    # would hold 33 GB of them
+    with pytest.raises(ConfigError, match="1000001 nodes at dimension 64 make"):
+        parse_config({"grid": {"M": 12500}, "potential": {"dimension": 64}})
 
 
 def test_grid_function_pins_boundary():

@@ -17,10 +17,10 @@ parity_golden.json holds:
     trajectory) or its values (the distance table).
 
 test_corpus_matches_golden reports every command that differs.  It
-compares everything exactly except floats, which it compares at relative
-RTOL, and it skips the sha256s, which another numpy build may move in the
-last bit.  Running this module as a script rewrites the golden file, with
-floats stored as repr:
+compares what rounding cannot move exactly, and what it can within how far
+it moves it (see _close), so that another numpy build or CPU, which may
+round differently in the last bit, still matches.  Running this module as
+a script rewrites the golden file, with floats stored as repr:
 
     PYTHONPATH=src python tests/test_parity.py
 
@@ -45,7 +45,33 @@ from homoclinic.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "parity_golden.json")
 
-RTOL = 1e-9
+# How far rounding moves a value.  One-ulp changes to the arithmetic (the
+# stencil sum reassociated, the guess scaled by 1 + 2^-52) move actions by
+# at most 3e-11 of themselves, the action being stationary at an orbit;
+# what an orbit's shape gives (clearances, H1 norms, tails, residual
+# ratios, distances) by up to 1e-7 of itself, or 4e-12 where it is near 0,
+# since a solve fixes its orbit only to within its gradient tolerance;
+# gradient norms and stencil residuals below the tolerance by up to 80%,
+# being rounding noise; and a stalled loop's iteration count (a loop
+# stalls once the action falls by at most 1e-12 of itself over 50 steps)
+# by a few.  Hence actions at relative ACTION_RTOL, every other float at
+# relative RTOL or absolute ATOL, gradient norms and residuals within
+# NOISE, the default gradient tolerance, and a stalled count not at all.
+ACTION_RTOL = 1e-9
+RTOL, ATOL = 1e-6, 1e-9
+NOISE = 1e-6
+
+_ACTIONS = {"action", "value", "action_drift"}
+_NOISY = {"grad_norm", "sup_residual", "stencil_residual"}
+# cache digests, and which of two equidistant entries (an orbit and its
+# mirror image) a search names nearest: the distance itself is compared
+_SKIPPED = {"sha256", "nearest_index"}
+
+# a number in a line of text, and the words around one that print a
+# gradient norm or residual, or a stalled loop's iteration count
+_NUMBER = re.compile(r"[-+]?\d+(?:\.\d+)?(?:e[-+]?\d+)?|\binf\b")
+_NOISY_PRINTED = re.compile(r"(?:grad norm|gradient norm|stencil residual)\s*#")
+_STALLED_PRINTED = re.compile(r"# coarse E-stage|# iterations \(descent stop: stalled\)")
 
 
 def _ladder():
@@ -117,7 +143,9 @@ COMMANDS = [
     ("solve-M1e12", ["solve"], {"grid": {"M": 10**12}}),
     ("solve-M1e30", ["solve"], {"grid": {"M": 10**30}}),
     ("refine-m_fine1e12", ["refine"], {"refine": {"m_fine": 10**12}}),
-    ("refine-M7000", ["refine"], {"grid": {"M": 7000}}),
+    # the grid is within the size bound, its default fine level (m=80) is not
+    ("refine-M20000", ["refine"], {"grid": {"M": 20000}}),
+    ("solve-d64-nodes1e6", ["solve"], {"potential": {"dimension": 64}, "grid": {"M": 12500}}),
     ("solve-infeasible", ["solve"], {"solver": {"eps_k": 2, "k0": 1000}}),
     # cosh overflows far from a steep guess's center, silently
     ("solve-steep", ["solve"], {"potential": {"alpha": 3}, "solver": {"bump_width": 100}}),
@@ -217,22 +245,62 @@ def run_corpus():
     return {name: _run(name, argv, config) for name, argv, config in COMMANDS}
 
 
-def _difference(want, got, where=""):
-    """Where got first differs from want, or None; floats at relative RTOL, sha256s skipped."""
+def _close(key, want, got):
+    """Whether two floats under key agree to within what rounding moves."""
+    if key in _ACTIONS:
+        return math.isclose(want, got, rel_tol=ACTION_RTOL)
+    return math.isclose(want, got, rel_tol=RTOL, abs_tol=NOISE if key in _NOISY else ATOL)
+
+
+def _same_text(want, got):
+    """Whether two lines agree: their words exactly, each number to within
+    one unit of its last printed digit (a rounding flip), a printed
+    gradient norm or residual within NOISE, a stalled count not at all."""
+    words, got_words = _NUMBER.split(want), _NUMBER.split(got)
+    if words != got_words:
+        return False
+    for i, (a, b) in enumerate(zip(_NUMBER.findall(want), _NUMBER.findall(got))):
+        around = words[i] + "#" + words[i + 1]
+        if a == b or _STALLED_PRINTED.search(around):
+            continue
+        mantissa, _, exponent = a.partition("e")
+        if "." not in mantissa and not exponent:
+            return False  # an integer
+        digits = len(mantissa.partition(".")[2])
+        slack = 10.0 ** (int(exponent or 0) - digits)
+        if _NOISY_PRINTED.search(around):
+            slack = max(slack, NOISE)
+        if not abs(float(a) - float(b)) <= slack:
+            return False
+    return True
+
+
+def _difference(want, got, where="", key=None):
+    """Where got first differs from want, or None."""
     if isinstance(want, float) and isinstance(got, float):
-        same = math.isclose(want, got, rel_tol=RTOL, abs_tol=0.0)
+        same = _close(key, want, got)
     elif type(want) is not type(got):
         same = False
     elif isinstance(want, (dict, list)):
+        if isinstance(want, list) and len(want) != len(got):
+            return "%s: %d items, golden %d" % (where, len(got), len(want))
         keys = want.keys() if isinstance(want, dict) else range(len(want))
-        got_keys = got.keys() if isinstance(got, dict) else range(len(got))
-        if keys != got_keys:
-            return "%s: keys %s, golden %s" % (where, list(got_keys), list(keys))
-        for key in keys:
-            found = key != "sha256" and _difference(want[key], got[key], "%s[%r]" % (where, key))
+        if isinstance(want, dict) and keys != got.keys():
+            return "%s: keys %s, golden %s" % (where, sorted(got), sorted(want))
+        skipped = _SKIPPED
+        if isinstance(want, dict) and want.get("stop") == "stalled":
+            skipped = _SKIPPED | {"iterations"}
+        for k in keys:
+            if k in skipped:
+                continue
+            # a list's items are compared under the key that holds it
+            at = k if isinstance(k, str) else key
+            found = _difference(want[k], got[k], "%s[%r]" % (where, k), at)
             if found:
                 return found
         return None
+    elif isinstance(want, str):
+        same = want == got or _same_text(want, got)
     else:
         same = want == got
     return None if same else "%s: %r, golden %r" % (where, got, want)
