@@ -225,7 +225,6 @@ def cmd_search(cfg: RunConfig, jobs: int = 1) -> int:
             cfg.solver,
             targets=cfg.search.targets,
             eps_distinct=cfg.search.eps_distinct,
-            jobs=jobs,
         )
         dist = lib.distance_matrix()
         targets = cfg.search.targets
@@ -455,8 +454,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 type=int,
                 default=1,
                 metavar="N",
-                help="parallel workers for the first search phase, at most one "
-                "per phase-1 item (default 1)",
+                help="accepted for compatibility and checked to be at least 1; "
+                "it no longer changes anything: the search runs in one process "
+                "(default 1)",
             )
         if name == "diagnose":
             p.add_argument("trajectory", metavar="CSV", help="trajectory file to inspect")

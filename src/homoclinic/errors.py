@@ -48,6 +48,11 @@ class MaxItersExceeded(HomoclinicError):
         self.best = best
 
 
+class ActionOverflow(HomoclinicError):
+    """The action's gradient overflows the float range at the last accepted
+    iterate, so no step from it can be taken."""
+
+
 class ConvergedToZero(HomoclinicError):
     """Descent collapsed onto the trivial equilibrium: the attempt found no orbit."""
 

@@ -37,7 +37,7 @@ import hashlib
 import io
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -299,6 +299,21 @@ def shift_blocks(functions: Sequence[GridFunction]) -> ShiftBlocks:
     )
 
 
+def joined_blocks(head: ShiftBlocks, tail: ShiftBlocks) -> ShiftBlocks:
+    """ShiftBlocks of head's functions followed by tail's.
+
+    Every field of shift_blocks is computed per function, so this equals
+    shift_blocks(head.functions + tail.functions) bitwise.
+    """
+    if head.grid != tail.grid:
+        raise ValueError("functions live on different grids")
+    arrays = ("blocks", "norm_sq", "nodes", "first", "last")
+    return ShiftBlocks(
+        functions=head.functions + tail.functions,
+        **{f: np.concatenate([getattr(head, f), getattr(tail, f)]) for f in arrays},
+    )
+
+
 def _repin(last: Array, first: Array, nodes: Array) -> Array:
     """Kinetic cross-term correction of the re-pinned node, per pair and shift.
 
@@ -311,6 +326,22 @@ def _repin(last: Array, first: Array, nodes: Array) -> Array:
     at_first = np.einsum("id,jtd->ijt", first, nodes)
     zero = np.zeros(at_last.shape[:2] + (1,))
     return np.concatenate([at_first[..., :0:-1], zero, at_last[..., -2::-1]], axis=2)
+
+
+@lru_cache(maxsize=None)
+def _diagonal_selector(nb: int) -> Array:
+    """(nb * nb, 2 nb + 1) 0/1 matrix: row (p, q) selects column p - q + nb.
+
+    A Gram matrix flattened over (p, q) times it gives the sums of its
+    diagonals, the k-th (p - q = k) in column k + nb.  Read-only, since
+    every call with the same nb shares it.
+    """
+    p, q = np.indices((nb, nb))
+    select = np.zeros((nb, nb, 2 * nb + 1))
+    select[p, q, p - q + nb] = 1.0
+    select = select.reshape(nb * nb, -1)
+    select.flags.writeable = False
+    return select
 
 
 def screen_gaps_sq(a: ShiftBlocks, b: ShiftBlocks) -> tuple[Array, Array]:
@@ -329,15 +360,14 @@ def screen_gaps_sq(a: ShiftBlocks, b: ShiftBlocks) -> tuple[Array, Array]:
     ea, nb = a.blocks.shape[:2]
     eb = b.blocks.shape[0]
     h = a.grid.h
-    # einsum rather than a BLAS product: at these sizes it costs about a
-    # millisecond, and it leaves the BLAS work buffer untouched (about
-    # 0.8 MB of resident memory in a process that never factors a matrix)
-    gram = np.einsum("ipw,jqw->ijpq", a.blocks.reshape(ea, nb, -1), b.blocks.reshape(eb, nb, -1))
-    # diagonal sums: diag[..., k + 2M] = sum_p gram[..., p, p - k]
-    p, q = np.indices((nb, nb))
-    select = np.zeros((nb, nb, 2 * nb + 1))
-    select[p, q, p - q + nb] = 1.0
-    diag = np.einsum("ijpq,pqk->ijk", gram, select)
+    # two BLAS products: the block Gram of every pair, then its diagonal
+    # sums.  They sum in another order than the einsum contractions they
+    # replaced (7.6 -> 0.7 ms for 12 x 12 entries at m=160): on 12-entry
+    # search libraries at m 40 and 160 the screen moved by at most 2.5e-16
+    # of the largest squared norm, far inside SCREEN_TOL
+    gram = a.blocks.reshape(ea * nb, -1) @ b.blocks.reshape(eb * nb, -1).T
+    gram = gram.reshape(ea, nb, eb, nb).transpose(0, 2, 1, 3).reshape(ea * eb, nb * nb)
+    diag = (gram @ _diagonal_selector(nb)).reshape(ea, eb, 2 * nb + 1)
     fwd = diag + _repin(a.last, a.first, b.nodes) / h
     rev = diag[..., ::-1] + _repin(b.last, b.first, a.nodes).transpose(1, 0, 2) / h
     norm_a, norm_b = a.norm_sq[:, nb], b.norm_sq[:, nb]

@@ -16,15 +16,18 @@ screened by one batched product, confirmed by shift_gaps
 covers every entry and every shift, and only the shifts the
 screen cannot tell apart are recomputed exactly, so every distance,
 matched entry, shift and tie order is bitwise the per-shift loop's.
-The library derives its cached ShiftBlocks from its entries on use, so
-entries appended to lib.entries directly are covered as well.
+The library derives its cached ShiftBlocks from its entries on use,
+blocking only the entries appended since its last use, so entries
+appended to lib.entries directly are covered as well.
 
 The search schedule is written once, as the ordered attempt stream
-_attempts: single-loop guesses at crossing phase 0 in both winding
-senses, pairwise sums of found solutions at decreasing separations, and
-one single-loop guess at crossing phase 1/2.  Every attempt runs through
-solve.run_attempt, which turns a failed attempt into an error text, and
-only when asked for.  search_distinct is one loop that takes the next
+_attempts: one single-loop solve at crossing phase 0 and its mirror
+image under a reflection that fixes q (the other winding sense,
+certified by the Newton polish instead of solved again), pairwise sums
+of found solutions at decreasing separations, and one single-loop guess
+at crossing phase 1/2.  Every attempt runs through solve.run_attempt,
+which turns a failed attempt into an error text, and only when asked
+for.  search_distinct is one loop that takes the next
 attempt until the library holds its target, and _record turns each
 outcome into one library log record.
 """
@@ -49,6 +52,7 @@ from .grids import (
     confirmed_minima,
     from_values,
     h1_norm,
+    joined_blocks,
     screen_gaps_sq,
     shift_blocks,
     shift_periods,
@@ -57,6 +61,7 @@ from .potential import PotentialSpec
 from .solve import (
     HomoclinicCandidate,
     SolverConfig,
+    _transverse_unit,
     polish_to_critical,
     run_attempt,
     single_loop_attempt,
@@ -132,15 +137,22 @@ class SolutionLibrary:
     def entry_blocks(self) -> ShiftBlocks:
         """ShiftBlocks of the entries' trajectories, in entry order (entries must exist).
 
-        Derived from self.entries on use: the cached blocks are kept while
-        they belong to the same trajectory objects and rebuilt otherwise, so
-        changing self.entries directly (as a manifest loader does) is safe.
+        Derived from self.entries on use: while the cached blocks belong to
+        the same trajectory objects as the first entries, only the entries
+        appended since are blocked and joined on; otherwise every entry is
+        blocked again, so changing self.entries directly (as a manifest
+        loader does) is safe.
         """
         trajs = tuple(e.trajectory for e in self.entries)
-        cached = self._blocks.functions if self._blocks is not None else ()
-        if len(cached) != len(trajs) or any(a is not b for a, b in zip(cached, trajs)):
-            self._blocks = shift_blocks(trajs)
-        return self._blocks
+        blocks = self._blocks
+        kept = blocks.functions if blocks is not None else ()
+        if len(kept) > len(trajs) or any(a is not b for a, b in zip(kept, trajs)):
+            blocks, kept = None, ()
+        if len(kept) < len(trajs):
+            new = shift_blocks(trajs[len(kept) :])
+            blocks = new if blocks is None else joined_blocks(blocks, new)
+        self._blocks = blocks
+        return blocks
 
     def min_distance_to(self, u: GridFunction) -> tuple[float, int]:
         """Smallest distance to a stored entry and its first index; (inf, -1) when empty."""
@@ -351,32 +363,49 @@ def _record(lib: SolutionLibrary, item: dict, outcome, phase: int) -> None:
     lib.try_insert_entry(entry, context={"phase": phase, "timing": timing})
 
 
-def _attempts(pot: PotentialSpec, grid: Grid, cfg: SolverConfig, lib: SolutionLibrary, jobs: int):
+def _mirrored(cand: HomoclinicCandidate, pot: PotentialSpec, cfg: SolverConfig, item: dict):
+    """cand's orbit under the reflection R, certified by polish_to_critical.
+
+    R u = u - 2 (u . p) p, p = _transverse_unit(q) the guess's transverse
+    axis, is orthogonal and fixes q, so it maps critical points of the
+    action to critical points; it also maps the guess of one winding sense
+    onto the other's.  The polish takes no Newton step when the image
+    already meets grad_tol.  When q lies on a coordinate axis R is a sign
+    flip, under which every kernel operation is exact, so the image is
+    bitwise the orbit a solve of the mirror item returns.
+    """
+    p = _transverse_unit(pot.q)
+    u = cand.trajectory.values
+    image = GridFunction(cand.trajectory.grid, u - 2.0 * np.outer(u @ p, p))
+    mirror = polish_to_critical(image, pot, cfg)
+    mirror.schedule_item = item
+    return mirror
+
+
+def _attempts(pot: PotentialSpec, grid: Grid, cfg: SolverConfig, lib: SolutionLibrary):
     """The built-in search schedule: (item, run_attempt outcome, phase) in
     schedule order, each attempt run only when the caller asks for it.
 
     The one-loop orbits sit at the two extremal phases of a(t), crossing
     phase 0 and 1/2, so those are the only phases tried; other phases and
-    crossing heights re-find the same orbits.  Phase 1 solves single-loop
-    guesses at phase 0 and height 1.5 (clamped at k_min) in both winding
-    senses; with jobs > 1 a pool of at most one worker per item computes
-    both on the first request, yielded in schedule order.  Phase 2 reads
-    lib.entries once phase 1 is recorded and glues pairs (0, 0) and
-    (0, 1) at separations 6, 5 and 4, polished by Newton alone so the two
-    bumps keep their positions.  Phase 3 is one single-loop guess at
-    phase 1/2 and height 1.35 (clamped at k_min).
+    crossing heights re-find the same orbits.  Phase 1 is one solve and
+    its reflection: a single-loop guess at phase 0 and height 1.5 (clamped
+    at k_min) winding in the + sense, then the - sense item, taken as the
+    first orbit's mirror image (_mirrored), or solved when the first
+    attempt failed.  Phase 2 reads lib.entries once phase 1 is recorded
+    and glues pairs (0, 0) and (0, 1) at separations 6, 5 and 4, polished
+    by Newton alone so the two bumps keep their positions.  Phase 3 is one
+    single-loop guess at phase 1/2 and height 1.35 (clamped at k_min).
     """
     one_loop = partial(run_attempt, single_loop_attempt, pot, grid, cfg)
-    phase1 = [{"k0": max(1.5, cfg.k_min), "orientation": o, "phase": 1} for o in (1, -1)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(phase1))) as ex:
-            outcomes = list(ex.map(one_loop, phase1))
+    plus, minus = ({"k0": max(1.5, cfg.k_min), "orientation": o, "phase": 1} for o in (1, -1))
+    first = one_loop(plus)
+    yield plus, first, 1
+    cand = first[0]
+    if cand is None:
+        yield minus, one_loop(minus), 1
     else:
-        outcomes = map(one_loop, phase1)  # lazy: one attempt per request
-    for item, outcome in zip(phase1, outcomes):
-        yield item, outcome, 1
+        yield minus, run_attempt(_mirrored, cand, pot, cfg, minus), 1
 
     # pair gluing converges with Newton polish alone: monotone action
     # descent from a glued sum slides down the unwinding canyon opened by
@@ -399,7 +428,6 @@ def search_distinct(
     cfg: Optional[SolverConfig] = None,
     targets: int = 3,
     eps_distinct: float = 0.1,
-    jobs: int = 1,
 ) -> SolutionLibrary:
     """Deterministic multi-solution search.
 
@@ -412,7 +440,7 @@ def search_distinct(
     if cfg is None:
         cfg = SolverConfig()
     lib = SolutionLibrary(eps_distinct=eps_distinct)
-    stream = _attempts(pot, grid, cfg, lib, jobs)
+    stream = _attempts(pot, grid, cfg, lib)
     while len(lib) < targets and (attempt := next(stream, None)) is not None:
         _record(lib, *attempt)
     return lib

@@ -78,6 +78,7 @@ from .action import (
     stencil_residual,
 )
 from .errors import (
+    ActionOverflow,
     ConvergedToZero,
     HomoclinicError,
     InfeasibleGuess,
@@ -864,11 +865,18 @@ def _wrap_candidate(
     """Certify the final iterate of a stage whose last gradient norm is gn.
 
     Action and clearance are the stage kernel's values at its accepted
-    point p, and the gradient norm is measured at p.  Above grad_tol this
-    raises MaxItersExceeded with the stage's stall message (formatted from
-    gn, tol and iters) and the candidate as best; otherwise the candidate
-    must have positive action and clearance.
+    point p, and the gradient norm is measured at p.  A gn that is not
+    finite raises ActionOverflow: every step from p was rejected, so no
+    iteration cap was reached.  Above grad_tol this raises
+    MaxItersExceeded with the stage's stall message (formatted from gn, tol
+    and iters) and the candidate as best; otherwise the candidate must
+    have positive action and clearance.
     """
+    if not math.isfinite(gn):
+        raise ActionOverflow(
+            "the action's gradient overflows at the last accepted iterate (after %d iterations)"
+            % iters
+        )
     u = GridFunction(grid, p.values)
     cand = HomoclinicCandidate(
         trajectory=u,

@@ -853,36 +853,6 @@ def test_search_jobs_below_one_is_exit_1(tmp_path, capsys, jobs):
     assert not os.path.exists(out)
 
 
-def test_search_pool_capped_at_phase1_items(pot, grid, cfg, monkeypatch):
-    # a stand-in pool that records its size and maps serially: no process starts
-    import concurrent.futures
-
-    from homoclinic.multiplicity import search_distinct
-
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, payloads):
-            return map(fn, payloads)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    # a target of 0 asks for no attempt, so no pool is built
-    assert len(search_distinct(pot, grid, cfg, targets=0, jobs=2)) == 0
-    assert sizes == []
-    lib = search_distinct(pot, grid, cfg, targets=3, jobs=10**6)
-    assert sizes == [2]
-    assert len(lib) == 3
-
-
 def _without_timing(report):
     report.pop("timing")
     report["config"].pop("out_dir")
@@ -892,8 +862,7 @@ def _without_timing(report):
 
 
 def test_search_jobs_2_matches_jobs_1(tmp_path):
-    # the workers fork from a process whose heap main has just frozen
-    gc.unfreeze()
+    # --jobs is kept for compatibility and changes nothing
     reports, files = [], []
     for jobs in ("1", "2"):
         out = str(tmp_path / ("jobs" + jobs))
@@ -904,7 +873,6 @@ def test_search_jobs_2_matches_jobs_1(tmp_path):
     files[0].pop("report.json")
     files[1].pop("report.json")
     assert files[0] == files[1]
-    assert gc.get_freeze_count() > 0
 
 
 @pytest.mark.parametrize("command", ["solve", "search", "refine"])
@@ -923,9 +891,9 @@ def test_hypothesis_violation_is_exit_2(tmp_path, capsys, command):
 @pytest.mark.parametrize(
     "command,error",
     [
-        ("solve", "no solution found: MaxItersExceeded: gradient norm inf "),
+        ("solve", "no solution found: ActionOverflow: the action's gradient overflows "),
         ("search", "found 0 candidates, wanted 3"),
-        ("refine", "coarse level (m=40): MaxItersExceeded: gradient norm inf "),
+        ("refine", "coarse level (m=40): ActionOverflow: the action's gradient overflows "),
     ],
     ids=["solve", "search", "refine"],
 )

@@ -7,11 +7,15 @@ from hypothesis import strategies as st
 
 from homoclinic.errors import InfeasibleGuess
 from homoclinic.grids import (
+    SCREEN_TOL,
     Grid,
     GridFunction,
+    _repin,
     from_values,
     h1_norm,
     random_smooth_function,
+    screen_gaps_sq,
+    shift_blocks,
     shift_gaps,
     shift_periods,
     zero_function,
@@ -25,6 +29,7 @@ from homoclinic.multiplicity import (
     search_distinct,
 )
 from homoclinic.potential import example_potential
+from homoclinic.solve import single_loop_attempt
 
 
 def entry(u, action=1.0):
@@ -235,6 +240,75 @@ def test_library_filled_by_append_matches_try_insert():
     assert np.array_equal(appended.distance_matrix(), _old_distance_matrix(appended))
 
 
+def _random_functions(grid, d, rng):
+    """Smooth and rough functions, a duplicate and a shifted copy."""
+    fs = [random_smooth_function(grid, d, rng) for _ in range(3)]
+    fs.append(from_values(grid, 0.3 * rng.standard_normal((grid.n, d))))
+    fs += [GridFunction(grid, fs[0].values), shift_periods(fs[1], 2)]
+    return fs
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_entry_blocks_extended_one_by_one_equal_all_at_once(d, monkeypatch):
+    # each entry is blocked once, when it is first asked for
+    import homoclinic.multiplicity as mult
+
+    blocked = []
+    real = mult.shift_blocks
+
+    def counted(functions):
+        blocked.extend(functions)
+        return real(functions)
+
+    monkeypatch.setattr(mult, "shift_blocks", counted)
+    g = Grid(period=1.0, nodes_per_period=40, half_periods=8)
+    fs = _random_functions(g, d, np.random.default_rng(d))
+    lib = SolutionLibrary()
+    for f in fs:
+        lib.entries.append(entry(f))
+        extended = lib.entry_blocks()
+    assert all(a is b for a, b in zip(extended.functions, fs, strict=True))
+    assert len(blocked) == len(fs)
+    whole = shift_blocks(fs)
+    for field in ("blocks", "norm_sq", "nodes", "first", "last"):
+        assert np.array_equal(getattr(extended, field), getattr(whole, field))
+
+
+def _einsum_screen(a, b):
+    """The two einsum contractions screen_gaps_sq ran before its BLAS
+    products, kept as the reference."""
+    ea, nb = a.blocks.shape[:2]
+    eb = b.blocks.shape[0]
+    h = a.grid.h
+    gram = np.einsum("ipw,jqw->ijpq", a.blocks.reshape(ea, nb, -1), b.blocks.reshape(eb, nb, -1))
+    p, q = np.indices((nb, nb))
+    select = np.zeros((nb, nb, 2 * nb + 1))
+    select[p, q, p - q + nb] = 1.0
+    diag = np.einsum("ijpq,pqk->ijk", gram, select)
+    fwd = diag + _repin(a.last, a.first, b.nodes) / h
+    rev = diag[..., ::-1] + _repin(b.last, b.first, a.nodes).transpose(1, 0, 2) / h
+    norm_a, norm_b = a.norm_sq[:, nb], b.norm_sq[:, nb]
+    return (
+        norm_a[:, None, None] + b.norm_sq[None] - 2.0 * fwd,
+        norm_b[None, :, None] + a.norm_sq[:, None] - 2.0 * rev,
+    )
+
+
+@pytest.mark.parametrize("m", [40, 160])
+@pytest.mark.parametrize("d", [2, 3])
+def test_screen_products_match_the_einsum_contraction(m, d):
+    # another summation order: equal within the screen's margin, not bitwise
+    g = Grid(period=1.0, nodes_per_period=m, half_periods=8)
+    rng = np.random.default_rng(m + d)
+    a = shift_blocks(_random_functions(g, d, rng))
+    b = shift_blocks(_random_functions(g, d, rng)[:2])
+    top = max(a.norm_sq.max(), b.norm_sq.max())
+    for x, y in ((a, b), (b, a), (a, a), (b, b)):
+        for blas, ref in zip(screen_gaps_sq(x, y), _einsum_screen(x, y)):
+            assert blas.shape == ref.shape
+            assert np.abs(blas - ref).max() <= SCREEN_TOL * top
+
+
 @pytest.mark.parametrize("m", [10, 40, 160])
 @pytest.mark.parametrize("d", [2, 3])
 def test_shift_gaps_match_the_per_shift_loop(m, d):
@@ -370,13 +444,13 @@ def test_ps_split_manufactured_pair(solved, library3):
 
 @pytest.mark.parametrize(
     "targets,calls,glues,last_phase",
-    [(1, 1, 0, 1), (7, 2, 5, 2), (9, 3, 6, 3)],
+    [(1, 1, 0, 1), (7, 1, 5, 2), (9, 2, 6, 3)],
     ids=["targets1", "targets7", "targets9"],
 )
 def test_search_phase1_is_lazy(pot, grid, cfg, monkeypatch, targets, calls, glues, last_phase):
-    # with one worker, the attempt stream stops as soon as the target is
-    # met: in phase 1 (one single-loop call), after the fifth glue (no
-    # phase-3 record), or at the phase-3 item
+    # the attempt stream stops as soon as the target is met: in phase 1,
+    # after the fifth glue (no phase-3 record), or at the phase-3 item.
+    # Phase 1 solves once; its second item is the first orbit's mirror
     import homoclinic.multiplicity as mult
 
     items = []
@@ -431,3 +505,55 @@ _LIBRARY9_SCHEDULE = [
 def test_search_runs_the_builtin_schedule(library9):
     log = [(rec.get("phase"), rec["outcome"], rec["schedule_item"]) for rec in library9.log]
     assert log == _LIBRARY9_SCHEDULE
+
+
+_MINUS = {"k0": 1.5, "orientation": -1, "phase": 1}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_mirror_is_the_solved_orientation_bitwise(grid, cfg, d):
+    # q on a coordinate axis: the reflection is a sign flip, exact in every
+    # kernel operation, so the image is the orbit the mirror item solves to
+    pot = example_potential(dimension=d)
+    lib = search_distinct(pot, grid, cfg, targets=2)
+    solved = single_loop_attempt(pot, grid, cfg, _MINUS)
+    mirror = lib.entries[1]
+    assert mirror.schedule_item == _MINUS
+    assert mirror.trajectory.values.tobytes() == solved.trajectory.values.tobytes()
+    assert (mirror.action, mirror.grad_norm, mirror.clearance) == (
+        solved.action,
+        solved.grad_norm,
+        solved.clearance,
+    )
+
+
+def test_mirror_off_axis_is_certified(grid, cfg):
+    pot = example_potential(q=[1.2, 1.6])
+    lib = search_distinct(pot, grid, cfg, targets=2)
+    solved = single_loop_attempt(pot, grid, cfg, _MINUS)
+    record = lib.log[1]
+    assert record["schedule_item"] == _MINUS
+    assert record["grad_norm"] <= cfg.grad_tol
+    assert record["action"] == pytest.approx(solved.action, rel=1e-9)
+
+
+def test_mirror_item_is_solved_when_the_first_fails(grid, cfg, monkeypatch):
+    # an overflowing well fails the first attempt: the mirror item is
+    # solved as before, and fails in its own record
+    import homoclinic.multiplicity as mult
+
+    items = []
+    real = mult.single_loop_attempt
+
+    def counted(*args):
+        items.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(mult, "single_loop_attempt", counted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lib = search_distinct(example_potential(a_base=1e300), grid, cfg, targets=3)
+    assert [item.get("orientation") for item in items] == [1, -1, None]
+    assert [rec["schedule_item"] for rec in lib.log] == items
+    for rec in lib.log:
+        assert rec["outcome"] == "failed"
+        assert rec["error"].startswith("ActionOverflow: ")
