@@ -164,14 +164,12 @@ def cmd_solve(cfg: RunConfig) -> int:
         csv_name = "solution.csv"
         write_trajectory_csv(os.path.join(cfg.out_dir, csv_name), cand.trajectory)
         report["candidate"] = _candidate_summary(cand, csv_name)
-        coarse = cand.e_stage.get("coarse")
-        first = "%d coarse E-stage (m=%d) + " % (coarse["iterations"], coarse["m"]) if coarse else ""
         e_iters = cand.e_stage["iterations"]
         polish = len(cand.history["polish_grad_norm"])
         print(
             "solution: action %.6f, grad norm %.3e, clearance %.4f, "
-            "iterations %s%d E-stage + %d descent + %d polish"
-            % (cand.action, cand.grad_norm, cand.clearance, first, e_iters, cand.iterations, polish)
+            "iterations %d E-stage + %d descent + %d polish"
+            % (cand.action, cand.grad_norm, cand.clearance, e_iters, cand.iterations, polish)
         )
         print("wrote %s and report.json in %s" % (csv_name, cfg.out_dir))
         return 0

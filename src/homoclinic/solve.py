@@ -16,23 +16,22 @@ column at the pinned node then removes its transverse part there, so the
 pinned node only moves along the ray.  Once the projected gradient is
 small the stage finishes with damped Newton steps on the block-tridiagonal
 action Hessian (solve_banded, block cyclic reduction), bordered by the ray
-constraint.  Above 40 nodes per period the stage is nested: it minimizes
-at m=40 first, and the fine stage starts from that minimizer, prolonged
-linearly, with the bordered Newton; a coarse stage that does not converge
-leaves the fine stage to start from the guess at m.
+constraint.
 
 The release is the same damped Newton without the ray constraint;
 polish_to_critical (the glue polish of multibump guesses) is that Newton
-alone, and continue_to_grid releases a solved orbit prolonged onto
-another resolution of its box.  Only when the release stalls above
-tolerance does monotone Armijo descent along the free L-BFGS direction
-restart from the constrained minimizer; it changes only the direction,
-never the accepted-value bookkeeping: action sequences stay monotone and
-iterates segment-feasible.
+alone.  Only when the release stalls above tolerance does monotone Armijo
+descent along the free L-BFGS direction restart from the constrained
+minimizer; it changes only the direction, never the accepted-value
+bookkeeping: action sequences stay monotone and iterates segment-feasible.
 Both Armijo loops step through _descent_step (the quasi-Newton step, or the
 plain H1 step when that fails) and one backtracking line search,
 _armijo_step, and both stop, not converged, once the action stalls
 (_stalled), so a solve that cannot converge fails early.
+
+Above 40 nodes per period an attempt runs at m=40 on the same box, and
+continue_to_grid carries its orbit to m: prolonged linearly, then
+released.  Only when the m=40 attempt fails does the attempt run at m.
 
 a is T-periodic, so every orbit comes with its whole-period translates,
 and a solve only chooses the crossing phase: single_loop_attempt takes its
@@ -239,8 +238,9 @@ class EStageResult:
 class HomoclinicCandidate:
     """One trajectory with its certificates.  history keeps
     "polish_grad_norm", the gradient norm after each accepted Newton step;
-    e_stage summarizes the constrained stage of the attempt that found it
-    (None when the candidate was continued or polished without one)."""
+    e_stage summarizes the constrained stage of the attempt that found it,
+    with "m" the node count per period the stage ran at (None when the
+    candidate was continued or polished outside an attempt)."""
 
     trajectory: GridFunction
     action: float
@@ -642,7 +642,6 @@ def minimize_over_E(
     constraint: ConstraintE,
     pot: PotentialSpec,
     cfg: SolverConfig,
-    newton_first: bool = False,
 ) -> EStageResult:
     """Minimize the action over the constraint class E_h.
 
@@ -658,13 +657,11 @@ def minimize_over_E(
     Once the projected gradient norm reaches _NEWTON_HANDOFF the stage
     finishes with _damped_newton along the ray (counted as newton_steps);
     if that stalls above grad_tol, Armijo resumes to grad_tol, the
-    iteration cap or a stall of the action.  With newton_first, for a
-    start already near the minimizer (one prolonged from a coarser grid),
-    the Newton runs at the first iterate whatever its norm.  Returns the
-    last iterate, with stop naming why the loop ended: "converged",
-    "stalled" (the action stopped falling), "max_iters" or "line_search"
-    (no trial accepted); the infimum estimate is the final value.  No
-    per-step history is kept.
+    iteration cap or a stall of the action.  Returns the last iterate,
+    with stop naming why the loop ended: "converged", "stalled" (the
+    action stopped falling), "max_iters" or "line_search" (no trial
+    accepted); the infimum estimate is the final value.  No per-step
+    history is kept.
     """
     grid = u0.grid
     j = constraint.node_index
@@ -682,7 +679,6 @@ def minimize_over_E(
     pre = H1Preconditioner(grid)
     column = pre.column(j)
     alpha = 1.0
-    handoff = math.inf if newton_first else _NEWTON_HANDOFF
     memory = _Memory()
     values = deque(maxlen=_STALL_STEPS + 1)
 
@@ -695,7 +691,7 @@ def minimize_over_E(
     for iters in range(1, cfg.max_iters + 1):
         g = kernel.gradient(p)
         pg_norm = _projected_grad_norm(grid, g, j, q, k, k_min)
-        if cfg.grad_tol < pg_norm <= handoff and not handed_off:
+        if cfg.grad_tol < pg_norm <= _NEWTON_HANDOFF and not handed_off:
             handed_off = True
             p, k, pg_norm, steps = _damped_newton(kernel, grid, p, cfg, (j, k, k_min))
             newton_steps = len(steps)
@@ -899,22 +895,8 @@ def _wrap_candidate(
     return cand
 
 
-# finer grids run the E-stage on this many nodes per period first
+# an attempt on a finer grid runs on this many nodes per period first
 _COARSE_M = 40
-
-
-def _coarse_stage(pot: PotentialSpec, grid: Grid, cfg: SolverConfig, shape: dict) -> EStageResult:
-    """The attempt's E-stage from its guess at _COARSE_M on grid's box."""
-    coarse = replace(grid, nodes_per_period=_COARSE_M)
-    constraint = ConstraintE(snap_center(coarse, shape["center"]), shape["k0"])
-    return minimize_over_E(initial_guess_bump(coarse, pot, **shape), constraint, pot, cfg)
-
-
-def _prolong(u: GridFunction, grid: Grid) -> GridFunction:
-    """u interpolated linearly, per component, onto the nodes of grid (same box)."""
-    return GridFunction(
-        grid, np.column_stack([np.interp(grid.times, u.grid.times, c) for c in u.values.T])
-    )
 
 
 def continue_to_grid(
@@ -922,14 +904,16 @@ def continue_to_grid(
 ) -> HomoclinicCandidate:
     """A solved orbit u continued onto grid, another resolution of its box.
 
-    u is prolonged linearly (_prolong) and released there by _release:
-    the free damped Newton, with Armijo descent only when the Newton
-    stalls.  This is one leg of nested iteration (Brandt, Math. Comp. 31
-    (1977)): refine's fine level is its coarse orbit continued, so both
-    levels are the same orbit.  The release's HomoclinicError propagates;
-    the candidate has no constrained stage and no schedule item.
+    u is interpolated linearly, per component, onto grid's nodes and
+    released there by _release: the free damped Newton, with Armijo
+    descent only when the Newton stalls.  This is the one prolongation of
+    nested iteration (Brandt, Math. Comp. 31 (1977)): single_loop_attempt
+    above _COARSE_M nodes per period and refine's fine level both continue
+    a coarser orbit.  The release's HomoclinicError propagates; the
+    candidate has no constrained stage and no schedule item.
     """
-    return _release(_prolong(u, grid), pot, cfg)
+    vals = np.column_stack([np.interp(grid.times, u.grid.times, c) for c in u.values.T])
+    return _release(GridFunction(grid, vals), pot, cfg)
 
 
 def single_loop_attempt(
@@ -946,38 +930,33 @@ def single_loop_attempt(
     grid.period, and an off-period center solves the translate that
     crosses in the central period.
 
-    Above _COARSE_M nodes per period the constrained stage is nested
-    (Brandt, Math. Comp. 31 (1977)): the guess is built and minimized over
-    E at _COARSE_M on the same box, and when that converges its
-    minimizer, prolonged linearly to grid and pinned at the coarse k,
-    starts the fine stage with the bordered Newton.
-    Otherwise the fine stage starts from the guess at grid, as at
-    _COARSE_M and below.  The candidate carries the constrained-stage
-    summary, with the coarse stage's under "coarse" when one ran, and the
-    item as given.
+    Above _COARSE_M nodes per period this is the attempt at _COARSE_M on
+    the same box, carried to grid by continue_to_grid with that attempt's
+    constrained-stage summary.  Only when that attempt raises a
+    HomoclinicError does this one run at grid, with the error text under
+    "coarse_error" in its summary.  The summary's "m" is the node count
+    per period its stage ran at; the candidate carries the item as given.
     """
+    coarse_error = None
+    if grid.nodes_per_period > _COARSE_M:
+        coarse_grid = replace(grid, nodes_per_period=_COARSE_M)
+        coarse, coarse_error, _ = run_attempt(single_loop_attempt, pot, coarse_grid, cfg, item)
+        if coarse is not None:
+            cand = continue_to_grid(coarse.trajectory, pot, grid, cfg)
+            cand.e_stage, cand.schedule_item = coarse.e_stage, coarse.schedule_item
+            return cand
     center = float(item.get("center", cfg.bump_center)) % grid.period
     k0 = float(item.get("k0", cfg.k0))
-    shape = {
-        "k0": k0,
-        "center": center,
-        "width": float(item.get("width", cfg.bump_width)),
-        "orientation": int(item.get("orientation", cfg.orientation)),
-        "eps_k": cfg.eps_k,
-    }
-    coarse = _coarse_stage(pot, grid, cfg, shape) if grid.nodes_per_period > _COARSE_M else None
-    nested = coarse is not None and coarse.converged
-    if nested:
-        start, k_start = _prolong(coarse.trajectory, grid), coarse.k
-    else:
-        start, k_start = initial_guess_bump(grid, pot, **shape), k0
-    constraint = ConstraintE(node_index=snap_center(grid, center), k=k_start)
-    e_res = minimize_over_E(start, constraint, pot, cfg, newton_first=nested)
+    width = float(item.get("width", cfg.bump_width))
+    sense = int(item.get("orientation", cfg.orientation))
+    guess = initial_guess_bump(grid, pot, k0, center, width, orientation=sense, eps_k=cfg.eps_k)
+    constraint = ConstraintE(node_index=snap_center(grid, center), k=k0)
+    e_res = minimize_over_E(guess, constraint, pot, cfg)
     cand = _release(e_res.trajectory, pot, cfg)
     cand.e_stage = {k: v for k, v in vars(e_res).items() if k != "trajectory"}
-    if coarse is not None:
-        keys = ("iterations", "newton_steps", "value", "converged", "stop")
-        cand.e_stage["coarse"] = {"m": _COARSE_M, **{k: getattr(coarse, k) for k in keys}}
+    cand.e_stage["m"] = grid.nodes_per_period
+    if coarse_error is not None:
+        cand.e_stage["coarse_error"] = coarse_error
     cand.schedule_item = dict(item)
     return cand
 

@@ -31,7 +31,13 @@ from homoclinic.grids import (
 )
 from homoclinic.multiplicity import LibraryEntry, SolutionLibrary, ps_split
 from homoclinic.potential import check_H2, check_H3, default_witness, example_potential
-from homoclinic.solve import solve_homoclinic
+from homoclinic.solve import (
+    ConstraintE,
+    initial_guess_bump,
+    minimize_over_E,
+    snap_center,
+    solve_homoclinic,
+)
 
 TIGHT = 1e-8  # gradient tolerance for the refinement pair
 
@@ -183,9 +189,15 @@ def test_criterion_05_discretization_order(pot, refined40, refined80, fixture_se
     assert drift <= 0.05
 
 
-def test_criterion_06_constrained_level_positive_and_stable(cfg, refined40, refined80):
+def test_criterion_06_constrained_level_positive_and_stable(pot, cfg, refined40):
+    # refined80 is refined40's level continued, so d_h at m=80 comes from
+    # its own E-stage, run from the guess at m=80
+    fine = Grid(period=1.0, nodes_per_period=80, half_periods=8)
+    tight = replace(cfg, grad_tol=TIGHT)
+    guess = initial_guess_bump(fine, pot, cfg.k0, cfg.bump_center, cfg.bump_width, eps_k=cfg.eps_k)
+    constraint = ConstraintE(snap_center(fine, cfg.bump_center), cfg.k0)
     d40 = refined40.e_stage["value"]
-    d80 = refined80.e_stage["value"]
+    d80 = minimize_over_E(guess, constraint, pot, tight).value
     rel = abs(d80 - d40) / abs(d40)
     k40 = refined40.e_stage["k"]
     released = k40 > 1.0 + cfg.eps_k / 2.0 or refined40.e_stage["constraint_active"]

@@ -642,49 +642,67 @@ def test_solve_summary_counts_polish(tmp_path, capsys):
 
 
 
-def test_solve_summary_counts_the_coarse_stage(tmp_path, capsys):
-    # above m=40 the E-stage runs at m=40 first; its minimizer, prolonged,
-    # leaves one fine iteration around the bordered Newton
+def _solve_above_m40(tmp_path, capsys, doc):
+    """The summary line and candidate of a solve above m=40, whose whole
+    attempt ran at m=40 and whose orbit was continued to m."""
     out = str(tmp_path / "run")
-    cfg = write_config(tmp_path, {"grid": {"m": 160}})
-    assert main(["solve", "--config", cfg, "--out", out]) == 0
-    line = capsys.readouterr().out.splitlines()[0]
+    assert main(["solve", "--config", write_config(tmp_path, doc), "--out", out]) == 0
+    candidate = load_report(out)["candidate"]
+    assert candidate["e_stage"]["m"] == 40 and candidate["e_stage"]["converged"]
+    assert "coarse_error" not in candidate["e_stage"]
+    return capsys.readouterr().out.splitlines()[0], candidate
+
+
+def test_solve_summary_counts_the_coarse_stage(tmp_path, capsys):
+    # above m=40 the E-stage counts are the m=40 stage's, and the polish
+    # count is the free Newton that continues its orbit to m
+    line, candidate = _solve_above_m40(tmp_path, capsys, {"grid": {"m": 160}})
     assert "action 27.316362" in line
-    assert line.endswith("iterations 7 coarse E-stage (m=40) + 1 E-stage + 0 descent + 0 polish")
-    e_stage = load_report(out)["candidate"]["e_stage"]
-    assert e_stage["coarse"] == {
-        "m": 40,
-        "iterations": 7,
-        "newton_steps": 4,
-        "value": pytest.approx(27.308803721782354, rel=0.0, abs=1e-8),
-        "converged": True,
-        "stop": "converged",
-    }
+    assert line.endswith("iterations 7 E-stage + 0 descent + 2 polish")
+    assert candidate["e_stage"]["value"] == pytest.approx(27.308803721782255, rel=0.0, abs=1e-8)
+
+
+def test_off_phase_solve_above_m40_runs_no_fine_descent(tmp_path, capsys):
+    # the off-phase alpha=3 orbit, continued from m=40, needs no Armijo
+    # descent on the fine grid
+    doc = {"potential": {"alpha": 3}, "grid": {"m": 160}, "solver": {"bump_center": 0.25}}
+    line, candidate = _solve_above_m40(tmp_path, capsys, doc)
+    assert "action 22.563443" in line
+    assert line.endswith("iterations 9 E-stage + 0 descent + 3 polish")
+    assert candidate["iterations"] == 0
 
 
 @pytest.mark.parametrize(
-    "doc,action,coarse_iterations",
+    "doc,action,m,coarse_error",
     [
-        ({"potential": {"a_base": 20}, "grid": {"m": 80}}, "80.685621", 113),
-        ({"potential": {"period": 4}, "grid": {"m": 160}}, "30.355095", 83),
+        (
+            {"potential": {"a_base": 20}, "grid": {"m": 80}},
+            "80.685621",
+            80,
+            "MaxItersExceeded: gradient norm ",
+        ),
+        (
+            {"potential": {"period": 4}, "grid": {"m": 160}},
+            "30.355095",
+            160,
+            "ConvergedToZero: iterate collapsed onto the trivial solution",
+        ),
     ],
     ids=["a_base20-m80", "period4-m160"],
 )
 def test_solve_starts_over_when_the_coarse_stage_stalls(
-    tmp_path, capsys, doc, action, coarse_iterations
+    tmp_path, capsys, doc, action, m, coarse_error
 ):
-    # neither E-stage converges at m=40 (both configs exit 3 at m=40): the
-    # stall test ends the coarse stage, and the attempt runs the E-stage at
-    # m from the guess, as on a grid of m=40 or below, and solves
+    # neither config solves at m=40 (both exit 3 there, once the E-stage
+    # stalls): the attempt starts over from the guess at the grid's m
     out = str(tmp_path / "run")
     assert main(["solve", "--config", write_config(tmp_path, doc), "--out", out]) == 0
     line = capsys.readouterr().out.splitlines()[0]
     assert "action %s" % action in line
-    assert "iterations %d coarse E-stage (m=40) + " % coarse_iterations in line
     report = load_report(out)
-    coarse = report["candidate"]["e_stage"]["coarse"]
-    assert (coarse["m"], coarse["iterations"], coarse["converged"]) == (40, coarse_iterations, False)
-    assert coarse["stop"] == "stalled"
+    e_stage = report["candidate"]["e_stage"]
+    assert e_stage["m"] == m and e_stage["converged"]
+    assert e_stage["coarse_error"].startswith(coarse_error)
     assert report["timing"]["solve"] < 2.0
 
 

@@ -71,7 +71,7 @@ _SKIPPED = {"sha256", "nearest_index"}
 # gradient norm or residual, or a stalled loop's iteration count
 _NUMBER = re.compile(r"[-+]?\d+(?:\.\d+)?(?:e[-+]?\d+)?|\binf\b")
 _NOISY_PRINTED = re.compile(r"(?:grad norm|gradient norm|stencil residual)\s*#")
-_STALLED_PRINTED = re.compile(r"# coarse E-stage|# iterations \(descent stop: stalled\)")
+_STALLED_PRINTED = re.compile(r"# iterations \(descent stop: stalled\)")
 
 
 def _ladder():
@@ -106,7 +106,7 @@ COMMANDS = [
     ("search-d3", ["search"], {"potential": {"dimension": 3}}),
     ("solve-a_amp0", ["solve"], {"potential": {"a_amp": 0}}),
     ("search-a_amp0", ["search"], {"potential": {"a_amp": 0}}),
-    # no orbit the solver reaches at m=40 (exit 3); the m=80 stage starts over
+    # no orbit the solver reaches at m=40 (exit 3); finer grids solve directly
     ("solve-a_base20-m40", ["solve"], {"potential": {"a_base": 20}}),
     ("solve-a_base20-m80", ["solve"], {"potential": {"a_base": 20}, "grid": {"m": 80}}),
     ("solve-period4-m160", ["solve"], {"potential": {"period": 4}, "grid": {"m": 160}}),

@@ -421,12 +421,12 @@ def test_armijo_steps_never_raise_the_action(grid, cfg, monkeypatch):
 
 
 def _fine_pipeline(pot, grid, cfg, item):
-    """The attempt without a coarse stage: guess, E-stage and release at m."""
+    """The attempt run directly at m: guess, E-stage and release there."""
     center, k0 = item["center"], item.get("k0", cfg.k0)
     guess = initial_guess_bump(grid, pot, k0=k0, center=center, width=item.get("width", cfg.bump_width))
     constraint = ConstraintE(node_index=snap_center(grid, center), k=k0)
     e_res = solve.minimize_over_E(guess, constraint, pot, cfg)
-    return e_res, solve._release(e_res.trajectory, pot, cfg)
+    return solve._release(e_res.trajectory, pot, cfg)
 
 
 @pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0])
@@ -434,47 +434,31 @@ def _fine_pipeline(pot, grid, cfg, item):
     "item", [{"center": 0.0}, {"center": 0.5, "width": 2.0, "k0": 1.35}], ids=["c0", "c1/2"]
 )
 def test_nested_attempt_matches_the_fine_pipeline(cfg, monkeypatch, alpha, item):
-    # at m=160 the attempt minimizes over E at m=40 first; from the
-    # prolonged minimizer the fine E-stage is its bordered Newton alone,
-    # and the orbit is the one the fine pipeline finds
+    # at m=160 the attempt runs whole at m=40 and continues that orbit to
+    # m=160 with the free Newton; the attempt run directly at m=160 finds
+    # the same orbit
     grid = Grid(nodes_per_period=160)
     pot = example_potential(alpha=alpha)
+    ref = _fine_pipeline(pot, grid, cfg, item)
     stages = []
     minimize = solve.minimize_over_E
 
-    def spying(u0, *args, **kwargs):
+    def spying(u0, *args):
         stages.append(u0.grid.nodes_per_period)
-        return minimize(u0, *args, **kwargs)
+        return minimize(u0, *args)
 
     monkeypatch.setattr(solve, "minimize_over_E", spying)
-    e_ref, ref = _fine_pipeline(pot, grid, cfg, item)
     cand = solve.single_loop_attempt(pot, grid, cfg, item)
-    assert sorted(stages) == [40, 160, 160]
+    assert stages == [40]
+    assert cand.trajectory.grid == grid
     assert abs(cand.action - ref.action) <= 1e-8
-    assert abs(cand.e_stage["value"] - e_ref.value) <= 1e-8
-    assert np.abs(cand.trajectory.values - ref.trajectory.values).max() <= 1e-6
-    assert cand.e_stage["converged"] and cand.e_stage["iterations"] <= 2
-    assert cand.e_stage["coarse"]["m"] == 40 and cand.e_stage["coarse"]["converged"]
-
-
-@pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0])
-@pytest.mark.parametrize("shape", [{}, {"bump_center": 0.5, "k0": 1.35}], ids=["c0", "c1/2"])
-def test_continued_orbit_matches_the_direct_solve(cfg, alpha, shape):
-    # the m=40 orbit, prolonged to m=160 and released there by the free
-    # Newton, is the orbit the full attempt at m=160 finds
-    pot = example_potential(alpha=alpha)
-    cfg = replace(cfg, **shape)
-    coarse = solve_homoclinic(pot, Grid(nodes_per_period=40), cfg)
-    fine = Grid(nodes_per_period=160)
-    cand = solve.continue_to_grid(coarse.trajectory, pot, fine, cfg)
-    ref = solve_homoclinic(pot, fine, cfg)
-    assert cand.trajectory.grid == fine
-    assert abs(cand.action - ref.action) <= 1e-12
     # at alpha=3 the Hessian's soft eigenvalue, near 3e-5, lets two solves
-    # stopped at grad_tol 1e-6 sit 2.3e-6 apart at c=1/2
+    # stopped at grad_tol 1e-6 sit 2.4e-6 apart at c=1/2
     assert np.abs(cand.trajectory.values - ref.trajectory.values).max() <= 1e-5
+    assert cand.e_stage["m"] == 40 and cand.e_stage["converged"]
+    assert "coarse_error" not in cand.e_stage and cand.schedule_item == item
     assert cand.iterations == 0 and 1 <= len(cand.history["polish_grad_norm"]) <= 5
-    assert cand.e_stage is None and cand.grad_norm <= cfg.grad_tol
+    assert cand.grad_norm <= cfg.grad_tol
 
 
 # the default search library at m=40, alpha=2, targets=9, in insertion order
