@@ -461,6 +461,28 @@ def test_nested_attempt_matches_the_fine_pipeline(cfg, monkeypatch, alpha, item)
     assert cand.grad_norm <= cfg.grad_tol
 
 
+@pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("shape", [{}, {"bump_center": 0.5, "k0": 1.35}], ids=["c0", "c1/2"])
+def test_continued_orbit_matches_the_direct_solve(cfg, alpha, shape):
+    # refine's fine level: the m=40 orbit, prolonged to m=160 and released
+    # there by the free Newton, is the orbit the attempt run directly at
+    # m=160 finds
+    pot = example_potential(alpha=alpha)
+    cfg = replace(cfg, **shape)
+    coarse = solve_homoclinic(pot, Grid(nodes_per_period=40), cfg)
+    fine = Grid(nodes_per_period=160)
+    cand = solve.continue_to_grid(coarse.trajectory, pot, fine, cfg)
+    item = {"center": cfg.bump_center, "k0": cfg.k0, "width": cfg.bump_width}
+    ref = _fine_pipeline(pot, fine, cfg, item)
+    assert cand.trajectory.grid == fine
+    assert abs(cand.action - ref.action) <= 1e-12
+    # at alpha=3 the Hessian's soft eigenvalue, near 3e-5, lets two solves
+    # stopped at grad_tol 1e-6 sit 2.4e-6 apart at c=1/2
+    assert np.abs(cand.trajectory.values - ref.trajectory.values).max() <= 1e-5
+    assert cand.iterations == 0 and 1 <= len(cand.history["polish_grad_norm"]) <= 5
+    assert cand.e_stage is None and cand.grad_norm <= cfg.grad_tol
+
+
 # the default search library at m=40, alpha=2, targets=9, in insertion order
 _LIBRARY9_ACTIONS = [
     27.308803721782354,
