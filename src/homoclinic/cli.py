@@ -106,7 +106,6 @@ def _candidate_summary(cand, csv_name: str) -> dict:
         "grad_norm": cand.grad_norm,
         "clearance": cand.clearance,
         "residual": asdict(cand.residual),
-        "crossing": cand.crossing,
         "iterations": cand.iterations,
         "alpha_gap": cand.alpha_gap,
         "e_stage": cand.e_stage,
@@ -135,7 +134,7 @@ def _reported(cfg: RunConfig, command: str, timing_key: str, body) -> int:
     report = {
         "command": command,
         "config": cfg.echo(),
-        "hypotheses": {name: dict(asdict(rep), passed=True) for name, _, rep, _ in rows},
+        "hypotheses": {name: dict(rep, passed=True) for name, _, rep, _ in rows},
     }
     t1 = time.perf_counter()
     # an overflowing trial is rejected by the kernel, not reported by numpy

@@ -11,8 +11,8 @@ class HomoclinicError(Exception):
 
 
 class HypothesisViolation(HomoclinicError):
-    """A structural hypothesis on a(t), W or a witness failed; report holds
-    the failing row's margins."""
+    """A structural hypothesis on a(t), W or a witness failed; report is
+    the failing row's dict of margins, keyed as report.json prints them."""
 
     def __init__(self, message, report=None):
         super().__init__(message)

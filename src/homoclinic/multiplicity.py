@@ -21,9 +21,9 @@ blocking only the entries appended since its last use, so entries
 appended to lib.entries directly are covered as well.
 
 The search schedule is written once, as the ordered attempt stream
-_attempts: one single-loop solve at crossing phase 0 and its mirror
-image under a reflection that fixes q (the other winding sense,
-certified by the Newton polish instead of solved again), pairwise sums
+_attempts: one single-loop solve at crossing phase 0 and, when it
+succeeds, its mirror image under a reflection that fixes q (the other
+winding sense, certified by the Newton polish), pairwise sums
 of found solutions at decreasing separations, and one single-loop guess
 at crossing phase 1/2.  Every attempt runs through solve.run_attempt,
 which turns a failed attempt into an error text, and only when asked
@@ -391,21 +391,20 @@ def _attempts(pot: PotentialSpec, grid: Grid, cfg: SolverConfig, lib: SolutionLi
     crossing heights re-find the same orbits.  Phase 1 is one solve and
     its reflection: a single-loop guess at phase 0 and height 1.5 (clamped
     at k_min) winding in the + sense, then the - sense item, taken as the
-    first orbit's mirror image (_mirrored), or solved when the first
-    attempt failed.  Phase 2 reads lib.entries once phase 1 is recorded
-    and glues pairs (0, 0) and (0, 1) at separations 6, 5 and 4, polished
-    by Newton alone so the two bumps keep their positions.  Phase 3 is one
-    single-loop guess at phase 1/2 and height 1.35 (clamped at k_min).
+    first orbit's mirror image (_mirrored), and only when the first
+    attempt succeeds: R maps the - guess onto the + guess and the solver
+    commutes with R, so a solve of it would fail the same way.  Phase 2
+    reads lib.entries once phase 1 is recorded and glues pairs (0, 0) and
+    (0, 1) at separations 6, 5 and 4, polished by Newton alone so the two
+    bumps keep their positions.  Phase 3 is one single-loop guess at phase
+    1/2 and height 1.35 (clamped at k_min).
     """
     one_loop = partial(run_attempt, single_loop_attempt, pot, grid, cfg)
     plus, minus = ({"k0": max(1.5, cfg.k_min), "orientation": o, "phase": 1} for o in (1, -1))
     first = one_loop(plus)
     yield plus, first, 1
-    cand = first[0]
-    if cand is None:
-        yield minus, one_loop(minus), 1
-    else:
-        yield minus, run_attempt(_mirrored, cand, pot, cfg, minus), 1
+    if first[0] is not None:
+        yield minus, run_attempt(_mirrored, first[0], pot, cfg, minus), 1
 
     # pair gluing converges with Newton polish alone: monotone action
     # descent from a glued sum slides down the unwinding canyon opened by

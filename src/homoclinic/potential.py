@@ -19,11 +19,12 @@ check_H3, check_H4, check_W_negativity) rather than at construction time so
 that a deliberately broken spec can still be built and then diagnosed.
 For this family each row's margin has a closed form in alpha, |q|, a_base,
 a_amp and the witness radii r and R0 = 4|q|, so the gate is exact over
-its ranges and samples nothing.  The table _HYPOTHESES lists the rows in
-gate order, each with its own margin text.  run_hypotheses is its one
-runner and the one gate: the `check` command prints its rows and the CLI
-runs it once before solve, search and refine.  The solvers themselves do
-not check the hypotheses.
+its ranges and samples nothing.  Each check returns its margins as the
+dict that report.json prints, and a violation carries the same dict.  The
+table _HYPOTHESES lists the rows in gate order, each with the format of
+its margin text.  run_hypotheses is its one runner and the one gate: the
+`check` command prints its rows and the CLI runs it once before solve,
+search and refine.  The solvers themselves do not check the hypotheses.
 """
 
 from __future__ import annotations
@@ -160,47 +161,27 @@ def default_witness(spec: PotentialSpec) -> StrongForceWitness:
     return StrongForceWitness(r=WITNESS_RADIUS, R0=4.0 * spec.q_norm)
 
 
-@dataclass(frozen=True)
-class CoefficientReport:
-    min_a: float
-    max_a: float
-
-
-def check_A(spec: PotentialSpec) -> CoefficientReport:
+def check_A(spec: PotentialSpec) -> dict:
     """a(t) ranges over a_base -+ |a_amp|; its minimum must be positive."""
     amp = abs(spec.a_amp)
-    report = CoefficientReport(spec.a_base - amp, spec.a_base + amp)
-    if report.min_a <= 0.0:
-        msg = "coefficient a(t) is not positive: min %.6g" % report.min_a
+    report = {"min_a": spec.a_base - amp, "max_a": spec.a_base + amp}
+    if report["min_a"] <= 0.0:
+        msg = "coefficient a(t) is not positive: min %.6g" % report["min_a"]
         raise HypothesisViolation(msg, report)
     return report
 
 
-@dataclass(frozen=True)
-class PinchingReport:
-    eigen_min: float
-    eigen_max: float
-    alpha0: float
-    alpha1: float
-
-
-def check_H2(spec: PotentialSpec) -> PinchingReport:
+def check_H2(spec: PotentialSpec) -> dict:
     """The Hessian of W at the origin, -2|q|^(-alpha) I: d equal eigenvalues.
 
     They are negative for every well of the family.  Reports alpha0 =
     -eigen_min and alpha1 = -eigen_max (the quadratic pinching constants).
     """
     eig = -2.0 * spec.q_norm ** (-spec.alpha)
-    return PinchingReport(eigen_min=eig, eigen_max=eig, alpha0=-eig, alpha1=-eig)
+    return {"eigen_min": eig, "eigen_max": eig, "alpha0": -eig, "alpha1": -eig}
 
 
-@dataclass(frozen=True)
-class BarrierReport:
-    min_margin: float
-    radius: float
-
-
-def check_H3(spec: PotentialSpec, witness: StrongForceWitness) -> BarrierReport:
+def check_H3(spec: PotentialSpec, witness: StrongForceWitness) -> dict:
     """Strong-force inequality W(u) <= -|grad U(u)|^2 on 1e-4 r <= |u - q| <= r.
 
     With s = |u - q|, |grad U|^2 = c^2 s^(-alpha), c = 1 at alpha = 2 and
@@ -221,21 +202,14 @@ def check_H3(spec: PotentialSpec, witness: StrongForceWitness) -> BarrierReport:
     # a complex or out-of-range root only adds a point of the range
     s = np.clip(np.concatenate(([1e-4 * r, r], roots.real)), 1e-4 * r, r)
     margin = float(np.min(s ** (-alpha) * ((qn - s) ** 2 - c2)))
-    report = BarrierReport(min_margin=margin, radius=r)
+    report = {"min_margin": margin, "radius": r}
     if margin < 0.0:
         msg = "strong-force barrier fails near q: min margin %.6g" % margin
         raise HypothesisViolation(msg, report)
     return report
 
 
-@dataclass(frozen=True)
-class FarFieldReport:
-    min_margin: float
-    min_growth: float
-    R0: float
-
-
-def check_H4(spec: PotentialSpec, witness: StrongForceWitness) -> FarFieldReport:
+def check_H4(spec: PotentialSpec, witness: StrongForceWitness) -> dict:
     """Far-field inequality W <= -|grad U_inf|^2 on R0 <= |u| <= 64 R0, and growth.
 
     With rho = |u|, |grad U_inf|^2 = k rho^(2-alpha), k = b^2/4 for
@@ -244,9 +218,10 @@ def check_H4(spec: PotentialSpec, witness: StrongForceWitness) -> FarFieldReport
     m(rho) = rho^2 (rho + |q|)^(-alpha) - k rho^(2-alpha).  m increases at
     alpha = 2; above, it rises to one maximum and then decays, so either
     way its minimum lies at an end of the range.  The growth is the
-    increment of |U_inf| from R0 to the next of 16 geometric shells out to
-    64 R0: U_inf is radial, and its increments over those shells are
-    smallest at the first.
+    increment of U_inf from R0 to the next of 16 geometric shells out to
+    64 R0, R0^b expm1(b ln c) / 2 with c = 64^(1/15) (ln(c) / 2 at 4),
+    positive even as b -> 0: U_inf is radial and increasing, and its
+    increments over those shells are smallest at the first.
     """
     R0 = witness.R0
     qn = spec.q_norm
@@ -255,10 +230,9 @@ def check_H4(spec: PotentialSpec, witness: StrongForceWitness) -> FarFieldReport
     k = 0.25 if alpha == 4.0 else b * b / 4.0
     rho = np.array([R0, 64.0 * R0])
     margin = float(np.min(rho * rho * (rho + qn) ** (-alpha) - k * rho ** (2.0 - alpha)))
-    ends = R0 * np.array([1.0, 64.0 ** (1.0 / 15.0)])  # the first two of 16 shells
-    u_inf = np.abs(np.log(ends) / 2.0 if alpha == 4.0 else ends ** b / 2.0)
-    growth = float(u_inf[1] - u_inf[0])
-    report = FarFieldReport(min_margin=margin, min_growth=growth, R0=R0)
+    log_c = math.log(64.0) / 15.0  # ln of the ratio of consecutive shells
+    growth = log_c / 2.0 if alpha == 4.0 else R0**b / 2.0 * math.expm1(b * log_c)
+    report = {"min_margin": margin, "min_growth": growth, "R0": R0}
     if margin < 0.0:
         raise HypothesisViolation("far-field domination fails: min margin %.6g" % margin, report)
     if growth <= 0.0:
@@ -267,42 +241,37 @@ def check_H4(spec: PotentialSpec, witness: StrongForceWitness) -> FarFieldReport
     return report
 
 
-@dataclass(frozen=True)
-class NegativityReport:
-    max_ratio: float
-    radius: float
-
-
-def check_W_negativity(spec: PotentialSpec) -> NegativityReport:
+def check_W_negativity(spec: PotentialSpec) -> dict:
     """W(u) / |u|^2 = -|u - q|^(-alpha), negative for every u off {0, q}.
 
     Reports the ratio's maximum over 0 < |u| <= 4|q| (out to the far-field
     radius), -(5|q|)^(-alpha) at u = -4q.
     """
     radius = 4.0 * spec.q_norm
-    return NegativityReport(max_ratio=-((radius + spec.q_norm) ** (-spec.alpha)), radius=radius)
+    return {"max_ratio": -((radius + spec.q_norm) ** (-spec.alpha)), "radius": radius}
 
 
 # The hypothesis table in gate order: (name, description, check, margin).  A
-# check takes the potential and its strong-force witness and returns a report
-# or raises HypothesisViolation; margin renders a passing report.  The
-# lambdas look the checks up by name at call time, so wrappers installed on
-# this module see every call.
+# check takes the potential and its strong-force witness and returns its
+# report, the dict of margins that report.json prints, or raises
+# HypothesisViolation; margin is the format string that renders a passing
+# report.  The lambdas look the checks up by name at call time, so wrappers
+# installed on this module see every call.
 _HYPOTHESES = (
     ("A", "a(t) > 0 and periodic", lambda pot, wit: check_A(pot),
-     lambda r: "a in [%.6g, %.6g]" % (r.min_a, r.max_a)),
+     "a in [%(min_a).6g, %(max_a).6g]"),
     ("H2", "negative pinched Hessian at 0", lambda pot, wit: check_H2(pot),
-     lambda r: "eigenvalues in [%.6g, %.6g]" % (r.eigen_min, r.eigen_max)),
+     "eigenvalues in [%(eigen_min).6g, %(eigen_max).6g]"),
     ("H3", "strong-force barrier near q", lambda pot, wit: check_H3(pot, wit),
-     lambda r: "min margin %.3e inside radius %.3g" % (r.min_margin, r.radius)),
+     "min margin %(min_margin).3e inside radius %(radius).3g"),
     ("H4", "far-field domination and growth", lambda pot, wit: check_H4(pot, wit),
-     lambda r: "min margin %.3e, min growth %.3e" % (r.min_margin, r.min_growth)),
+     "min margin %(min_margin).3e, min growth %(min_growth).3e"),
     ("W<0", "W negative away from 0", lambda pot, wit: check_W_negativity(pot),
-     lambda r: "max W/|u|^2 %.3e on |u| <= %.3g" % (r.max_ratio, r.radius)),
+     "max W/|u|^2 %(max_ratio).3e on |u| <= %(radius).3g"),
 )
 
 
-def run_hypotheses(pot: PotentialSpec) -> list[tuple[str, str, Optional[object], str]]:
+def run_hypotheses(pot: PotentialSpec) -> list[tuple[str, str, Optional[dict], str]]:
     """Run every table row on pot, in gate order.
 
     Returns (name, description, report, detail) rows: a passing row has
@@ -318,7 +287,7 @@ def run_hypotheses(pot: PotentialSpec) -> list[tuple[str, str, Optional[object],
         except HypothesisViolation as exc:
             rows.append((name, description, None, str(exc)))
         else:
-            rows.append((name, description, report, margin(report)))
+            rows.append((name, description, report, margin % report))
     return rows
 
 

@@ -239,15 +239,15 @@ class HomoclinicCandidate:
     """One trajectory with its certificates.  history keeps
     "polish_grad_norm", the gradient norm after each accepted Newton step;
     e_stage summarizes the constrained stage of the attempt that found it,
-    with "m" the node count per period the stage ran at (None when the
-    candidate was continued or polished outside an attempt)."""
+    with "m" the node count per period the stage ran at and "node" the
+    node it pinned to the ray, on that grid (None when the candidate was
+    continued or polished outside an attempt)."""
 
     trajectory: GridFunction
     action: float
     grad_norm: float
     residual: ResidualReport
     clearance: float
-    crossing: Optional[tuple[int, float]]
     iterations: int
     alpha_gap: Optional[float] = None
     e_stage: Optional[dict] = None
@@ -727,22 +727,6 @@ def minimize_over_E(
     )
 
 
-def _detect_crossing(u: GridFunction, pot: PotentialSpec) -> Optional[tuple[int, float]]:
-    """Node sitting on the ray {k q : k > 1}, if any."""
-    q = pot.q
-    qn = pot.q_norm
-    qh = q / qn
-    along = u.values @ qh
-    perp = u.values - np.outer(along, qh)
-    perp_norm = np.sqrt(np.sum(perp * perp, axis=1))
-    on_ray = (perp_norm <= 1e-8 * qn) & (along > qn)
-    idx = np.nonzero(on_ray)[0]
-    if len(idx) == 0:
-        return None
-    best = idx[np.argmin(perp_norm[idx])]
-    return int(best), float(along[best] / qn)
-
-
 def descend_to_critical(
     u0: GridFunction,
     pot: PotentialSpec,
@@ -873,14 +857,12 @@ def _wrap_candidate(
             "the action's gradient overflows at the last accepted iterate (after %d iterations)"
             % iters
         )
-    u = GridFunction(grid, p.values)
     cand = HomoclinicCandidate(
-        trajectory=u,
+        trajectory=GridFunction(grid, p.values),
         action=float(p.value),
         grad_norm=float(grad_norm(grid, kernel.gradient(p))),
         residual=stencil_residual(kernel, grid, p),
         clearance=float(p.clearance),
-        crossing=_detect_crossing(u, pot),
         iterations=iters,
         history=history,
     )
@@ -935,7 +917,8 @@ def single_loop_attempt(
     constrained-stage summary.  Only when that attempt raises a
     HomoclinicError does this one run at grid, with the error text under
     "coarse_error" in its summary.  The summary's "m" is the node count
-    per period its stage ran at; the candidate carries the item as given.
+    per period its stage ran at and "node" the node it pinned, indexed on
+    that grid; the candidate carries the item as given.
     """
     coarse_error = None
     if grid.nodes_per_period > _COARSE_M:
@@ -955,6 +938,7 @@ def single_loop_attempt(
     cand = _release(e_res.trajectory, pot, cfg)
     cand.e_stage = {k: v for k, v in vars(e_res).items() if k != "trajectory"}
     cand.e_stage["m"] = grid.nodes_per_period
+    cand.e_stage["node"] = constraint.node_index
     if coarse_error is not None:
         cand.e_stage["coarse_error"] = coarse_error
     cand.schedule_item = dict(item)

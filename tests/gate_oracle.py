@@ -84,12 +84,12 @@ def barrier_margin(well, r, seed=0):
 
 
 def far_field(well, R0, seed=1):
-    """(least sampled margin, least increment of |U_inf|) over R0 <= |u| <= 64 R0."""
+    """(least sampled margin, least increment of U_inf) over R0 <= |u| <= 64 R0."""
     dirs = _unit_sphere(np.random.default_rng(seed), DIRECTIONS, well.dimension)
     rho = np.geomspace(R0, 64.0 * R0, SHELLS)[:, None]
     margin = float((-eval_W(well, rho[..., None] * dirs) - _grad_u_far_sq(well.alpha, rho)).min())
     # the increments between the 16 shells of the old probe
-    growth = float(np.diff(np.abs(_u_far(well.alpha, np.geomspace(R0, 64.0 * R0, 16)))).min())
+    growth = float(np.diff(_u_far(well.alpha, np.geomspace(R0, 64.0 * R0, 16))).min())
     return margin, growth
 
 

@@ -96,19 +96,19 @@ def test_criterion_02_hypothesis_checker_exactness():
         pot = example_potential(alpha=alpha)
         rep = check_H2(pot)
         eigs = gate_oracle.hessian_eigenvalues(pot)
-        worst = max(worst, abs(rep.eigen_min - eigs[0]), abs(rep.eigen_max - eigs[-1]))
+        worst = max(worst, abs(rep["eigen_min"] - eigs[0]), abs(rep["eigen_max"] - eigs[-1]))
     pot = example_potential(alpha=2.0)
     barrier = check_H3(pot, default_witness(pot))
-    sampled = gate_oracle.barrier_margin(pot, barrier.radius)
-    ok = worst <= 1e-4 and 0.0 <= barrier.min_margin <= sampled and barrier.radius == 0.1
+    sampled = gate_oracle.barrier_margin(pot, barrier["radius"])
+    ok = worst <= 1e-4 and 0.0 <= barrier["min_margin"] <= sampled and barrier["radius"] == 0.1
     report(
         2,
         ok,
         "eigenvalue error %.2e <= 1e-4 for alpha in {2,3,4}; log-witness margin %.3e "
-        "(sampled %.3e) at r=0.1" % (worst, barrier.min_margin, sampled),
+        "(sampled %.3e) at r=0.1" % (worst, barrier["min_margin"], sampled),
     )
     assert worst <= 1e-4
-    assert 0.0 <= barrier.min_margin <= sampled
+    assert 0.0 <= barrier["min_margin"] <= sampled
 
 
 def test_criterion_03_translation_invariance(pot, grid):

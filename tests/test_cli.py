@@ -141,8 +141,9 @@ def test_commands_never_shift_by_whole_periods(tmp_path, command, doc):
     # the crossing phase c is chosen once, at the guess, modulo the period,
     # and no stage moves an iterate by whole periods afterwards: every
     # single-loop orbit a command writes peaks in the period centred on c,
-    # and solve's crossing node lies there too (glued entries are placed
-    # by their separation, so the search checks its phase-1 and 3 entries)
+    # and solve's pinned node, on its stage's grid, lies there too (glued
+    # entries are placed by their separation, so the search checks its
+    # phase-1 and 3 entries)
     out = tmp_path / "run"
     assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
     report = load_report(str(out))
@@ -160,8 +161,9 @@ def test_commands_never_shift_by_whole_periods(tmp_path, command, doc):
         orbits = [("solution_coarse.csv", c), ("solution_fine.csv", c)]
     else:
         orbits = [("solution.csv", c)]
-        node, _ = report["candidate"]["crossing"]
-        assert central(cfg.grid.times[node], c)
+        e_stage = report["candidate"]["e_stage"]
+        stage_grid = replace(cfg.grid, nodes_per_period=e_stage["m"])
+        assert central(stage_grid.times[e_stage["node"]], c)
     assert len(orbits) >= 1
     for csv, center in orbits:
         data = np.loadtxt(out / csv, delimiter=",", skiprows=1)

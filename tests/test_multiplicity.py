@@ -537,9 +537,9 @@ def test_mirror_off_axis_is_certified(grid, cfg):
     assert record["action"] == pytest.approx(solved.action, rel=1e-9)
 
 
-def test_mirror_item_is_solved_when_the_first_fails(grid, cfg, monkeypatch):
-    # an overflowing well fails the first attempt: the mirror item is
-    # solved as before, and fails in its own record
+def test_mirror_item_is_skipped_when_the_first_fails(grid, cfg, monkeypatch):
+    # an overflowing well fails the first attempt: the mirror item maps
+    # onto it under R, so it is not solved again; phase 3 is still tried
     import homoclinic.multiplicity as mult
 
     items = []
@@ -552,7 +552,8 @@ def test_mirror_item_is_solved_when_the_first_fails(grid, cfg, monkeypatch):
     monkeypatch.setattr(mult, "single_loop_attempt", counted)
     with np.errstate(over="ignore", invalid="ignore"):
         lib = search_distinct(example_potential(a_base=1e300), grid, cfg, targets=3)
-    assert [item.get("orientation") for item in items] == [1, -1, None]
+    assert [item.get("orientation") for item in items] == [1, None]
+    assert [item["phase"] for item in items] == [1, 3]
     assert [rec["schedule_item"] for rec in lib.log] == items
     for rec in lib.log:
         assert rec["outcome"] == "failed"

@@ -3,6 +3,8 @@
 import gate_oracle
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from homoclinic.errors import HypothesisViolation, SingularityProximity
 from homoclinic.potential import (
@@ -95,8 +97,8 @@ def test_hessian_at_zero_closed_form(alpha):
     H = eval_hessW(pot, np.zeros(2))
     assert np.allclose(H, expected * np.eye(2), atol=1e-12)
     rep = check_H2(pot)
-    assert rep.eigen_min == pytest.approx(expected, abs=1e-4)
-    assert rep.eigen_max == pytest.approx(expected, abs=1e-4)
+    assert rep["eigen_min"] == pytest.approx(expected, abs=1e-4)
+    assert rep["eigen_max"] == pytest.approx(expected, abs=1e-4)
 
 
 def test_hessian_matches_gradient_differences():
@@ -142,27 +144,27 @@ def test_check_A_rejects_sign_change():
 
 def test_check_A_constant_coefficient():
     rep = check_A(example_potential(a_base=2.0, a_amp=0.0, period=1.0))
-    assert rep.min_a == pytest.approx(2.0, abs=1e-12)
-    assert rep.max_a == pytest.approx(2.0, abs=1e-12)
+    assert rep["min_a"] == pytest.approx(2.0, abs=1e-12)
+    assert rep["max_a"] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_check_A_accepts_default():
     rep = check_A(example_potential(a_base=2.0, a_amp=1.0, period=1.0))
-    assert rep.min_a == pytest.approx(1.0, abs=1e-4)
-    assert rep.max_a == pytest.approx(3.0, abs=1e-4)
+    assert rep["min_a"] == pytest.approx(1.0, abs=1e-4)
+    assert rep["max_a"] == pytest.approx(3.0, abs=1e-4)
 
 
 def test_check_H2_dimension_three():
     pot = example_potential(dimension=3, alpha=2.0)
     rep = check_H2(pot)
-    assert rep.eigen_min == pytest.approx(-0.5, abs=1e-4)
-    assert rep.eigen_max == pytest.approx(-0.5, abs=1e-4)
+    assert rep["eigen_min"] == pytest.approx(-0.5, abs=1e-4)
+    assert rep["eigen_max"] == pytest.approx(-0.5, abs=1e-4)
 
 
 def test_check_H3_default_witness_passes(pot):
     rep = check_H3(pot, default_witness(pot))
-    assert rep.min_margin >= 0.0
-    assert rep.radius == pytest.approx(0.1)
+    assert rep["min_margin"] >= 0.0
+    assert rep["radius"] == pytest.approx(0.1)
 
 
 def test_check_H3_rejects_bad_radius(pot):
@@ -195,7 +197,7 @@ def test_check_H3_rejects_weak_barriers(alpha, q, s, margin):
     exact = s ** -alpha * ((pot.q_norm - s) ** 2 - c * c)
     with pytest.raises(HypothesisViolation, match="strong-force barrier fails") as info:
         check_H3(pot, witness)
-    assert info.value.report.min_margin == pytest.approx(exact, rel=1e-12)
+    assert info.value.report["min_margin"] == pytest.approx(exact, rel=1e-12)
     assert exact == pytest.approx(margin, rel=1e-3)
     # the dense oracle finds the violation too
     assert gate_oracle.barrier_margin(pot, witness.r) < 0.0
@@ -219,15 +221,49 @@ def test_check_H3_detects_weak_singularity():
 def test_check_H4_default_witness_passes(alpha, margin, growth):
     pot = example_potential(alpha=alpha)
     rep = check_H4(pot, default_witness(pot))
-    assert rep.min_margin >= 0.0
-    assert rep.min_growth > 0.0
-    assert (rep.min_margin, rep.min_growth) == pytest.approx((margin, growth), rel=1e-6)
+    assert rep["min_margin"] >= 0.0
+    assert rep["min_growth"] > 0.0
+    assert (rep["min_margin"], rep["min_growth"]) == pytest.approx((margin, growth), rel=1e-6)
 
 
 def test_check_W_negativity(pot):
     # W / |u|^2 = -|u - q|^-alpha peaks on |u| <= 4|q| at u = -4q
     rep = check_W_negativity(pot)
-    assert (rep.max_ratio, rep.radius) == (-(10.0**-2), 8.0)
+    assert (rep["max_ratio"], rep["radius"]) == (-(10.0**-2), 8.0)
+
+
+@st.composite
+def _any_well(draw):
+    """alpha in [2, 4], 0.2 < |q| < 1e4 in any direction of R^2 or R^3,
+    and any coefficient, NaN included: the rows below do not read it."""
+    d = draw(st.sampled_from([2, 3]))
+    direction = st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)
+    v = np.array(draw(direction.filter(lambda v: np.linalg.norm(v) > 0.1)))
+    q_norm = draw(st.floats(0.2, 1e4, exclude_min=True, exclude_max=True))
+    return example_potential(
+        alpha=draw(st.floats(2.0, 4.0)),
+        dimension=d,
+        a_base=draw(st.floats()),
+        a_amp=draw(st.floats()),
+        q=q_norm * v / np.linalg.norm(v),
+    )
+
+
+# the examples are where a growth taken as a difference of |U_inf| fails:
+# just below alpha = 4, (c R0)^b and R0^b round to one value, and at
+# alpha = 4 with R0 < 1, |ln rho| falls from R0 to the next shell
+@given(pot=_any_well())
+@example(pot=example_potential(alpha=float(np.nextafter(4.0, 0.0))))
+@example(pot=example_potential(alpha=4.0, q=[0.21, 0.0]))
+@settings(max_examples=200, deadline=None)
+def test_rows_without_a_reachable_failure(pot):
+    # H2's eigenvalue -2|q|^-alpha and W<0's -(5|q|)^-alpha are negative;
+    # H4's margin at R0 = 4|q| is R0^(2-alpha) ((4/5)^alpha - k) with
+    # (4/5)^alpha >= 0.41 > 1/4 >= k, and the witness grows for every alpha
+    assert check_H2(pot)["eigen_max"] < 0.0
+    assert check_W_negativity(pot)["max_ratio"] < 0.0
+    h4 = check_H4(pot, default_witness(pot))
+    assert h4["min_margin"] > 0.0 and h4["min_growth"] > 0.0
 
 
 def _random_wells(n=300, seed=7):
@@ -266,21 +302,23 @@ def test_closed_form_gate_matches_dense_sampling():
         a_rep, a_ok = _report(check_A, pot)
         a_min, a_max = gate_oracle.coefficient_range(pot)
         assert a_ok == (a_min > 0.0)
-        assert (a_rep.min_a, a_rep.max_a) == pytest.approx((a_min, a_max), rel=1e-12, abs=1e-12)
+        assert (a_rep["min_a"], a_rep["max_a"]) == pytest.approx(
+            (a_min, a_max), rel=1e-12, abs=1e-12
+        )
         h2 = check_H2(pot)
         eigs = gate_oracle.hessian_eigenvalues(pot)
-        assert (h2.eigen_min, h2.eigen_max) == pytest.approx((eigs[0], eigs[-1]), rel=1e-8)
+        assert (h2["eigen_min"], h2["eigen_max"]) == pytest.approx((eigs[0], eigs[-1]), rel=1e-8)
         assert eigs[-1] < 0.0
         h3, h3_ok = _report(check_H3, pot, witness)
         barrier = gate_oracle.barrier_margin(pot, witness.r)
         assert h3_ok == (barrier >= 0.0)
-        assert h3.min_margin <= barrier + 1e-12 * abs(barrier)
+        assert h3["min_margin"] <= barrier + 1e-12 * abs(barrier)
         h4 = check_H4(pot, witness)
         far, growth = gate_oracle.far_field(pot, witness.R0)
         assert far >= 0.0 and growth > 0.0
-        assert h4.min_margin <= far + 1e-12 * abs(far)
-        assert h4.min_growth == pytest.approx(growth, rel=1e-12)
-        ratio = check_W_negativity(pot).max_ratio
+        assert h4["min_margin"] <= far + 1e-12 * abs(far)
+        assert h4["min_growth"] == pytest.approx(growth, rel=1e-12)
+        ratio = check_W_negativity(pot)["max_ratio"]
         sampled = gate_oracle.negativity_ratio(pot)
         assert sampled <= ratio + 1e-12 * abs(ratio) and ratio < 0.0
         failed["A"] += not a_ok

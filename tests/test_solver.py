@@ -260,10 +260,10 @@ def test_every_alpha3_phase_reaches_the_lower_orbit_quickly(grid, cfg, center):
     assert cand.grad_norm <= cfg.grad_tol
 
 
-def test_e_stage_level_is_the_released_action(solved):
+def test_e_stage_level_is_the_released_action(solved, grid, cfg):
     # the constrained critical point is already critical: d_h is the action
     assert abs(solved.e_stage["value"] - solved.action) <= 1e-8
-    assert solved.crossing is not None
+    assert solved.e_stage["node"] == snap_center(grid, cfg.bump_center)
     assert solved.e_stage["converged"]
     assert solved.e_stage["newton_steps"] >= 0
 
