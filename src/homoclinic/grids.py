@@ -299,21 +299,6 @@ def shift_blocks(functions: Sequence[GridFunction]) -> ShiftBlocks:
     )
 
 
-def joined_blocks(head: ShiftBlocks, tail: ShiftBlocks) -> ShiftBlocks:
-    """ShiftBlocks of head's functions followed by tail's.
-
-    Every field of shift_blocks is computed per function, so this equals
-    shift_blocks(head.functions + tail.functions) bitwise.
-    """
-    if head.grid != tail.grid:
-        raise ValueError("functions live on different grids")
-    arrays = ("blocks", "norm_sq", "nodes", "first", "last")
-    return ShiftBlocks(
-        functions=head.functions + tail.functions,
-        **{f: np.concatenate([getattr(head, f), getattr(tail, f)]) for f in arrays},
-    )
-
-
 def _repin(last: Array, first: Array, nodes: Array) -> Array:
     """Kinetic cross-term correction of the re-pinned node, per pair and shift.
 

@@ -17,7 +17,7 @@ covers every entry and every shift, and only the shifts the
 screen cannot tell apart are recomputed exactly, so every distance,
 matched entry, shift and tie order is bitwise the per-shift loop's.
 The library derives its cached ShiftBlocks from its entries on use,
-blocking only the entries appended since its last use, so entries
+blocking every entry again whenever the entries have changed, so entries
 appended to lib.entries directly are covered as well.
 
 The search schedule is written once, as the ordered attempt stream
@@ -52,7 +52,6 @@ from .grids import (
     confirmed_minima,
     from_values,
     h1_norm,
-    joined_blocks,
     screen_gaps_sq,
     shift_blocks,
     shift_periods,
@@ -137,22 +136,16 @@ class SolutionLibrary:
     def entry_blocks(self) -> ShiftBlocks:
         """ShiftBlocks of the entries' trajectories, in entry order (entries must exist).
 
-        Derived from self.entries on use: while the cached blocks belong to
-        the same trajectory objects as the first entries, only the entries
-        appended since are blocked and joined on; otherwise every entry is
-        blocked again, so changing self.entries directly (as a manifest
-        loader does) is safe.
+        Built by shift_blocks from self.entries whenever the list of
+        trajectory objects has changed since the last call, and reused
+        otherwise, so changing self.entries directly (as a manifest loader
+        does) is safe.
         """
         trajs = tuple(e.trajectory for e in self.entries)
-        blocks = self._blocks
-        kept = blocks.functions if blocks is not None else ()
-        if len(kept) > len(trajs) or any(a is not b for a, b in zip(kept, trajs)):
-            blocks, kept = None, ()
-        if len(kept) < len(trajs):
-            new = shift_blocks(trajs[len(kept) :])
-            blocks = new if blocks is None else joined_blocks(blocks, new)
-        self._blocks = blocks
-        return blocks
+        kept = self._blocks.functions if self._blocks is not None else ()
+        if len(kept) != len(trajs) or any(a is not b for a, b in zip(kept, trajs)):
+            self._blocks = shift_blocks(trajs)
+        return self._blocks
 
     def min_distance_to(self, u: GridFunction) -> tuple[float, int]:
         """Smallest distance to a stored entry and its first index; (inf, -1) when empty."""

@@ -18,12 +18,13 @@ small the stage finishes with damped Newton steps on the block-tridiagonal
 action Hessian (solve_banded, block cyclic reduction), bordered by the ray
 constraint.
 
-The release is the same damped Newton without the ray constraint;
-polish_to_critical (the glue polish of multibump guesses) is that Newton
-alone.  Only when the release stalls above tolerance does monotone Armijo
-descent along the free L-BFGS direction restart from the constrained
-minimizer; it changes only the direction, never the accepted-value
-bookkeeping: action sequences stay monotone and iterates segment-feasible.
+polish_to_critical is the same damped Newton without the ray constraint:
+the release, the continuation to a finer grid and the glue polish of
+multibump guesses.  Only when the release stalls above tolerance does
+monotone Armijo descent along the free L-BFGS direction restart from the
+constrained minimizer; it changes only the direction, never the
+accepted-value bookkeeping: action sequences stay monotone and iterates
+segment-feasible.
 Both Armijo loops step through _descent_step (the quasi-Newton step, or the
 plain H1 step when that fails) and one backtracking line search,
 _armijo_step, and both stop, not converged, once the action stalls
@@ -31,7 +32,7 @@ _armijo_step, and both stop, not converged, once the action stalls
 
 Above 40 nodes per period an attempt runs at m=40 on the same box, and
 continue_to_grid carries its orbit to m: prolonged linearly, then
-released.  Only when the m=40 attempt fails does the attempt run at m.
+polished.  Only when the m=40 attempt fails does the attempt run at m.
 
 a is T-periodic, so every orbit comes with its whole-period translates,
 and a solve only chooses the crossing phase: single_loop_attempt takes its
@@ -784,32 +785,6 @@ def descend_to_critical(
     )
 
 
-def _release(u0: GridFunction, pot: PotentialSpec, cfg: SolverConfig) -> HomoclinicCandidate:
-    """Release the constraint: Newton polish first, Armijo descent if it stalls.
-
-    The polish is one free damped Newton, raising ConvergedToZero when it
-    collapses; the iterate stays where the guess put its phase.  The
-    candidate's history holds the accepted Newton norms in
-    "polish_grad_norm"; when Newton stalls above grad_tol,
-    descend_to_critical starts over from u0, and the stalled norms go ahead
-    of its own polish norms (on MaxItersExceeded, those of its best iterate).
-    """
-    grid = u0.grid
-    kernel, p = _start(pot, grid, u0.values, "the release")
-    p, _, gn, polish = _damped_newton(kernel, grid, p, cfg)
-    _check_collapse(p)
-    if gn <= cfg.grad_tol:
-        history = {"polish_grad_norm": polish}
-        return _wrap_candidate(kernel, grid, p, pot, cfg, 0, history, gn, _POLISH_STALL)
-    try:
-        cand = descend_to_critical(u0, pot, cfg)
-    except MaxItersExceeded as exc:
-        exc.best.history["polish_grad_norm"][:0] = polish
-        raise
-    cand.history["polish_grad_norm"][:0] = polish
-    return cand
-
-
 def polish_to_critical(
     u0: GridFunction,
     pot: PotentialSpec,
@@ -817,18 +792,36 @@ def polish_to_critical(
 ) -> HomoclinicCandidate:
     """Converge to the nearest critical point by damped Newton alone.
 
-    Unlike descend_to_critical this never follows the action downhill, so
-    a glued multibump guess is not dragged down the unwinding canyon that
-    monotone descent finds when bump tails interact; acceptance is
-    monotone in the gradient norm instead.  Raises MaxItersExceeded (best
-    iterate attached) when the polish stalls above tolerance.
+    The one free Newton finish: the release, the continuation and the glue
+    polish.  Unlike descend_to_critical this never follows the action
+    downhill, so a glued multibump guess is not dragged down the unwinding
+    canyon that monotone descent finds when bump tails interact.  Reports
+    0 iterations, its Newton norms in history; raises ConvergedToZero on a
+    collapse, MaxItersExceeded (best iterate attached) on a stall.
     """
     grid = u0.grid
     kernel, p = _start(pot, grid, u0.values, "polish")
     p, _, gn, norms = _damped_newton(kernel, grid, p, cfg)
     _check_collapse(p, "polish")
     history = {"polish_grad_norm": norms}
-    return _wrap_candidate(kernel, grid, p, pot, cfg, len(norms), history, gn, _POLISH_STALL)
+    return _wrap_candidate(kernel, grid, p, pot, cfg, 0, history, gn, _POLISH_STALL)
+
+
+def _release(u0: GridFunction, pot: PotentialSpec, cfg: SolverConfig) -> HomoclinicCandidate:
+    """Release the constraint: polish_to_critical, and only when that
+    stalls, descend_to_critical from u0, the stalled norms put ahead of its
+    own polish norms (on MaxItersExceeded, those of its best iterate)."""
+    try:
+        return polish_to_critical(u0, pot, cfg)
+    except MaxItersExceeded as exc:
+        polish = exc.best.history["polish_grad_norm"]
+    try:
+        cand = descend_to_critical(u0, pot, cfg)
+    except MaxItersExceeded as exc:
+        exc.best.history["polish_grad_norm"][:0] = polish
+        raise
+    cand.history["polish_grad_norm"][:0] = polish
+    return cand
 
 
 def _wrap_candidate(
@@ -887,15 +880,16 @@ def continue_to_grid(
     """A solved orbit u continued onto grid, another resolution of its box.
 
     u is interpolated linearly, per component, onto grid's nodes and
-    released there by _release: the free damped Newton, with Armijo
-    descent only when the Newton stalls.  This is the one prolongation of
-    nested iteration (Brandt, Math. Comp. 31 (1977)): single_loop_attempt
-    above _COARSE_M nodes per period and refine's fine level both continue
-    a coarser orbit.  The release's HomoclinicError propagates; the
-    candidate has no constrained stage and no schedule item.
+    released there by polish_to_critical alone: the prolonged orbit is
+    already near a critical point, so there is no descent to fall back
+    on.  This is the one prolongation of nested iteration (Brandt, Math.
+    Comp. 31 (1977)): single_loop_attempt above _COARSE_M nodes per period
+    and refine's fine level both continue a coarser orbit.  The polish's
+    HomoclinicError propagates; the candidate has no constrained stage and
+    no schedule item.
     """
     vals = np.column_stack([np.interp(grid.times, u.grid.times, c) for c in u.values.T])
-    return _release(GridFunction(grid, vals), pot, cfg)
+    return polish_to_critical(GridFunction(grid, vals), pot, cfg)
 
 
 def single_loop_attempt(
@@ -905,8 +899,8 @@ def single_loop_attempt(
 
     The constrained stage is minimize_over_E (Armijo along the L-BFGS
     direction with the pinned node held on the ray, then bordered Newton);
-    the release is Newton polish, with Armijo descent from the constrained
-    minimizer as the fallback when Newton stalls.  Missing guess
+    the release is _release: polish_to_critical, with Armijo descent from
+    the constrained minimizer as the fallback when the polish stalls.  Missing guess
     parameters (k0, center, width, orientation) fall back to cfg.  The
     center is a crossing phase: a is periodic, so it is taken modulo
     grid.period, and an off-period center solves the translate that

@@ -1039,22 +1039,6 @@ def test_refine_ratio_outside_the_scaled_band_is_exit_3(tmp_path, capsys):
     assert load_report(out)["refine"]["passed"] is False
 
 
-def test_refine_without_newton_steps_fails_its_fine_level(tmp_path, capsys):
-    # with polish_steps 0 the continued fine level has only the Armijo
-    # descent, which stops above the 1e-8 tolerance refine runs at
-    out = str(tmp_path / "run")
-    cfg = write_config(tmp_path, {"solver": {"polish_steps": 0}})
-    assert main(["refine", "--config", cfg, "--out", out]) == 3
-    error = (
-        "fine level (m=80): MaxItersExceeded: gradient norm 1.233e-07 above tolerance"
-        " 1.000e-08 after 23 iterations (descent stop: line_search)"
-    )
-    assert capsys.readouterr().err == error + "\n"
-    rep = load_report(out)
-    assert rep["error"] == error and "refine" not in rep
-    assert os.path.exists(os.path.join(out, "solution_coarse.csv"))
-
-
 def test_refine_unreachable_tolerance_is_exit_3(tmp_path):
     out = str(tmp_path / "run")
     cfg = write_config(tmp_path, {"solver": {"grad_tol": 0.0, "max_iters": 50}})

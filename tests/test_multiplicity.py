@@ -249,29 +249,20 @@ def _random_functions(grid, d, rng):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_entry_blocks_extended_one_by_one_equal_all_at_once(d, monkeypatch):
-    # each entry is blocked once, when it is first asked for
-    import homoclinic.multiplicity as mult
-
-    blocked = []
-    real = mult.shift_blocks
-
-    def counted(functions):
-        blocked.extend(functions)
-        return real(functions)
-
-    monkeypatch.setattr(mult, "shift_blocks", counted)
+def test_entry_blocks_follow_the_entries(d):
+    # after each append the blocks are those of every entry, built again;
+    # while the entries are unchanged the same blocks come back
     g = Grid(period=1.0, nodes_per_period=40, half_periods=8)
     fs = _random_functions(g, d, np.random.default_rng(d))
     lib = SolutionLibrary()
-    for f in fs:
+    for n, f in enumerate(fs, 1):
         lib.entries.append(entry(f))
-        extended = lib.entry_blocks()
-    assert all(a is b for a, b in zip(extended.functions, fs, strict=True))
-    assert len(blocked) == len(fs)
-    whole = shift_blocks(fs)
-    for field in ("blocks", "norm_sq", "nodes", "first", "last"):
-        assert np.array_equal(getattr(extended, field), getattr(whole, field))
+        blocks = lib.entry_blocks()
+        assert all(a is b for a, b in zip(blocks.functions, fs[:n], strict=True))
+        whole = shift_blocks(fs[:n])
+        for field in ("blocks", "norm_sq", "nodes", "first", "last"):
+            assert np.array_equal(getattr(blocks, field), getattr(whole, field))
+        assert lib.entry_blocks() is blocks
 
 
 def _einsum_screen(a, b):

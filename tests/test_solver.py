@@ -483,6 +483,20 @@ def test_continued_orbit_matches_the_direct_solve(cfg, alpha, shape):
     assert cand.e_stage is None and cand.grad_norm <= cfg.grad_tol
 
 
+def test_continuation_without_newton_steps_stalls(pot, solved, cfg, monkeypatch):
+    # refine's fine level with polish_steps 0: the prolonged orbit is not
+    # polished at all, and the continuation has no descent to fall back on
+    descents = _count_descents(monkeypatch)
+    fine = Grid(nodes_per_period=80)
+    with pytest.raises(MaxItersExceeded) as info:
+        solve.continue_to_grid(solved.trajectory, pot, fine, replace(cfg, polish_steps=0, grad_tol=1e-8))
+    assert str(info.value) == (
+        "polish stalled at gradient norm 1.764e+01 above tolerance 1.000e-08"
+    )
+    assert info.value.best.history["polish_grad_norm"] == []
+    assert descents == []
+
+
 # the default search library at m=40, alpha=2, targets=9, in insertion order
 _LIBRARY9_ACTIONS = [
     27.308803721782354,
