@@ -97,6 +97,9 @@ _SEARCH_RANGES = {
     "targets": (lambda x: x >= 0, "must be nonnegative"),
     "eps_distinct": (lambda x: x > 0.0, "must be positive"),
 }
+# the H1 preconditioner's scale takes the squared grid spacing times the
+# node count, which underflows to 0 from a period of about 1e-162 at m = 40
+_MIN_PERIOD = 1e-150
 
 
 def _require(cond: bool, where: str, msg: str):
@@ -156,6 +159,7 @@ def _parse_potential(block: dict) -> PotentialSpec:
         )
     except ValueError as exc:
         raise ConfigError("potential: %s" % exc) from exc
+    _require(period >= _MIN_PERIOD, "potential.period", "must be at least %g" % _MIN_PERIOD)
     # the barrier check covers shells out to the built-in witness radius,
     # which must stay below |q| / 2
     _require(

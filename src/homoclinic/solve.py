@@ -278,12 +278,12 @@ class H1Preconditioner:
     def __init__(self, grid: Grid):
         n = grid.n
         h = grid.h
-        lam = math.acosh(1.0 + 0.5 * h * h)
+        lam = 2.0 * math.asinh(0.5 * h)  # acosh(1 + h^2/2) without its cancellation
         k = np.arange(n)
         f = -np.expm1(-2.0 * lam * k)
         scale = h / (2.0 * math.sinh(lam) * -math.expm1(-2.0 * lam * (n - 1)))
         self._decay = math.exp(-lam)
-        self._chunk = max(1, int(_SPAN / lam))
+        self._chunk = max(1, int(min(_SPAN / lam, n)))
         offset = lam * (k % self._chunk)
         self._grow = f * np.exp(offset)
         self._shrink = np.exp(-offset)

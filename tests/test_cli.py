@@ -72,6 +72,23 @@ def test_malformed_config_is_exit_1(tmp_path, capsys):
         assert where in err
 
 
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        (None, "cannot read config "),
+        ({"grid": {"m": 4}}, "grid: need at least 8 nodes per period"),
+        ({"grid": {"M": 1}}, "grid: need at least 2 periods on each side of 0"),
+        ({"potential": {"period": 1e-200}}, "potential.period: must be at least 1e-150"),
+    ],
+    ids=["missing-file", "m4", "M1", "period1e-200"],
+)
+def test_unusable_config_is_exit_1(tmp_path, capsys, doc, message):
+    # a config file that is not there, or a grid the solver cannot run on
+    path = str(tmp_path / "absent.json") if doc is None else write_config(tmp_path, doc)
+    assert main(["check", "--config", path]) == 1
+    assert capsys.readouterr().err.startswith("config error: " + message)
+
+
 def test_unknown_key_is_exit_1(tmp_path, capsys):
     # a removed field is a config error, never silently ignored
     solver_gone = (
@@ -1046,6 +1063,20 @@ def test_refine_unreachable_tolerance_is_exit_3(tmp_path):
     rep = load_report(out)
     assert rep["error"].startswith("coarse level (m=40): ")
     assert "refine" not in rep
+
+
+@pytest.mark.parametrize("command", ["solve", "search"])
+def test_tiny_period_fails_the_attempt_not_the_run(tmp_path, capsys, command):
+    # grid spacing 2.5e-9: the preconditioner's decay rate stays positive,
+    # and the solve from the configured guess collapses onto 0
+    out = str(tmp_path / "run")
+    cfg = write_config(tmp_path, {"potential": {"period": 1e-7}, "solver": {"bump_width": 2e7}})
+    assert main([command, "--config", cfg, "--out", out]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    rep = load_report(out)
+    log = [{"outcome": "failed", "error": rep["error"]}] if command == "solve" else rep["library"]["log"]
+    assert {r["outcome"] for r in log} == {"failed"}
+    assert log[0]["error"] == "ConvergedToZero: polish collapsed onto the trivial solution"
 
 
 @pytest.mark.parametrize(
