@@ -900,9 +900,9 @@ def single_loop_attempt(
     The constrained stage is minimize_over_E (Armijo along the L-BFGS
     direction with the pinned node held on the ray, then bordered Newton);
     the release is _release: polish_to_critical, with Armijo descent from
-    the constrained minimizer as the fallback when the polish stalls.  Missing guess
-    parameters (k0, center, width, orientation) fall back to cfg.  The
-    center is a crossing phase: a is periodic, so it is taken modulo
+    the constrained minimizer as the fallback when the polish stalls.
+    Missing guess parameters (k0, center, width, orientation) fall back to
+    cfg.  The center is a crossing phase: a is periodic, so it is taken modulo
     grid.period, and an off-period center solves the translate that
     crosses in the central period.
 
