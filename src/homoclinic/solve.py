@@ -6,33 +6,25 @@ to the ray, ray coordinate clamped at k_min = 1 + eps_k), then release the
 constraint and converge until the scaled gradient norm ||g||_2 / sqrt(h)
 drops below tolerance.
 
-The constrained stage runs projected Armijo descent along a limited-memory
+One Armijo loop, _descend, runs both the constrained stage and the
+release's descent fallback: projected Armijo descent along a limited-memory
 BFGS direction (Nocedal, Math. Comp. 35 (1980)) whose initial inverse
-Hessian is the inverse of the discrete H1 operator (H1Preconditioner, its
-Green's function per component), which alone improves conditioning by
-roughly the square of the node count per unit time.  One solve per step
-gives that initial direction; a rank-one correction by the inverse's
-column at the pinned node then removes its transverse part there, so the
-pinned node only moves along the ray.  Once the projected gradient is
-small the stage finishes with damped Newton steps on the block-tridiagonal
-action Hessian (solve_banded, block cyclic reduction), bordered by the ray
-constraint.
+Hessian is the discrete H1 operator's Green's function (H1Preconditioner),
+which alone improves conditioning by roughly the square of the node count
+per unit time.  It stops, not converged, once the action stalls, so a
+solve that cannot converge fails early, and it ends in one damped Newton
+on the block-tridiagonal action Hessian (solve_banded, block cyclic
+reduction), bordered by the ray constraint in the constrained stage.
 
-polish_to_critical is the same damped Newton without the ray constraint:
-the release, the continuation to a finer grid and the glue polish of
-multibump guesses.  Only when the release stalls above tolerance does
-monotone Armijo descent along the free L-BFGS direction restart from the
-constrained minimizer; it changes only the direction, never the
-accepted-value bookkeeping: action sequences stay monotone and iterates
-segment-feasible.
-Both Armijo loops step through _descent_step (the quasi-Newton step, or the
-plain H1 step when that fails) and one backtracking line search,
-_armijo_step, and both stop, not converged, once the action stalls
-(_stalled), so a solve that cannot converge fails early.
+polish_to_critical is that Newton alone, without the ray: the release,
+the continuation to a finer grid and the glue polish of multibump
+guesses.  Only when the release stalls above tolerance does the free
+Armijo loop restart from the constrained minimizer (descend_to_critical).
 
 Above 40 nodes per period an attempt runs at m=40 on the same box, and
 continue_to_grid carries its orbit to m: prolonged linearly, then
-polished.  Only when the m=40 attempt fails does the attempt run at m.
+polished.  Only when the m=40 attempt or its continuation fails does the
+attempt run at m.
 
 a is T-periodic, so every orbit comes with its whole-period translates,
 and a solve only chooses the crossing phase: single_loop_attempt takes its
@@ -90,7 +82,7 @@ from .potential import PotentialSpec
 Array = np.ndarray
 
 _STEP_CAP = 8.0  # longest step tried along the H1 direction
-_ARMIJO_C1 = 1e-4  # sufficient-decrease constant of both Armijo loops
+_ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the Armijo loop
 _BACKTRACK = 0.5  # step shrink factor per rejected trial
 _MAX_BACKTRACKS = 60  # trials per plain Armijo step before the loop stalls
 _MEMORY = 8  # (s, y) pairs of the quasi-Newton direction
@@ -515,7 +507,7 @@ def _descent_step(
     alpha: float,
     ray: Optional[tuple[int, float]] = None,
 ) -> Optional[tuple[StencilPoint, Optional[float], float]]:
-    """One step of either Armijo loop from p, g its gradient.
+    """One step of the Armijo loop from p, g its gradient.
 
     With pairs in memory the quasi-Newton direction is tried first, from
     unit step for _QN_TRIALS trials.  When none is accepted (near the
@@ -638,148 +630,121 @@ def _damped_newton(
     return p, k, gn, norms
 
 
+def _descend(
+    kernel: ActionKernel,
+    grid: Grid,
+    p: StencilPoint,
+    cfg: SolverConfig,
+    ray: Optional[tuple[int, float, float]] = None,
+    handoff: float = 0.0,
+) -> tuple[StencilPoint, Optional[float], float, int, list[float], str]:
+    """The one Armijo loop, free or over E_h, and its one Newton finish.
+
+    Each pass measures the gradient at p (so the iteration count counts
+    gradient measurements) and takes one _descent_step.  With ray = (j, k,
+    k_min) the norm is the projected one, the initial inverse is
+    ray_direction, trials snap node j onto the ray, and the secant pairs
+    keep only the q_hat part of the gradient change at node j, dropped
+    whenever the clamp state flips: node j moves along the ray, or not at
+    all while clamped.  The loop stops once the norm reaches max(handoff,
+    grad_tol), the action stalls, no trial is accepted or cfg.max_iters
+    passes have run; one _damped_newton, bordered by the ray, then runs if
+    the norm is above grad_tol.  Raises ConvergedToZero on a collapse.
+    Returns (point, k, norm, passes, Newton norms, stop), k None without a
+    ray, stop "converged" or why the loop ended: "stalled" (also a Newton
+    stalled after the handoff), "max_iters" or "line_search".
+    """
+    pre = H1Preconditioner(grid)
+    q = kernel.q
+    j, k, k_min = ray if ray is not None else (None, None, None)
+    snap = None if ray is None else (j, k_min)
+    q_hat = q / math.sqrt(float(q @ q))
+    column = pre.column(j) if ray is not None else None
+    alpha = 1.0
+    memory = _Memory()
+    values = deque(maxlen=_STALL_STEPS + 1)
+    stop, iters, gn = "max_iters", 0, math.inf
+    while iters < cfg.max_iters:
+        iters += 1
+        g = kernel.gradient(p)
+        if ray is None:
+            gn = grad_norm(grid, g)
+            memory.see(p.values, g)
+            h0 = pre.apply
+        else:
+            gn = _projected_grad_norm(grid, g, j, q, k, k_min)
+            clamped = _clamped(g, j, q, k, k_min)
+            y_part = g.copy()  # node j moves along the ray only: its y is the q_hat part
+            y_part[j] = (g[j] @ q_hat) * q_hat
+            memory.see(p.values, y_part, clamped)
+            h0 = partial(ray_direction, pre, column, j, q_hat=q_hat, clamped=clamped)
+        if gn <= max(handoff, cfg.grad_tol):
+            stop = "stalled"  # unless the Newton converges
+            break
+        step = _descent_step(kernel, p, g, memory, h0, alpha, snap)
+        if step is None:
+            stop = "line_search"  # no trial accepted: the floating-point floor
+            break
+        p, k, alpha = step
+        _check_collapse(p)
+        values.append(p.value)
+        if _stalled(values):
+            stop = "stalled"
+            break
+    norms = []
+    if gn > cfg.grad_tol:
+        newton_ray = None if ray is None else (j, k, k_min)
+        p, k, gn, norms = _damped_newton(kernel, grid, p, cfg, newton_ray)
+        _check_collapse(p)
+    return p, k, gn, iters, norms, "converged" if gn <= cfg.grad_tol else stop
+
+
 def minimize_over_E(
     u0: GridFunction,
     constraint: ConstraintE,
     pot: PotentialSpec,
     cfg: SolverConfig,
 ) -> EStageResult:
-    """Minimize the action over the constraint class E_h.
+    """Minimize the action over the constraint class E_h: _descend along
+    the ray to _NEWTON_HANDOFF, then its bordered Newton (newton_steps).
 
     Free variables are all interior nodes except the pinned one plus the
-    ray coordinate k.  Projected Armijo descent follows the L-BFGS
-    direction of _descent_step, whose initial inverse is ray_direction: one
-    H1 solve per step whose transverse part at node j is removed by a
-    rank-one correction, so node j only moves along the ray.  The secant
-    pairs keep only the q_hat part of the gradient change at node j, and
-    they are dropped whenever the clamp state flips, so the direction
-    moves node j along the ray too, or not at all while clamped.  Each
-    trial's k is clamped at cfg.k_min, so every iterate lies in E_h exactly.
-    Once the projected gradient norm reaches _NEWTON_HANDOFF the stage
-    finishes with _damped_newton along the ray (counted as newton_steps);
-    if that stalls above grad_tol, Armijo resumes to grad_tol, the
-    iteration cap or a stall of the action.  Returns the last iterate,
-    with stop naming why the loop ended: "converged", "stalled" (the
-    action stopped falling), "max_iters" or "line_search" (no trial
-    accepted); the infimum estimate is the final value.  No per-step
-    history is kept.
+    ray coordinate k.  Returns the last iterate with the loop's stop; the
+    infimum estimate is the final value.  No per-step history is kept.
     """
     grid = u0.grid
     j = constraint.node_index
     if not (0 < j < grid.n - 1):
         raise ValueError("constrained node must be interior")
-    q = pot.q
-    q_hat = q / math.sqrt(float(q @ q))
-    k_min = cfg.k_min
-
     vals = np.array(u0.values, copy=True)
-    k = max(float(constraint.k), k_min)
-    vals[j] = k * q
+    k = max(float(constraint.k), cfg.k_min)
+    vals[j] = k * pot.q
     kernel, p = _start(pot, grid, vals, "the constrained stage")
-
-    pre = H1Preconditioner(grid)
-    column = pre.column(j)
-    alpha = 1.0
-    memory = _Memory()
-    values = deque(maxlen=_STALL_STEPS + 1)
-
-    stop = "max_iters"
-    handed_off = False
-    newton_steps = 0
-    pg_norm = math.inf
-    iters = 0
-
-    for iters in range(1, cfg.max_iters + 1):
-        g = kernel.gradient(p)
-        pg_norm = _projected_grad_norm(grid, g, j, q, k, k_min)
-        if cfg.grad_tol < pg_norm <= _NEWTON_HANDOFF and not handed_off:
-            handed_off = True
-            p, k, pg_norm, steps = _damped_newton(kernel, grid, p, cfg, (j, k, k_min))
-            newton_steps = len(steps)
-            g = kernel.gradient(p)
-        if pg_norm <= cfg.grad_tol:
-            stop = "converged"
-            break
-
-        clamped = _clamped(g, j, q, k, k_min)
-        y_part = g.copy()  # node j moves along the ray only: its y is the q_hat part
-        y_part[j] = (g[j] @ q_hat) * q_hat
-        memory.see(p.values, y_part, clamped)
-        h0 = partial(ray_direction, pre, column, j, q_hat=q_hat, clamped=clamped)
-        step = _descent_step(kernel, p, g, memory, h0, alpha, (j, k_min))
-        if step is None:
-            stop = "line_search"  # no trial accepted: the floating-point floor
-            break
-        p, k, alpha = step
-        values.append(p.value)
-        if _stalled(values):
-            stop = "stalled"
-            break
+    ray = (j, k, cfg.k_min)
+    p, k, gn, iters, norms, stop = _descend(kernel, grid, p, cfg, ray, _NEWTON_HANDOFF)
     return EStageResult(
         trajectory=GridFunction(grid, p.values),
         k=float(k),
         value=float(p.value),
-        grad_norm=float(pg_norm),
+        grad_norm=float(gn),
         iterations=iters,
-        newton_steps=newton_steps,
+        newton_steps=len(norms),
         converged=stop == "converged",
-        constraint_active=_at_clamp(k, k_min),
+        constraint_active=_at_clamp(k, cfg.k_min),
         stop=stop,
     )
 
 
 def descend_to_critical(
-    u0: GridFunction,
-    pot: PotentialSpec,
-    cfg: SolverConfig,
+    u0: GridFunction, pot: PotentialSpec, cfg: SolverConfig
 ) -> HomoclinicCandidate:
-    """Unconstrained monotone descent to a critical point.
-
-    Armijo steps along the L-BFGS direction of _descent_step, whose
-    initial inverse is the H1 solve.  Finishes with one free Newton polish
-    when the descent stops above tolerance (at the cap, when the action
-    has stalled or when no trial is accepted); raises ConvergedToZero when
-    an iterate collapses below _ZERO_TOL in sup norm, and MaxItersExceeded,
-    its message naming the descent's stop ("max_iters", "stalled" or
-    "line_search"), when the polish does not reach tolerance either; the
-    best iterate rides along on the exception.
-    """
+    """Unconstrained monotone descent: _descend without a ray, to grad_tol;
+    MaxItersExceeded, naming its stop, carries the best iterate."""
     grid = u0.grid
     kernel, p = _start(pot, grid, u0.values, "descent")
-    pre = H1Preconditioner(grid)
-    alpha = 1.0
-    memory = _Memory()
-    values = deque(maxlen=_STALL_STEPS + 1)
-
-    history = {"polish_grad_norm": []}
-    iters = 0
-    gn = math.inf
-    stop = "max_iters"
-
-    while iters < cfg.max_iters:
-        g = kernel.gradient(p)
-        gn = grad_norm(grid, g)
-        if gn <= cfg.grad_tol:
-            stop = "converged"
-            break
-        memory.see(p.values, g)
-        step = _descent_step(kernel, p, g, memory, pre.apply, alpha)
-        if step is None:
-            stop = "line_search"
-            break
-        p, _, alpha = step
-        iters += 1
-        _check_collapse(p)
-        values.append(p.value)
-        if _stalled(values):
-            stop = "stalled"
-            break
-
-    if gn > cfg.grad_tol and cfg.polish_steps > 0:
-        p, _, gn, history["polish_grad_norm"] = _damped_newton(kernel, grid, p, cfg)
-        _check_collapse(p)
+    p, _, gn, iters, norms, stop = _descend(kernel, grid, p, cfg)
     return _wrap_candidate(
-        kernel, grid, p, pot, cfg, iters, history, gn,
+        kernel, grid, p, pot, cfg, iters, {"polish_grad_norm": norms}, gn,
         "gradient norm %(gn).3e above tolerance %(tol).3e after %(iters)d iterations"
         " (descent stop: " + stop + ")",
     )
@@ -885,8 +850,10 @@ def continue_to_grid(
     on.  This is the one prolongation of nested iteration (Brandt, Math.
     Comp. 31 (1977)): single_loop_attempt above _COARSE_M nodes per period
     and refine's fine level both continue a coarser orbit.  The polish's
-    HomoclinicError propagates; the candidate has no constrained stage and
-    no schedule item.
+    HomoclinicError propagates: single_loop_attempt then runs at grid
+    directly, but refine's fine level keeps no fallback, since its residual
+    ratio compares two levels of one orbit: it must be the coarse orbit
+    continued.  The candidate has no constrained stage and no schedule item.
     """
     vals = np.column_stack([np.interp(grid.times, u.grid.times, c) for c in u.values.T])
     return polish_to_critical(GridFunction(grid, vals), pot, cfg)
@@ -908,18 +875,20 @@ def single_loop_attempt(
 
     Above _COARSE_M nodes per period this is the attempt at _COARSE_M on
     the same box, carried to grid by continue_to_grid with that attempt's
-    constrained-stage summary.  Only when that attempt raises a
-    HomoclinicError does this one run at grid, with the error text under
-    "coarse_error" in its summary.  The summary's "m" is the node count
-    per period its stage ran at and "node" the node it pinned, indexed on
-    that grid; the candidate carries the item as given.
+    constrained-stage summary.  Only when that attempt or its continuation
+    raises a HomoclinicError does this one run at grid, with the error text
+    under "coarse_error" in its summary.  The summary's "m" is the node
+    count per period its stage ran at and "node" the node it pinned,
+    indexed on that grid; the candidate carries the item as given.
     """
     coarse_error = None
     if grid.nodes_per_period > _COARSE_M:
-        coarse_grid = replace(grid, nodes_per_period=_COARSE_M)
-        coarse, coarse_error, _ = run_attempt(single_loop_attempt, pot, coarse_grid, cfg, item)
-        if coarse is not None:
+        try:
+            coarse = single_loop_attempt(pot, replace(grid, nodes_per_period=_COARSE_M), cfg, item)
             cand = continue_to_grid(coarse.trajectory, pot, grid, cfg)
+        except HomoclinicError as exc:
+            coarse_error = "%s: %s" % (type(exc).__name__, exc)
+        else:
             cand.e_stage, cand.schedule_item = coarse.e_stage, coarse.schedule_item
             return cand
     center = float(item.get("center", cfg.bump_center)) % grid.period

@@ -650,14 +650,19 @@ def test_q_below_the_bound_passes_check(tmp_path):
 
 
 def test_solve_summary_counts_polish(tmp_path, capsys):
-    # no descent steps at all: the Newton polish does the whole job
+    # no Armijo pass at all: the E-stage's bordered Newton, from the guess,
+    # does the whole job, and the release polish has nothing left to do
     out = str(tmp_path / "run")
     cfg = write_config(tmp_path, {"potential": {"alpha": 3}, "solver": {"max_iters": 0}})
     assert main(["solve", "--config", cfg, "--out", out]) == 0
     line = capsys.readouterr().out.splitlines()[0]
     assert "action 22.563663" in line
-    assert line.endswith("iterations 0 E-stage + 0 descent + 12 polish")
-    assert load_report(out)["candidate"]["iterations"] == 0
+    assert line.endswith("iterations 0 E-stage + 0 descent + 0 polish")
+    candidate = load_report(out)["candidate"]
+    assert candidate["iterations"] == 0
+    e_stage = candidate["e_stage"]
+    assert (e_stage["iterations"], e_stage["newton_steps"]) == (0, 12)
+    assert e_stage["converged"] and e_stage["grad_norm"] <= 1e-6
 
 
 
@@ -728,7 +733,7 @@ def test_solve_starts_over_when_the_coarse_stage_stalls(
 @pytest.mark.parametrize(
     "doc,error,ending",
     [
-        ({"potential": {"a_base": 20}}, "MaxItersExceeded", " after 51 iterations (descent stop: stalled)"),
+        ({"potential": {"a_base": 20}}, "MaxItersExceeded", " after 60 iterations (descent stop: stalled)"),
         ({"potential": {"period": 4}}, "ConvergedToZero", ""),
     ],
     ids=["a_base20", "period4"],
@@ -747,17 +752,12 @@ def test_failing_solve_stops_when_the_action_stalls(tmp_path, capsys, doc, error
 
 
 def test_report_is_strict_json(tmp_path):
-    # the first search record has no nearest entry, and a zero-iteration
-    # E-stage never measures its gradient: both non-finite values are null
+    # the first search record has no nearest entry: its non-finite
+    # distance is null
     lib = str(tmp_path / "lib")
     cfg = write_config(tmp_path, {"search": {"targets": 1}})
     assert main(["search", "--config", cfg, "--out", lib]) == 0
     assert load_report(lib)["library"]["log"][0]["nearest_distance"] is None
-    run = str(tmp_path / "run")
-    doc = {"potential": {"alpha": 3}, "solver": {"max_iters": 0}}
-    cfg = write_config(tmp_path, doc, name="zero.json")
-    assert main(["solve", "--config", cfg, "--out", run]) == 0
-    assert load_report(run)["candidate"]["e_stage"]["grad_norm"] is None
 
 
 def test_search_large_eps_k_clamps_builtin_items(tmp_path, capsys):

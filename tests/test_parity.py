@@ -110,6 +110,10 @@ COMMANDS = [
     ("solve-a_base20-m40", ["solve"], {"potential": {"a_base": 20}}),
     ("solve-a_base20-m80", ["solve"], {"potential": {"a_base": 20}, "grid": {"m": 80}}),
     ("solve-period4-m160", ["solve"], {"potential": {"period": 4}, "grid": {"m": 160}}),
+    # the m=40 attempt solves but its continuation stalls: the attempt runs at m
+    ("solve-m160-polish1", ["solve"], {"grid": {"m": 160}, "solver": {"polish_steps": 1}}),
+    # no Armijo pass: the E-stage's Newton starts from the guess
+    ("solve-max_iters0", ["solve"], {"potential": {"alpha": 3}, "solver": {"max_iters": 0}}),
     # a crossing phase is taken modulo the period: the default orbit
     ("solve-off-period", ["solve"], {"solver": {"bump_center": 3.0}}),
     # off-phase alpha=3 solves: the Newton release stalls, the descent finishes

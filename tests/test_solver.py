@@ -97,6 +97,31 @@ def test_e_stage_solves_once_per_armijo_step(pot, grid, cfg, monkeypatch, center
     assert calls == [(grid.n, 2)] * (iterations - 1)
 
 
+def test_e_stage_takes_no_armijo_step_after_its_newton(grid, cfg, monkeypatch):
+    # at a_base 20 the bordered Newton stalls above grad_tol: the stage
+    # ends there as stalled, with no Armijo step after it
+    calls = []
+    armijo, newton = solve._armijo_step, solve._damped_newton
+
+    def recording_armijo(*args):
+        calls.append("armijo")
+        return armijo(*args)
+
+    def recording_newton(*args):
+        calls.append("newton")
+        return newton(*args)
+
+    monkeypatch.setattr(solve, "_armijo_step", recording_armijo)
+    monkeypatch.setattr(solve, "_damped_newton", recording_newton)
+    pot = example_potential(a_base=20.0)
+    guess = initial_guess_bump(grid, pot, k0=cfg.k0)
+    constraint = ConstraintE(node_index=grid.center_index, k=cfg.k0)
+    res = minimize_over_E(guess, constraint, pot, cfg)
+    assert "armijo" in calls and "newton" in calls
+    assert "armijo" not in calls[calls.index("newton"):]
+    assert res.stop == "stalled" and res.newton_steps >= 1
+
+
 @pytest.mark.parametrize("center,k0", [(0.0, 1.5), (0.5, 1.35)])
 def test_alpha4_e_stage_newton_stops_well_inside_its_cap(grid, cfg, center, k0):
     # the quasi-Newton steps hand the bordered Newton an iterate inside its
@@ -390,13 +415,14 @@ def test_release_records_every_polish_step(
     assert len(released) == polished
     if fallbacks and not stalls:
         # the Armijo descent converged; the shared line search keeps its iterates
-        assert (cand.e_stage["iterations"], cand.iterations) == (9, 25)
+        assert (cand.e_stage["iterations"], cand.iterations) == (9, 26)
         assert cand.action == pytest.approx(22.562398622403798, rel=0.0, abs=1e-12)
 
 
 def test_armijo_steps_never_raise_the_action(grid, cfg, monkeypatch):
     # off-centre alpha=3 solve whose Newton release stalls, so both the
-    # E-stage and the descent fallback step through the shared line search
+    # E-stage and the descent fallback step through the shared loop, whose
+    # last pass measures the converged gradient and takes no step
     pot = example_potential(alpha=3.0)
     descents = _count_descents(monkeypatch)
     steps = []  # (ray, action before, action after, clearance after) per accepted step
@@ -412,7 +438,7 @@ def test_armijo_steps_never_raise_the_action(grid, cfg, monkeypatch):
     cand = solve_homoclinic(pot, grid, replace(cfg, bump_center=0.4, grad_tol=1e-3))
     assert len(descents) == 1
     free = [s for s in steps if s[0] is None]
-    assert len(free) == cand.iterations == 25
+    assert len(free) == cand.iterations - 1 == 25
     assert len(steps) - len(free) == cand.e_stage["iterations"] - 1
     for _, before, after, clearance in steps:
         assert after <= before
